@@ -12,14 +12,22 @@ as BigCellError.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .loops import DEFAULT_SAMPLES, MatrixLoop, _fast_len
+from .loops import (
+    DEFAULT_SAMPLES,
+    MatrixLoop,
+    _fast_len,
+    coeffs_to_samples,
+    samples_to_coeffs,
+)
 
 FACTOR_TOL = 1e-9
 COND_LIMIT = 1e12
+CHUNK = 512
 
 
 class BigCellError(RuntimeError):
@@ -54,23 +62,22 @@ def _rhs(order: int, n: int) -> np.ndarray:
 
 
 def factorize_batch(coeffs: np.ndarray, sample_count: int = DEFAULT_SAMPLES,
-                    tol: float = FACTOR_TOL, chunk: int = 512):
+                    tol: float = FACTOR_TOL, threads: int = 1):
     """Factor a stack of loops given as (B, 2N+1, n, n) coefficient arrays.
 
     Returns (g_minus_coeffs (B, 2N+1, n, n), g_plus_coeffs, residuals, ok).
     Nodes whose system is singular or whose reconstruction residual exceeds
     tol are flagged ok = False instead of raising; the coefficient entries
-    for failed nodes are zero.
+    for failed nodes are zero.  The stack is solved in independent chunks
+    of at most CHUNK loops, at least `threads` of them, mapped over that
+    many workers; each loop is solved on its own, so the output does not
+    depend on the thread count.
     """
     b, nmodes, n, _ = coeffs.shape
     order = (nmodes - 1) // 2
-    g_minus = np.zeros_like(coeffs)
-    g_plus = np.zeros_like(coeffs)
-    residuals = np.full(b, np.inf)
-    ok = np.zeros(b, dtype=bool)
     rhs = _rhs(order, n)
-    for start in range(0, b, chunk):
-        sl = slice(start, min(start + chunk, b))
+
+    def solve(sl):
         cs = coeffs[sl]
         t = _toeplitz_batch(cs, order, n)
         try:
@@ -91,38 +98,32 @@ def factorize_batch(coeffs: np.ndarray, sample_count: int = DEFAULT_SAMPLES,
         res[bad] = np.inf
         good &= ~bad
         good &= res <= tol
-        g_minus[sl][good] = gm[good]
-        g_plus[sl][good] = gp[good]
-        residuals[sl] = res
-        ok[sl] = good
-    return g_minus, g_plus, residuals, ok
+        gm[~good] = 0
+        gp[~good] = 0
+        return gm, gp, res, good
+
+    chunk = max(1, min(CHUNK, -(-b // threads)))
+    spans = [slice(lo, lo + chunk) for lo in range(0, max(b, 1), chunk)]
+    if threads > 1 and len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(solve, spans))
+    else:
+        parts = [solve(sl) for sl in spans]
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def _assemble(coeffs, plus, order, n, sample_count):
     """Normalize the factors and measure sup |gamma - g_minus g_plus^{-1}|."""
     b = len(coeffs)
     m = _fast_len(max(sample_count, 4 * order + 2))
-    ks = np.arange(-order, order + 1)
-    spec = np.zeros((b, m, n, n), dtype=complex)
-    spec[:, ks % m] = coeffs
-    gamma_vals = np.fft.ifft(spec, axis=1) * m
-
-    spec_p = np.zeros((b, m, n, n), dtype=complex)
-    spec_p[:, np.arange(order + 1) % m] = plus
-    plus_vals = np.fft.ifft(spec_p, axis=1) * m
-
-    prod_vals = gamma_vals @ plus_vals
-    prod_spec = np.fft.fft(prod_vals, axis=1) / m
-    minus = prod_spec[:, ks[ks <= 0] % m]        # modes -order..0, ascending k
+    gamma_vals = coeffs_to_samples(coeffs, m)
+    prod_vals = gamma_vals @ coeffs_to_samples(plus, m, first_mode=0)
+    minus = samples_to_coeffs(prod_vals, order)[:, :order + 1]  # modes -N..0
 
     # normalize: right-multiply both factors so that g_minus mode 0 is
     # exactly the identity; the twist constant is itself mode 0
-    mode0 = minus[:, -1]
     with np.errstate(all="ignore"):
-        try:
-            twist = np.linalg.inv(mode0)
-        except np.linalg.LinAlgError:
-            twist = np.stack([np.linalg.pinv(x) for x in mode0])
+        twist = _inv_per_loop(minus[:, -1])
     minus = minus @ twist[:, None]
     plus = plus @ twist[:, None]
     minus[:, -1] = np.eye(n)
@@ -132,18 +133,27 @@ def _assemble(coeffs, plus, order, n, sample_count):
     gp = np.zeros_like(gm)
     gp[:, order:] = plus
 
-    spec_p[:, np.arange(order + 1) % m] = plus
-    plus_vals = np.fft.ifft(spec_p, axis=1) * m
-    spec_m = np.zeros_like(spec_p)
-    spec_m[:, ks[ks <= 0] % m] = minus
-    minus_vals = np.fft.ifft(spec_m, axis=1) * m
+    plus_vals = coeffs_to_samples(plus, m, first_mode=0)
+    minus_vals = coeffs_to_samples(minus, m, first_mode=-order)
     with np.errstate(all="ignore"):
-        try:
-            recon = minus_vals @ np.linalg.inv(plus_vals)
-        except np.linalg.LinAlgError:
-            recon = np.full_like(minus_vals, np.nan)
+        recon = minus_vals @ _inv_per_loop(plus_vals)
     res = np.abs(recon - gamma_vals).max(axis=(1, 2, 3))
     return gm, gp, res
+
+
+def _inv_per_loop(mats):
+    """Inverse of a stack over axis 0; a loop holding a singular matrix gets
+    NaNs, so it fails alone instead of with every loop in its chunk."""
+    try:
+        return np.linalg.inv(mats)
+    except np.linalg.LinAlgError:
+        out = np.full_like(mats, np.nan)
+        for j, mat in enumerate(mats):
+            try:
+                out[j] = np.linalg.inv(mat)
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 def factorize(gamma: MatrixLoop, tol: float = FACTOR_TOL,

@@ -11,7 +11,6 @@ node the run requires.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import platform
 import sys
@@ -28,8 +27,10 @@ from .kdv import PathCrossesBadCellError
 from .loops import (
     DEFAULT_ORDER,
     DEFAULT_SAMPLES,
+    TANGENT_BAND,
     MatrixLoop,
-    _fast_len,
+    TailMassError,
+    default_sample_count,
     inverse,
     monomial,
     multiply,
@@ -105,7 +106,7 @@ class ExperimentConfig:
     def resolved_samples(self) -> int:
         if self.samples is not None:
             return self.samples
-        return max(DEFAULT_SAMPLES, _fast_len(4 * self.trunc + 2))
+        return default_sample_count(self.trunc)
 
     def resolved_tol_path(self) -> float:
         if self.tol_path is not None:
@@ -179,6 +180,14 @@ class ExperimentConfig:
                 if key not in allowed:
                     raise ConfigError(
                         f"preset '{name}' does not take parameter '{key}'")
+        if name == "one_pole" and "pole" in params \
+                and not 0 < abs(params["pole"]) < 1:
+            raise ConfigError("one_pole needs a nonzero pole inside the unit disc")
+        if (self.pipeline, name) == ("birkhoff", "random") \
+                and self.trunc < TANGENT_BAND:
+            raise ConfigError(
+                f"random loops have {TANGENT_BAND} modes a side; "
+                f"trunc must be >= {TANGENT_BAND}")
 
 
 _PRESET_PARAMS = {
@@ -283,14 +292,8 @@ def _run_kdv(config: ExperimentConfig):
                             kdv.kdv_residual(grid), config.tol_residual))
 
     header = ["x", "t", "re_log_tau", "im_log_tau", "re_q", "re_u", "bigcell"]
-    rows = []
-    for i, x in enumerate(xs):
-        for j, t in enumerate(ts):
-            rows.append([
-                _fmt(x), _fmt(t),
-                _fmt(grid.log_tau[i, j].real), _fmt(grid.log_tau[i, j].imag),
-                _fmt(grid.q[i, j].real), _fmt(grid.u[i, j].real),
-                str(int(grid.bigcell[i, j]))])
+    columns = [*np.meshgrid(xs, ts, indexing="ij"), grid.log_tau.real,
+               grid.log_tau.imag, grid.q.real, grid.u.real, grid.bigcell]
     extra = {
         "seed": {"label": seed.label, **params},
         "summary": {
@@ -298,7 +301,7 @@ def _run_kdv(config: ExperimentConfig):
             "max_abs_u": float(np.nanmax(np.abs(grid.u))),
         },
     }
-    return checks, header, rows, extra
+    return checks, header, columns, extra
 
 
 _ERNST_PRESETS = {
@@ -316,7 +319,7 @@ def _run_ernst(config: ExperimentConfig):
     rs, zs = config.axes()
     field = ernst.logtau_field(sol, rs, zs,
                                tol_path=config.resolved_tol_path())
-    report = ernst.conformal_factor_check(sol, rs, zs)
+    report = ernst.conformal_factor_check(sol, field)
     gr, gz = np.meshgrid(rs, zs, indexing="ij")
     residuals = np.atleast_1d(ernst.field_residual(sol, gr, gz))
     residue_worst = max(ernst.residue_check(sol, r, z)
@@ -336,16 +339,9 @@ def _run_ernst(config: ExperimentConfig):
 
     header = ["r", "z", "log_tau", "dlogtau_w_re", "dlogtau_w_im",
               "field_residual", "candidate1_const", "candidate2_const"]
-    rows = []
-    for i, r in enumerate(rs):
-        for j, z in enumerate(zs):
-            rows.append([
-                _fmt(r), _fmt(z), _fmt(field.log_tau[i, j]),
-                _fmt(field.dlogtau_w[i, j].real),
-                _fmt(field.dlogtau_w[i, j].imag),
-                _fmt(residuals[i, j]),
-                _fmt(report.candidate1[i, j]),
-                _fmt(report.candidate2[i, j])])
+    columns = [gr, gz, field.log_tau, field.dlogtau_w.real,
+               field.dlogtau_w.imag, residuals, report.candidate1,
+               report.candidate2]
     extra = {
         "solution": {"label": sol.label, **params},
         "summary": {
@@ -354,7 +350,7 @@ def _run_ernst(config: ExperimentConfig):
             "candidate2_std": report.candidate2_std,
         },
     }
-    return checks, header, rows, extra
+    return checks, header, columns, extra
 
 
 def _twist_loop(order: int) -> MatrixLoop:
@@ -376,29 +372,18 @@ def _run_birkhoff(config: ExperimentConfig):
         random_unimodular_loop(rng, order=config.trunc,
                                amplitude=config.strength).coeffs
         for _ in range(config.count)])
-    sample_count = config.resolved_samples()
-    if config.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        bounds = np.linspace(0, len(stack), config.threads + 1).astype(int)
-        spans = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            parts = list(pool.map(
-                lambda s: factorize_batch(stack[s[0]:s[1]], sample_count,
-                                          config.tol_factor), spans))
-        residuals = np.concatenate([p[2] for p in parts])
-        ok = np.concatenate([p[3] for p in parts])
-    else:
-        _, _, residuals, ok = factorize_batch(stack, sample_count,
-                                              config.tol_factor)
+    _, _, residuals, ok = factorize_batch(
+        stack, config.resolved_samples(), config.tol_factor,
+        threads=config.threads)
 
     checks = [
         Check("round_trip_residual", float(residuals.max()), config.tol_factor),
         Check("big_cell_fraction", float((~ok).mean()), 0.0),
     ]
-    rows = [[str(i), _fmt(r)] for i, r in enumerate(residuals)]
     extra = {"summary": {"loops": int(config.count),
                          "max_residual": float(residuals.max())}}
-    return checks, ["index", "residual"], rows, extra
+    return (checks, ["index", "residual"],
+            [np.arange(len(residuals)), residuals], extra)
 
 
 def _run_selftest(config: ExperimentConfig):
@@ -474,8 +459,9 @@ def _run_selftest(config: ExperimentConfig):
     checks.append(Check("ernst_loop_closedness", loop_val,
                         LOOP_CLOSEDNESS_TOL))
 
-    report = ernst.conformal_factor_check(
-        ernst.kasner(0.7), np.linspace(0.5, 2.0, 9), np.linspace(-0.5, 0.5, 7))
+    kasner = ernst.kasner(0.7)
+    report = ernst.conformal_factor_check(kasner, ernst.logtau_field(
+        kasner, np.linspace(0.5, 2.0, 9), np.linspace(-0.5, 0.5, 7)))
     checks.append(Check("ernst_conformal_constant", report.candidate1_std,
                         CONFORMAL_CONSTANT_TOL))
 
@@ -491,17 +477,6 @@ _DISPATCH = {
 
 
 # -- artifacts -----------------------------------------------------------
-
-
-def _fmt(value) -> str:
-    return format(float(value), ".17g")
-
-
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _manifest(config: ExperimentConfig, checks, extra, csv_name, elapsed,
@@ -556,12 +531,15 @@ def run(config: ExperimentConfig) -> int:
         return EXIT_CONFIG
 
     try:
-        checks, header, rows, extra = _DISPATCH[config.pipeline](config)
+        checks, header, columns, extra = _DISPATCH[config.pipeline](config)
     except (BigCellError, PathCrossesBadCellError) as err:
         print(f"[FAIL] big_cell_required_node: {err}")
         return EXIT_BIG_CELL
     except PathRefinementError as err:
         print(f"[FAIL] path_refinement: {err}")
+        return EXIT_CHECK_FAILED
+    except TailMassError as err:
+        print(f"[FAIL] tail_mass: {err}")
         return EXIT_CHECK_FAILED
     except ValueError as err:
         print(f"[FAIL] numerical_invariant: {err}")
@@ -579,9 +557,15 @@ def run(config: ExperimentConfig) -> int:
         out_dir = Path(config.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         csv_name = None
-        if rows is not None:
+        if columns is not None:
             csv_name = f"{config.pipeline}.csv"
-            _write_csv(out_dir / csv_name, header, rows)
+            # %.17g round-trips every float64; flags and indices print as ints
+            fmt = ["%d" if np.asarray(c).dtype.kind in "biu" else "%.17g"
+                   for c in columns]
+            np.savetxt(out_dir / csv_name,
+                       np.column_stack([np.ravel(c) for c in columns]),
+                       fmt=fmt, delimiter=",", header=",".join(header),
+                       comments="")
         manifest = _manifest(config, checks, extra, csv_name, elapsed,
                              exit_code)
         with open(out_dir / f"{config.pipeline}_manifest.json", "w") as fh:
@@ -629,7 +613,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--trunc", type=int, help="Fourier truncation order N")
         p.add_argument("--samples", type=int, help="circle sample count M")
         p.add_argument("--out", help="directory for CSV and manifest")
-        p.add_argument("--threads", type=int, help="fork-join worker count")
+        p.add_argument("--threads", type=int,
+                       help="workers for the batched factorizations")
         p.add_argument("--tol-factor", dest="tol_factor", type=float,
                        help="factorization residual tolerance")
         p.add_argument("--tol-path", dest="tol_path", type=float,

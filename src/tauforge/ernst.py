@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import refine_path_cells
+from .quadrature import cumulative_from, refine_path_cells
 from .twistor import ernst_frame
 
 BASE_POINT = (1.0, 0.0)
@@ -186,15 +186,6 @@ class ErnstTauField:
     dlogtau_wbar: np.ndarray
 
 
-def _cumulative_from_anchor(breaks, cell_values, anchor: float):
-    """Antiderivative at the breakpoints, zero at the anchor breakpoint."""
-    n_cols = cell_values.shape[0]
-    cum = np.zeros((n_cols, len(breaks)), dtype=complex)
-    cum[:, 1:] = np.cumsum(cell_values, axis=1)
-    idx = int(np.argmin(np.abs(breaks - anchor)))
-    return cum - cum[:, idx][:, None]
-
-
 def _validated_axes(rs, zs):
     rs = np.asarray(rs, dtype=float)
     zs = np.asarray(zs, dtype=float)
@@ -219,7 +210,7 @@ def logtau_field(sol: ErnstSolution, rs, zs,
     vals_r, _, _ = refine_path_cells(
         lambda pts, cols: _d_r_logtau(sol, pts, np.zeros_like(pts)),
         r_cells, 1, tol_path, max_level=14)
-    cum_r = _cumulative_from_anchor(r_breaks, vals_r, r0)[0]
+    cum_r = cumulative_from(r_breaks, vals_r, r0)[0]
     base_r = cum_r[np.searchsorted(r_breaks, rs)]
 
     z_breaks = np.union1d(zs, [z0])
@@ -227,7 +218,7 @@ def logtau_field(sol: ErnstSolution, rs, zs,
     vals_z, _, _ = refine_path_cells(
         lambda pts, cols: _d_z_logtau(sol, rs[cols], pts),
         z_cells, len(rs), tol_path, max_level=14)
-    cum_z = _cumulative_from_anchor(z_breaks, vals_z, z0)
+    cum_z = cumulative_from(z_breaks, vals_z, z0)
     log_tau = base_r[:, None] + cum_z[:, np.searchsorted(z_breaks, zs)]
 
     if np.abs(log_tau.imag).max() > 1e-9:
@@ -293,20 +284,21 @@ def _gl_cumulative(fn, breaks, anchor, order: int = 16):
     pts = (0.5 * (a + b)[:, None] + half[:, None] * nodes[None, :]).ravel()
     vals = np.asarray(fn(pts), dtype=complex).reshape(-1, len(a), order)
     cells = (vals * weights[None, None, :]).sum(axis=2) * half[None, :]
-    return _cumulative_from_anchor(breaks, cells, anchor)
+    return cumulative_from(breaks, cells, anchor)
 
 
-def conformal_factor_check(sol: ErnstSolution, rs, zs) -> ConformalFactorReport:
+def conformal_factor_check(sol: ErnstSolution,
+                           field: ErnstTauField) -> ConformalFactorReport:
     """Integrate the conformal-factor equation and compare it to log tau.
 
-    The displayed equation for log(r Omega^2) has the same Wirtinger
+    field is logtau_field(sol, rs, zs) on the grid to compare over.  The
+    displayed equation for log(r Omega^2) has the same Wirtinger
     derivatives as log tau, so candidate 1 = log tau - log(r Omega^2)
     should be grid-constant; candidate 2 = log tau + log(r^2 Omega) is
     reported alongside for comparison.  Both integrations run over the
     same axis paths but with independent quadrature.
     """
-    rs, zs = _validated_axes(rs, zs)
-    field = logtau_field(sol, rs, zs)
+    rs, zs = field.rs, field.zs
     r0, z0 = BASE_POINT
 
     # log(r Omega^2), normalized to 0 at the base point

@@ -24,7 +24,6 @@ over grid nodes.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,15 +31,16 @@ import numpy as np
 from .birkhoff import factorize, factorize_batch
 from .loops import (
     DEFAULT_ORDER,
-    DEFAULT_SAMPLES,
     TAIL_THRESHOLD,
     MatrixLoop,
     ScalarLoop,
-    TailMassError,
-    _fast_len,
+    circle_points,
+    coeffs_to_samples,
+    default_sample_count,
+    samples_to_coeffs,
 )
 from .phase_space import TauVariationInput, tau_variation
-from .quadrature import refine_path_cells
+from .quadrature import cumulative_from, refine_path_cells
 from .twistor import SpacetimePoint, SymmetryGenerator, decompose
 
 PHI0 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -117,7 +117,7 @@ def _exp_minus_mu_phi(mu, lam, branch: float = 1.0):
 
 def _pullback_values(seed: KdVSeed, v, x, t, m: int):
     """Sampled translated loops, shape (B, m, 2, 2)."""
-    lam = np.exp(2j * np.pi * np.arange(m) / m)
+    lam = circle_points(m)
     v = np.atleast_1d(np.asarray(v, dtype=complex))[:, None]
     x = np.atleast_1d(np.asarray(x, dtype=complex))[:, None]
     t = np.atleast_1d(np.asarray(t, dtype=complex))[:, None]
@@ -131,34 +131,19 @@ def pullback_coeff_batch(seed: KdVSeed, x, t, order: int = DEFAULT_ORDER,
                          sample_count: int | None = None,
                          tail_tol: float | None = TAIL_THRESHOLD):
     """Coefficients (B, 2N+1, 2, 2) of the translated loops at v = 0."""
-    m = sample_count or max(DEFAULT_SAMPLES, _fast_len(4 * order + 2))
+    m = sample_count or default_sample_count(order)
     vals = _pullback_values(seed, np.zeros_like(np.atleast_1d(x)), x, t, m)
-    spec = np.fft.fft(vals, axis=1) / m
-    ks = np.arange(-order, order + 1)
-    coeffs = spec[:, ks % m]
-    if tail_tol is not None:
-        norms = np.linalg.norm(spec.reshape(len(spec), m, -1), axis=2)
-        kept = np.zeros(m, dtype=bool)
-        kept[ks % m] = True
-        dropped = norms[:, ~kept].sum(axis=1)
-        total = norms.sum(axis=1)
-        worst = (dropped / np.where(total > 0, total, 1.0)).max()
-        if worst > tail_tol:
-            raise TailMassError(
-                f"pullback alias mass {worst:.3e} exceeds {tail_tol:.1e}; "
-                "increase the truncation order for this grid range")
-    return coeffs
+    return samples_to_coeffs(vals, order, tail_tol)
 
 
 def pullback_patching(seed: KdVSeed, p: SpacetimePoint,
                       order: int = DEFAULT_ORDER,
                       sample_count: int | None = None) -> MatrixLoop:
     """Translated patching loop at one space-time point."""
-    m = sample_count or max(DEFAULT_SAMPLES, _fast_len(4 * order + 2))
+    m = sample_count or default_sample_count(order)
     vals = _pullback_values(seed, p.v, p.x, p.t, m)[0]
-    loop = MatrixLoop.from_samples(vals, order, tail_tol=TAIL_THRESHOLD)
-    loop.unimodular = True
-    return loop
+    return MatrixLoop.from_samples(vals, order, tail_tol=TAIL_THRESHOLD,
+                                   unimodular=True)
 
 
 # -- direction data -----------------------------------------------------
@@ -171,7 +156,7 @@ def _direction_multiplier(direction: str):
 
 def _direction_u_samples(direction: str, m: int):
     """Samples of u = h(lambda) Phi(lambda) on the circle."""
-    lam = np.exp(2j * np.pi * np.arange(m) / m)
+    lam = circle_points(m)
     h = _direction_multiplier(direction).eval(lam)
     u = np.zeros((m, 2, 2), dtype=complex)
     u[:, 0, 1] = h / lam
@@ -187,10 +172,12 @@ def _multiplier_loop(direction: str, order: int = 2) -> ScalarLoop:
 # -- potential extraction ----------------------------------------------
 
 
-def _batch_minus_factors(seed: KdVSeed, x, t, order, sample_count, tol):
+def _batch_minus_factors(seed: KdVSeed, x, t, order, sample_count, tol,
+                         threads: int = 1):
     coeffs = pullback_coeff_batch(seed, x, t, order, sample_count)
-    m = sample_count or max(DEFAULT_SAMPLES, _fast_len(4 * order + 2))
-    minus, _, residuals, ok = factorize_batch(coeffs, m, tol=tol)
+    m = sample_count or default_sample_count(order)
+    minus, _, residuals, ok = factorize_batch(coeffs, m, tol=tol,
+                                              threads=threads)
     return minus, residuals, ok
 
 
@@ -201,18 +188,12 @@ def _gauge_variation_batch(minus, u_samples, m: int):
     The integrand has mode span well inside m, so the Fourier pick of the
     residue coefficient is exact.
     """
-    b, nmodes = minus.shape[:2]
-    order = (nmodes - 1) // 2
+    order = (minus.shape[1] - 1) // 2
     ks = np.arange(-order, order + 1)
-    lam = np.exp(2j * np.pi * np.arange(m) / m)
-
-    spec = np.zeros((b, m, 2, 2), dtype=complex)
-    spec[:, ks % m] = minus
-    g_vals = np.fft.ifft(spec, axis=1) * m
-
-    dspec = np.zeros((b, m, 2, 2), dtype=complex)
-    dspec[:, (ks - 1) % m] = ks[None, :, None, None] * minus
-    dg_vals = np.fft.ifft(dspec, axis=1) * m
+    g_vals = coeffs_to_samples(minus, m)
+    # d/dlambda moves mode k to k - 1
+    dg_vals = coeffs_to_samples(ks[:, None, None] * minus, m,
+                                first_mode=-order - 1)
 
     det = (g_vals[..., 0, 0] * g_vals[..., 1, 1]
            - g_vals[..., 0, 1] * g_vals[..., 1, 0])
@@ -225,7 +206,7 @@ def _gauge_variation_batch(minus, u_samples, m: int):
 
     w = dg_vals @ inv @ u_samples[None]
     tr = w[..., 0, 0] + w[..., 1, 1]
-    c_minus_one = tr @ lam / m
+    c_minus_one = tr @ circle_points(m) / m
     return -c_minus_one
 
 
@@ -338,40 +319,12 @@ class TauGrid:
     bigcell: np.ndarray
 
 
-def _cumulative_from_zero(breaks, cell_values):
-    """Antiderivative at the breakpoints, zero at the breakpoint 0.0.
-
-    cell_values: (n_cols, n_cells) integrals over consecutive intervals.
-    """
-    n_cols = cell_values.shape[0]
-    cum = np.zeros((n_cols, len(breaks)), dtype=complex)
-    cum[:, 1:] = np.cumsum(cell_values, axis=1)
-    zero_idx = int(np.argmin(np.abs(breaks)))
-    return cum - cum[:, zero_idx][:, None]
-
-
 def _node_sweep(seed: KdVSeed, x, t, order, sample_count, factor_tol,
                 threads: int):
-    """Minus factors over independent nodes, optionally fork-join chunked.
-
-    Chunk results are concatenated in submission order and every node is
-    solved independently, so the output is bitwise identical for any
-    thread count.
-    """
-    if threads <= 1 or len(x) < 2 * threads:
-        minus, _, ok = _batch_minus_factors(
-            seed, x, t, order, sample_count, factor_tol)
-        return minus, ok
-    bounds = np.linspace(0, len(x), threads + 1).astype(int)
-    spans = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(
-            lambda span: _batch_minus_factors(
-                seed, x[span[0]:span[1]], t[span[0]:span[1]],
-                order, sample_count, factor_tol),
-            spans))
-    return (np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[2] for p in parts]))
+    """Minus factors and big-cell flags at independent grid nodes."""
+    minus, _, ok = _batch_minus_factors(
+        seed, x, t, order, sample_count, factor_tol, threads)
+    return minus, ok
 
 
 def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
@@ -384,7 +337,7 @@ def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
         raise ValueError("grid needs at least 2 nodes per axis")
     if not (np.all(np.diff(xs) > 0) and np.all(np.diff(ts) > 0)):
         raise ValueError("grid axes must be strictly increasing")
-    m = sample_count or max(DEFAULT_SAMPLES, _fast_len(4 * order + 2))
+    m = sample_count or default_sample_count(order)
 
     # node sweep: q and big-cell flags
     gx, gt = np.meshgrid(xs, ts, indexing="ij")
@@ -398,7 +351,7 @@ def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
 
     def variation(direction, xpts, tpts):
         mn, _, good = _batch_minus_factors(
-            seed, xpts, tpts, order, sample_count, factor_tol)
+            seed, xpts, tpts, order, sample_count, factor_tol, threads)
         if not good.all():
             bad = np.argwhere(~good)[0, 0]
             raise PathCrossesBadCellError(
@@ -412,7 +365,7 @@ def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
     vals_x, _, _ = refine_path_cells(
         lambda pts, cols: variation("x", pts, np.zeros_like(pts)),
         x_cells, 1, tol_path)
-    cum_x = _cumulative_from_zero(x_breaks, vals_x)[0]
+    cum_x = cumulative_from(x_breaks, vals_x, 0.0)[0]
     log_tau_x = cum_x[np.searchsorted(x_breaks, xs)]
 
     # leg 2: along t at each fixed x, from t = 0
@@ -421,7 +374,7 @@ def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
     vals_t, _, _ = refine_path_cells(
         lambda pts, cols: variation("t", xs[cols], pts),
         t_cells, len(xs), tol_path)
-    cum_t = _cumulative_from_zero(t_breaks, vals_t)
+    cum_t = cumulative_from(t_breaks, vals_t, 0.0)
     log_tau = log_tau_x[:, None] + cum_t[:, np.searchsorted(t_breaks, ts)]
 
     dx = float(xs[1] - xs[0])

@@ -18,6 +18,7 @@ import scipy.linalg
 DEFAULT_ORDER = 32
 DEFAULT_SAMPLES = 256
 TAIL_THRESHOLD = 1e-8
+TANGENT_BAND = 8
 
 
 class TailMassError(RuntimeError):
@@ -31,6 +32,64 @@ class SingularLoopError(RuntimeError):
 def _fast_len(m: int) -> int:
     # next power of two; keeps numpy's FFT on its fastest path
     return 1 << (int(m) - 1).bit_length()
+
+
+def default_sample_count(order: int) -> int:
+    """Grid size M for modes -order..order: M >= 4N+2, FFT-friendly, >= 256."""
+    return max(DEFAULT_SAMPLES, _fast_len(4 * order + 2))
+
+
+def circle_points(m: int):
+    """lambda_j = exp(2 pi i j / M), the sample grid of every transform."""
+    return np.exp(2j * np.pi * np.arange(m) / m)
+
+
+# -- coefficient stacks (..., K, n, n), modes on axis -3 -----------------
+
+def coeffs_to_samples(coeffs, m: int, first_mode: int | None = None):
+    """Values on the M-point circle grid, exact via zero-padded FFT.
+
+    The K modes on axis -3 run first_mode..first_mode+K-1; the default
+    centres them on 0, as for a loop with modes -N..N.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    k = coeffs.shape[-3]
+    if k > m:
+        raise ValueError("sample grid cannot resolve the loop")
+    if first_mode is None:
+        first_mode = -((k - 1) // 2)
+    spec = np.zeros(coeffs.shape[:-3] + (m,) + coeffs.shape[-2:], dtype=complex)
+    spec[..., (first_mode + np.arange(k)) % m, :, :] = coeffs
+    return np.fft.ifft(spec, axis=-3) * m
+
+
+def _tail_fraction(stack, kept):
+    """Per-loop share of the mode-norm mass outside the kept modes (axis -3)."""
+    norms = np.linalg.norm(stack.reshape(stack.shape[:-2] + (-1,)), axis=-1)
+    total = norms.sum(axis=-1)
+    dropped = norms[..., ~kept].sum(axis=-1)
+    return dropped / np.where(total > 0, total, 1.0)
+
+
+def samples_to_coeffs(samples, order: int, tail_tol: float | None = None):
+    """Modes -order..order of loops sampled on the circle grid (axis -3).
+
+    With tail_tol, the mass in the discarded alias bins is checked loop by
+    loop and the worst loop raises TailMassError if it exceeds tail_tol.
+    """
+    samples = np.asarray(samples, dtype=complex)
+    m = samples.shape[-3]
+    spec = np.fft.fft(samples, axis=-3) / m
+    idx = np.arange(-order, order + 1) % m
+    if tail_tol is not None:
+        kept = np.zeros(m, dtype=bool)
+        kept[idx] = True
+        worst = _tail_fraction(spec, kept).max()
+        if worst > tail_tol:
+            raise TailMassError(
+                f"discarded alias mass {worst:.3e} exceeds {tail_tol:.1e}; "
+                "increase the truncation order")
+    return spec[..., idx, :, :]
 
 
 class MatrixLoop:
@@ -50,7 +109,7 @@ class MatrixLoop:
         self.n = coeffs.shape[1]
         minimum = 4 * self.order + 2
         if sample_count is None:
-            sample_count = max(DEFAULT_SAMPLES, _fast_len(minimum))
+            sample_count = default_sample_count(self.order)
         if sample_count < minimum:
             raise ValueError(f"sample_count {sample_count} < 4N+2 = {minimum}")
         self.sample_count = int(sample_count)
@@ -85,33 +144,9 @@ class MatrixLoop:
         the discarded alias bins beyond +-order is checked against tail_tol
         when given and raises TailMassError if exceeded.
         """
-        samples = np.asarray(samples, dtype=complex)
-        m = samples.shape[0]
-        spec = np.fft.fft(samples, axis=0) / m
-        ks = np.arange(-order, order + 1)
-        coeffs = spec[ks % m]
-        if tail_tol is not None:
-            norms = np.linalg.norm(spec.reshape(m, -1), axis=1)
-            kept = np.zeros(m, dtype=bool)
-            kept[ks % m] = True
-            total = norms.sum()
-            dropped = norms[~kept].sum()
-            if total > 0 and dropped / total > tail_tol:
-                raise TailMassError(
-                    f"discarded alias mass {dropped / total:.3e} exceeds {tail_tol:.1e}")
-        return cls(coeffs, m, **kw)
-
-    @classmethod
-    def from_function(cls, fn, n: int = 2, order: int = DEFAULT_ORDER,
-                      sample_count: int | None = None,
-                      tail_tol: float | None = TAIL_THRESHOLD, **kw) -> "MatrixLoop":
-        """Sample fn(lambda_array) -> (M, n, n) on the circle and transform."""
-        m = sample_count or max(DEFAULT_SAMPLES, _fast_len(4 * order + 2))
-        lam = np.exp(2j * np.pi * np.arange(m) / m)
-        vals = np.asarray(fn(lam), dtype=complex)
-        if vals.shape != (m, n, n):
-            raise ValueError(f"function returned {vals.shape}, expected {(m, n, n)}")
-        return cls.from_samples(vals, order, tail_tol=tail_tol, **kw)
+        samples = np.asarray(samples)
+        return cls(samples_to_coeffs(samples, order, tail_tol),
+                   samples.shape[0], **kw)
 
     # -- basic access -------------------------------------------------
 
@@ -135,25 +170,10 @@ class MatrixLoop:
 
     def samples(self, sample_count: int | None = None):
         """Values on the grid theta_j = 2 pi j / M, exact via zero-padded FFT."""
-        m = sample_count or self.sample_count
-        if m < 2 * self.order + 1:
-            raise ValueError("sample grid cannot resolve the loop")
-        spec = np.zeros((m, self.n, self.n), dtype=complex)
-        ks = np.arange(-self.order, self.order + 1)
-        np.add.at(spec, ks % m, self.coeffs)
-        return np.fft.ifft(spec, axis=0) * m
+        return coeffs_to_samples(self.coeffs, sample_count or self.sample_count)
 
     def sup_norm(self) -> float:
         return float(np.abs(self.samples()).max())
-
-    def tail_mass(self) -> float:
-        """Relative coefficient mass above mode |k| = order/2 (smoothness proxy)."""
-        norms = np.linalg.norm(self.coeffs.reshape(len(self.coeffs), -1), axis=1)
-        total = norms.sum()
-        if total == 0:
-            return 0.0
-        ks = np.abs(np.arange(-self.order, self.order + 1))
-        return float(norms[ks > self.order / 2].sum() / total)
 
     def unimodular_defect(self) -> float:
         return float(np.abs(np.linalg.det(self.samples()) - 1.0).max())
@@ -167,13 +187,12 @@ class MatrixLoop:
             coeffs[order - self.order:order + self.order + 1] = self.coeffs
             return type(self)(coeffs, max(self.sample_count, 4 * order + 2),
                               unimodular=self.unimodular)
-        norms = np.linalg.norm(self.coeffs.reshape(len(self.coeffs), -1), axis=1)
-        ks = np.abs(np.arange(-self.order, self.order + 1))
-        total = norms.sum()
-        dropped = norms[ks > order].sum()
-        if tail_tol is not None and total > 0 and dropped / total > tail_tol:
-            raise TailMassError(
-                f"truncation to order {order} drops {dropped / total:.3e} of the mass")
+        if tail_tol is not None:
+            ks = np.arange(-self.order, self.order + 1)
+            dropped = _tail_fraction(self.coeffs, np.abs(ks) <= order)
+            if dropped > tail_tol:
+                raise TailMassError(
+                    f"truncation to order {order} drops {dropped:.3e} of the mass")
         sl = slice(self.order - order, self.order + order + 1)
         return type(self)(self.coeffs[sl].copy(), self.sample_count,
                           unimodular=self.unimodular)
@@ -290,9 +309,8 @@ class ScalarLoop(MatrixLoop):
                              sample_count: int | None = None,
                              tail_tol: float | None = TAIL_THRESHOLD,
                              **kw) -> "ScalarLoop":
-        m = sample_count or max(DEFAULT_SAMPLES, _fast_len(4 * order + 2))
-        lam = np.exp(2j * np.pi * np.arange(m) / m)
-        vals = np.asarray(fn(lam), dtype=complex)[:, None, None]
+        m = sample_count or default_sample_count(order)
+        vals = np.asarray(fn(circle_points(m)), dtype=complex)[:, None, None]
         return cls.from_samples(vals, order, tail_tol=tail_tol, **kw)
 
 
@@ -316,9 +334,9 @@ def multiply(a: MatrixLoop, b: MatrixLoop, out_order: int | None = None,
     exact result is re-truncated under a tail-mass check.
     """
     exact_order = a.order + b.order
-    m = _fast_len(max(2 * exact_order + 1, 4 * exact_order + 2))
-    sa = MatrixLoop.samples(a, m)
-    sb = MatrixLoop.samples(b, m)
+    m = _fast_len(4 * exact_order + 2)
+    sa = coeffs_to_samples(a.coeffs, m)
+    sb = coeffs_to_samples(b.coeffs, m)
     if a.n == 1 and b.n > 1:
         prod = sa[:, 0, 0][:, None, None] * sb
     elif b.n == 1 and a.n > 1:
@@ -326,9 +344,9 @@ def multiply(a: MatrixLoop, b: MatrixLoop, out_order: int | None = None,
     else:
         prod = sa @ sb
     cls = ScalarLoop if prod.shape[1] == 1 else MatrixLoop
-    result = cls.from_samples(prod, exact_order)
-    result.sample_count = max(result.sample_count, DEFAULT_SAMPLES)
-    result.unimodular = a.unimodular and b.unimodular and a.n == b.n
+    result = cls(samples_to_coeffs(prod, exact_order),
+                 default_sample_count(exact_order),
+                 unimodular=a.unimodular and b.unimodular and a.n == b.n)
     if out_order is not None and out_order < exact_order:
         result = result.truncate(out_order, tail_tol)
     return result
@@ -379,29 +397,38 @@ def adjugate_inverse(a: MatrixLoop) -> MatrixLoop:
     return MatrixLoop(out, a.sample_count, unimodular=a.unimodular)
 
 
+def _expm_2x2(vals):
+    """exp of stacked 2x2 matrices: e^{tr/2} (cosh s I + sinh(s)/s u0).
+
+    u0 = u - (tr/2) I is traceless, so u0^2 = s^2 I with s^2 = -det u0;
+    cosh s and sinh(s)/s are even in s, so the square-root branch drops
+    out, and sinh(s)/s switches to its series near s = 0.
+    """
+    half_tr = 0.5 * (vals[..., 0, 0] + vals[..., 1, 1])
+    u0 = vals - half_tr[..., None, None] * np.eye(2)
+    s2 = -(u0[..., 0, 0] * u0[..., 1, 1] - u0[..., 0, 1] * u0[..., 1, 0])
+    s = np.sqrt(s2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sinhc = np.where(np.abs(s2) < 1e-8,
+                         1.0 + s2 / 6.0 + s2 * s2 / 120.0, np.sinh(s) / s)
+    return np.exp(half_tr)[..., None, None] * (
+        np.cosh(s)[..., None, None] * np.eye(2) + sinhc[..., None, None] * u0)
+
+
 def exp_pointwise(a: MatrixLoop, tail_tol: float | None = TAIL_THRESHOLD) -> MatrixLoop:
     """Pointwise matrix exponential, recovered at the input's truncation.
 
-    Samples are exponentiated by eigendecomposition; samples whose
-    eigenbasis reconstructs poorly (defective or ill conditioned) fall back
-    to scaling-and-squaring.  Raises TailMassError when exp spreads the
+    2x2 samples use the closed form of _expm_2x2, larger ones batched
+    scaling-and-squaring.  Raises TailMassError when exp spreads the
     spectrum past what order N can hold.
     """
     vals = MatrixLoop.samples(a)
     if a.n == 1:
         exp_vals = np.exp(vals)
+    elif a.n == 2:
+        exp_vals = _expm_2x2(vals)
     else:
-        w, v = np.linalg.eig(vals)
-        try:
-            vinv = np.linalg.inv(v)
-            exp_vals = v @ (np.exp(w)[..., None] * vinv)
-            recon = v @ (w[..., None] * vinv)
-            bad = np.abs(recon - vals).max(axis=(1, 2)) > 1e-12 * (1 + np.abs(vals).max())
-        except np.linalg.LinAlgError:
-            exp_vals = np.empty_like(vals)
-            bad = np.ones(len(vals), dtype=bool)
-        for j in np.nonzero(bad)[0]:
-            exp_vals[j] = scipy.linalg.expm(vals[j])
+        exp_vals = scipy.linalg.expm(vals)
     out = type(a).from_samples(exp_vals, a.order, tail_tol=tail_tol)
     # det(exp u) = exp(tr u): traceless input gives a unimodular loop
     if a.n > 1 and np.abs(np.trace(a.coeffs, axis1=1, axis2=2)).max() < 1e-13:
@@ -435,15 +462,17 @@ def commutator(a: MatrixLoop, b: MatrixLoop) -> MatrixLoop:
 
 # -- random smooth loops (shared by tests, selftest, CLI) ----------------
 
-def random_tangent(rng: np.random.Generator, n: int = 2, band: int = 8,
+def random_tangent(rng: np.random.Generator, n: int = 2, band: int = TANGENT_BAND,
                    amplitude: float = 0.5, decay: float = 0.25,
                    order: int = DEFAULT_ORDER, sample_count: int | None = None,
                    antihermitian: bool = False, traceless: bool = True) -> MatrixLoop:
     """Random smooth loop with geometrically decaying band-limited modes.
 
     The decay keeps exp of the result inside the default tail-mass budget
-    at order 32.
+    at order 32.  Raises ValueError when the band does not fit the order.
     """
+    if band > order:
+        raise ValueError(f"tangent band {band} exceeds truncation order {order}")
     coeffs = np.zeros((2 * order + 1, n, n), dtype=complex)
     for k in range(-band, band + 1):
         block = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -1,4 +1,5 @@
-"""Shared path-integration helper: per-cell refined trapezoid sums.
+"""Shared path-integration helpers: per-cell refined trapezoid sums and
+the antiderivative they add up to.
 
 Integrals along grid paths are computed cell by cell (one cell per output
 grid interval) so cumulative sums land exactly on the requested nodes.
@@ -16,6 +17,17 @@ import numpy as np
 
 class PathRefinementError(Exception):
     """Refinement hit the level cap before meeting the tolerance."""
+
+
+def cumulative_from(breaks, cell_values, anchor: float):
+    """Antiderivative at the breakpoints, zero at the breakpoint nearest anchor.
+
+    cell_values: (n_cols, n_cells) integrals over consecutive intervals.
+    """
+    cum = np.zeros((cell_values.shape[0], len(breaks)), dtype=complex)
+    cum[:, 1:] = np.cumsum(cell_values, axis=1)
+    idx = int(np.argmin(np.abs(breaks - anchor)))
+    return cum - cum[:, idx][:, None]
 
 
 def refine_path_cells(eval_fn, cells, n_cols: int, tol: float,

@@ -75,9 +75,6 @@ class SymmetryGenerator:
         return all(
             z == 0 for z in (self.alpha, self.beta, self.gamma, self.delta))
 
-    def vertical_coefficient(self) -> "RationalFunction":
-        return RationalFunction((self.gamma, self.beta, self.alpha), (1.0,))
-
 
 class RationalFunction:
     """Ratio of low-degree polynomials, coefficients ascending in the

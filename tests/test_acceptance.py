@@ -243,7 +243,7 @@ def test_criterion_6_ernst_closed_forms(report):
     constant_std = 0.0
     recorded = set()
     for sol in (ernst.kasner(0.7), source):
-        rep = ernst.conformal_factor_check(sol, rs, zs)
+        rep = ernst.conformal_factor_check(sol, ernst.logtau_field(sol, rs, zs))
         constant_std = max(constant_std, min(rep.candidate1_std,
                                              rep.candidate2_std))
         recorded.add(rep.constant_candidate)

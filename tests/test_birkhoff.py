@@ -99,6 +99,17 @@ def test_batch_matches_single(rng):
         assert residuals[i] <= 1e-9
 
 
+def test_singular_loop_fails_alone_for_any_thread_count(rng):
+    good = np.stack([tf.random_unimodular_loop(rng).coeffs for _ in range(4)])
+    stack = np.concatenate([good, np.zeros_like(good[:1])])
+    alone = birkhoff.factorize_batch(good)
+    for threads in (1, 2, 5):
+        out = birkhoff.factorize_batch(stack, threads=threads)
+        assert out[3].tolist() == [True] * 4 + [False]
+        for got, want in zip(out, alone):
+            assert np.array_equal(got[:4], want)
+
+
 def test_negative_part_expansion_identity():
     fac = birkhoff.factorize(tf.MatrixLoop.identity())
     parts = birkhoff.negative_part_expansion(fac, 3)

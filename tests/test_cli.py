@@ -38,6 +38,8 @@ class TestConfigHandling:
         ["kdv", "--grid", "0:1:9,0:1:9,0:1:9"],
         ["ernst", "--grid", "-1:1:9"],
         ["kdv", "--seed-file", "/nonexistent/seeds.cfg"],
+        ["kdv", "--preset", "one_pole:pole=1.5"],
+        ["birkhoff", "--trunc", "3"],
     ])
     def test_bad_configs_exit_3(self, args):
         assert run_cli(args) == cli.EXIT_CONFIG
@@ -103,6 +105,11 @@ class TestKdvPipeline:
             "samples", "seed_file", "strength", "threads", "tolerances",
             "trunc", "versions"]
         assert manifest["versions"]["tauforge"]
+
+    def test_tail_mass_exits_2(self, capsys):
+        code = run_cli(["kdv", "--trunc", "4", "--grid", "-1:1:11"])
+        assert code == cli.EXIT_CHECK_FAILED
+        assert "[FAIL] tail_mass:" in capsys.readouterr().out
 
     def test_bad_cell_on_path_exits_4(self):
         code = run_cli(["kdv", "--preset", "one_pole:strength=1.0",

@@ -216,7 +216,8 @@ class TestConformalFactor:
     def test_constant_candidate_identified(self, axes, source):
         rs, zs = axes
         for sol in (ernst.kasner(0.0), ernst.kasner(0.7), source):
-            report = ernst.conformal_factor_check(sol, rs, zs)
+            report = ernst.conformal_factor_check(
+                sol, ernst.logtau_field(sol, rs, zs))
             assert report.candidate1_std < 1e-8
             assert report.candidate2_std > 1e-2
             assert report.constant_candidate == "log_tau - log(r Omega^2)"
@@ -224,7 +225,7 @@ class TestConformalFactor:
     def test_kasner_zero_anchor(self, axes):
         rs, zs = axes
         sol = ernst.kasner(0.0)
-        report = ernst.conformal_factor_check(sol, rs, zs)
         field = ernst.logtau_field(sol, rs, zs)
+        report = ernst.conformal_factor_check(sol, field)
         log_romega2 = field.log_tau - report.candidate1
         assert np.abs(log_romega2 - 0.5 * np.log(rs)[:, None]).max() < 1e-8

@@ -228,6 +228,19 @@ class TestExponential:
         direct = np.eye(2) + a.samples()
         assert np.abs(e.samples() - direct).max() <= 1e-12
 
+    def test_matches_expm_for_2x2_and_3x3(self, rng):
+        from scipy.linalg import expm
+        for n in (2, 3):
+            u = tf.random_tangent(rng, n=n, traceless=False)
+            e = tf.exp_pointwise(u)
+            theta = 2 * np.pi * np.arange(7) / 7
+            for th in theta:
+                assert np.abs(e.eval(th) - expm(u.eval(th))).max() <= 1e-10
+
+    def test_band_wider_than_order_rejected(self, rng):
+        with pytest.raises(ValueError):
+            tf.random_tangent(rng, order=3)
+
     def test_tangent_flags(self, rng):
         u = tf.random_tangent(rng, antihermitian=True, traceless=True)
         vals = u.samples()

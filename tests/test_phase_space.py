@@ -1,5 +1,10 @@
 """Symplectic structure, cocycle, anomaly, and vacuum log-derivatives."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -51,6 +56,28 @@ class TestSymplecticForm:
         b = ps.reduced_symplectic(gamma, v, u)
         assert a == -b
         assert isinstance(a, float)
+
+    def test_reality_check_survives_optimize_flag(self):
+        # python -O strips assert statements, so the guard must not be one
+        code = (
+            "import numpy as np, tauforge as tf\n"
+            "from tauforge import phase_space as ps\n"
+            "rng = np.random.default_rng(0)\n"
+            "gamma = tf.exp_pointwise(tf.random_tangent(rng, antihermitian=True))\n"
+            "u = tf.random_tangent(rng, antihermitian=False, band=4)\n"
+            "v = tf.random_tangent(rng, antihermitian=False, band=4)\n"
+            "try:\n"
+            "    ps.reduced_symplectic(gamma, u, v, check_real=True)\n"
+            "except ValueError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('complexified tangents passed the reality check')\n")
+        src = str(Path(tf.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_identity_base_point_quadrature(self, rng):
         A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
