@@ -55,6 +55,26 @@ def _toeplitz_batch(coeffs: np.ndarray, order: int, n: int) -> np.ndarray:
     return blocks.reshape(b, n * (order + 1), n * (order + 1))
 
 
+def toeplitz_slogdet(coeffs: np.ndarray):
+    """(sign, log|det|) of the system matrix T_N for (B, 2N+1, n, n) loops.
+
+    det T_N is the Segal-Wilson tau-function of the loop up to its
+    normalization; it vanishes exactly where the solve is singular, so
+    |det| measures the distance to the boundary of the big cell.  The
+    stack is decomposed in chunks of CHUNK loops to bound the memory of
+    the dense matrices.
+    """
+    b, nmodes, n, _ = coeffs.shape
+    order = (nmodes - 1) // 2
+    sign = np.empty(b, dtype=complex)
+    logabs = np.empty(b)
+    for lo in range(0, b, CHUNK):
+        sl = slice(lo, lo + CHUNK)
+        sign[sl], logabs[sl] = np.linalg.slogdet(
+            _toeplitz_batch(coeffs[sl], order, n))
+    return sign, logabs
+
+
 def _rhs(order: int, n: int) -> np.ndarray:
     rhs = np.zeros((n * (order + 1), n), dtype=complex)
     rhs[:n, :n] = np.eye(n)

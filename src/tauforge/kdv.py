@@ -14,12 +14,21 @@ Phi^2 = (1/lambda) I, the exponential has the closed branch-free form
 
 with C = cosh(sqrt(z)) and S = sinh(sqrt(z))/sqrt(z) both entire in z.
 
-Grids are swept at v = 0.  log tau is path-integrated from the origin
-along (0,0) -> (x,0) -> (x,t) with refined trapezoid cells; q is read
-off the factorization at every node; the solution field is u = -2 dq/dx
-by 4th-order finite differences, the scaling in which the family
-satisfies 4 u_t = u_xxx + 6 u u_x.  All loop-valued work is batched
-over grid nodes.
+Grids are swept at v = 0.  log tau is the Segal-Wilson determinant
+
+    log tau(x, t) = -(log det T_N(x, t) - log det T_N(0, 0)),
+
+T_N the block-Toeplitz system matrix of the factorization, so every point
+is pulled back and factored once: the grid nodes, which carry q, and the
+points (0, 0), (x, 0) of the path (0,0) -> (x,0) -> (x,t).  The branch of
+the logarithm is continued along that path; a path point off the big cell,
+or a sign change or large phase jump of det T_N between neighbouring path
+points, means the path crosses det T_N = 0 and raises
+PathCrossesBadCellError.  The paper's contour formula, integrated with
+refined trapezoid cells, is kept as a cross-check on a few cells
+(path_crosscheck).  The solution field is u = -2 dq/dx by 4th-order finite
+differences, the scaling in which the family satisfies
+4 u_t = u_xxx + 6 u u_x.  All loop-valued work is batched over points.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .birkhoff import factorize, factorize_batch
+from .birkhoff import factorize, factorize_batch, toeplitz_slogdet
 from .loops import (
     DEFAULT_ORDER,
     TAIL_THRESHOLD,
@@ -44,10 +53,14 @@ from .quadrature import cumulative_from, refine_path_cells
 from .twistor import SpacetimePoint, SymmetryGenerator, decompose
 
 PHI0 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+# largest |arg| change of det T_N between neighbouring path points; a real
+# det changing sign is a step of pi
+MAX_PHASE_STEP = np.pi / 2
 
 
 class PathCrossesBadCellError(Exception):
-    """A tau integration path ran into a non-big-cell point."""
+    """A point of the log tau path is off the big cell, or the path
+    crosses det T_N = 0 between two of its points."""
 
 
 def phi_normal_form(order: int = 1) -> MatrixLoop:
@@ -308,7 +321,10 @@ class TauGrid:
     """Node data on an (x, t) grid at v = 0; arrays indexed [ix, it].
 
     u carries the solution-field scaling u = -2 dq/dx (see the module
-    docstring); q is the log tau derivative itself.
+    docstring); q is the log tau derivative itself.  points_factored
+    counts the distinct points pulled back and factored; min_abs_det is
+    the smallest |det T_N| among them, the margin of the path to the
+    bad-cell boundary det T_N = 0.
     """
 
     xs: np.ndarray
@@ -317,19 +333,50 @@ class TauGrid:
     q: np.ndarray
     u: np.ndarray
     bigcell: np.ndarray
+    points_factored: int
+    min_abs_det: float
+
+
+def _uniform_spacing(axis, name: str) -> float:
+    """Step of an evenly spaced axis; the finite differences assume one."""
+    steps = np.diff(axis)
+    if np.abs(steps - steps[0]).max() > 1e-6 * abs(steps[0]):
+        raise ValueError(f"{name} axis must be evenly spaced")
+    return float(steps[0])
 
 
 def _node_sweep(seed: KdVSeed, x, t, order, sample_count, factor_tol,
                 threads: int):
-    """Minus factors and big-cell flags at independent grid nodes."""
-    minus, _, ok = _batch_minus_factors(
-        seed, x, t, order, sample_count, factor_tol, threads)
-    return minus, ok
+    """Minus factors, big-cell flags and (sign, log|det T_N|) at points."""
+    coeffs = pullback_coeff_batch(seed, x, t, order, sample_count)
+    m = sample_count or default_sample_count(order)
+    minus, _, _, ok = factorize_batch(coeffs, m, tol=factor_tol,
+                                      threads=threads)
+    return (minus, ok, *toeplitz_slogdet(coeffs))
+
+
+def _leg_increments(sign, logabs, x, t):
+    """Change of log det T_N between neighbouring points along the last axis.
+
+    The branch is continued one step at a time.  A phase step larger than
+    MAX_PHASE_STEP cannot be told apart from passing through det T_N = 0
+    and raises PathCrossesBadCellError.
+    """
+    step = np.angle(sign[..., 1:] / sign[..., :-1])
+    bad = ~(np.abs(step) <= MAX_PHASE_STEP)
+    if bad.any():
+        i = tuple(np.argwhere(bad)[0])
+        j = i[:-1] + (i[-1] + 1,)
+        raise PathCrossesBadCellError(
+            f"det T_N turns by {step[i]:.3f} rad between (x, t) = "
+            f"({x[i]:.4f}, {t[i]:.4f}) and ({x[j]:.4f}, {t[j]:.4f}): the "
+            f"path crosses det T_N = 0")
+    return logabs[..., 1:] - logabs[..., :-1] + 1j * step
 
 
 def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
-             sample_count: int | None = None, tol_path: float = 1e-7,
-             factor_tol: float = 1e-9, threads: int = 1) -> TauGrid:
+             sample_count: int | None = None, factor_tol: float = 1e-9,
+             threads: int = 1) -> TauGrid:
     """log tau, q, u over the grid; see the module docstring for the path."""
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
@@ -337,16 +384,63 @@ def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
         raise ValueError("grid needs at least 2 nodes per axis")
     if not (np.all(np.diff(xs) > 0) and np.all(np.diff(ts) > 0)):
         raise ValueError("grid axes must be strictly increasing")
+    dx = _uniform_spacing(xs, "x")
+    _uniform_spacing(ts, "t")
+
+    # path points: the t legs (x_i, t) for t in t_breaks, and the origin;
+    # the x leg (x, 0) is the t = 0 row of that lattice
+    x_breaks = np.union1d(xs, [0.0])
+    t_breaks = np.union1d(ts, [0.0])
+    gx, gt = np.meshgrid(x_breaks, t_breaks, indexing="ij")
+    need = np.isin(gx, xs) | ((gx == 0.0) & (gt == 0.0))
+    minus, ok, sign_n, logabs_n = _node_sweep(
+        seed, gx[need], gt[need], order, sample_count, factor_tol, threads)
+    if not ok.all():
+        bad = np.argwhere(~ok)[0, 0]
+        raise PathCrossesBadCellError(
+            f"path point (x, t) = ({gx[need][bad]:.4f}, {gt[need][bad]:.4f}) "
+            f"is off the big cell")
+    sign = np.ones(gx.shape, dtype=complex)
+    logabs = np.zeros(gx.shape)
+    q = np.zeros(gx.shape, dtype=complex)
+    sign[need], logabs[need] = sign_n, logabs_n
+    q[need] = minus[:, order - 1, 0, 1]
+
+    it0 = np.searchsorted(t_breaks, 0.0)
+    cols = np.searchsorted(x_breaks, xs)
+    rows = np.searchsorted(t_breaks, ts)
+    leg_x = -_leg_increments(sign[:, it0], logabs[:, it0],
+                             gx[:, it0], gt[:, it0])
+    leg_t = -_leg_increments(sign[cols], logabs[cols], gx[cols], gt[cols])
+    log_tau_x = cumulative_from(x_breaks, leg_x[None], 0.0)[0]
+    log_tau = (log_tau_x[cols, None]
+               + cumulative_from(t_breaks, leg_t, 0.0))[:, rows]
+
+    q = q[np.ix_(cols, rows)]
+    u = -2.0 * _derivative_on_grid(q, dx, 1, axis=0)
+    # every node is a path point, and a path point off the big cell raised
+    bigcell = np.ones(q.shape, dtype=bool)
+    return TauGrid(xs=xs, ts=ts, log_tau=log_tau, q=q, u=u, bigcell=bigcell,
+                   points_factored=int(need.sum()),
+                   min_abs_det=float(np.exp(logabs_n.min())))
+
+
+def path_crosscheck(seed: KdVSeed, grid: TauGrid, order: int = DEFAULT_ORDER,
+                    sample_count: int | None = None, tol_path: float = 1e-7,
+                    factor_tol: float = 1e-9, threads: int = 1):
+    """Delta log tau of the grid against the paper's contour formula.
+
+    On a fixed sub-sample of cells, the change of grid.log_tau across a
+    cell is compared with the integral of -(1/2 pi i) contour
+    tr(dg_minus g_minus^-1 u) dlambda along it, refined to tol_path: the
+    cells between neighbouring t nodes on the x columns at both ends and
+    nearest 0, and for each of these columns the x cell next to it, on the
+    side of x = 0, in the row nearest t = 0 (the x leg itself when t = 0
+    is a node).  Returns the worst per-cell difference and the refinement
+    levels of the (x, t) cells.
+    """
+    xs, ts = grid.xs, grid.ts
     m = sample_count or default_sample_count(order)
-
-    # node sweep: q and big-cell flags
-    gx, gt = np.meshgrid(xs, ts, indexing="ij")
-    minus, ok = _node_sweep(
-        seed, gx.ravel(), gt.ravel(), order, sample_count, factor_tol, threads)
-    q = minus[:, order - 1, 0, 1].reshape(gx.shape)
-    bigcell = ok.reshape(gx.shape)
-    q = np.where(bigcell, q, np.nan + 0j)
-
     u_dir = {d: _direction_u_samples(d, m) for d in ("x", "t")}
 
     def variation(direction, xpts, tpts):
@@ -359,28 +453,25 @@ def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
                 f"(x, t) = ({xpts[bad]:.4f}, {tpts[bad]:.4f})")
         return _gauge_variation_batch(mn, u_dir[direction], m)
 
-    # leg 1: along t = 0 from x = 0
-    x_breaks = np.union1d(xs, [0.0])
-    x_cells = np.column_stack([x_breaks[:-1], x_breaks[1:]])
-    vals_x, _, _ = refine_path_cells(
-        lambda pts, cols: variation("x", pts, np.zeros_like(pts)),
+    ix0 = int(np.argmin(np.abs(xs)))
+    it0 = int(np.argmin(np.abs(ts)))
+    cols = np.unique([0, ix0, len(xs) - 1])
+    lefts = np.unique(np.where(cols > ix0, cols - 1,
+                               np.minimum(cols, len(xs) - 2)))
+
+    t_cells = np.column_stack([ts[:-1], ts[1:]])
+    vals_t, level_t, _ = refine_path_cells(
+        lambda pts, c: variation("t", xs[cols][c], pts),
+        t_cells, len(cols), tol_path)
+    x_cells = np.column_stack([xs[lefts], xs[lefts + 1]])
+    vals_x, level_x, _ = refine_path_cells(
+        lambda pts, c: variation("x", pts, np.full_like(pts, ts[it0])),
         x_cells, 1, tol_path)
-    cum_x = cumulative_from(x_breaks, vals_x, 0.0)[0]
-    log_tau_x = cum_x[np.searchsorted(x_breaks, xs)]
 
-    # leg 2: along t at each fixed x, from t = 0
-    t_breaks = np.union1d(ts, [0.0])
-    t_cells = np.column_stack([t_breaks[:-1], t_breaks[1:]])
-    vals_t, _, _ = refine_path_cells(
-        lambda pts, cols: variation("t", xs[cols], pts),
-        t_cells, len(xs), tol_path)
-    cum_t = cumulative_from(t_breaks, vals_t, 0.0)
-    log_tau = log_tau_x[:, None] + cum_t[:, np.searchsorted(t_breaks, ts)]
-
-    dx = float(xs[1] - xs[0])
-    u = -2.0 * _derivative_on_grid(q, dx, 1, axis=0)
-
-    return TauGrid(xs=xs, ts=ts, log_tau=log_tau, q=q, u=u, bigcell=bigcell)
+    det_t = np.diff(grid.log_tau[cols], axis=1)
+    det_x = grid.log_tau[lefts + 1, it0] - grid.log_tau[lefts, it0]
+    worst = max(np.abs(det_t - vals_t).max(), np.abs(det_x - vals_x[0]).max())
+    return float(worst), (level_x, level_t)
 
 
 def kdv_residual(grid: TauGrid) -> float:
@@ -395,8 +486,8 @@ def kdv_residual(grid: TauGrid) -> float:
     nx, nt = u.shape
     if nx < 11 or nt < 7:
         raise ValueError("residual needs at least 11 x and 7 t nodes")
-    dx = float(grid.xs[1] - grid.xs[0])
-    dt = float(grid.ts[1] - grid.ts[0])
+    dx = _uniform_spacing(grid.xs, "x")
+    dt = _uniform_spacing(grid.ts, "t")
     cw1 = _fornberg_weights(np.arange(-2, 3), 1)
     cw3 = _fornberg_weights(np.arange(-3, 4), 3)
 

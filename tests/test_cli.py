@@ -44,6 +44,12 @@ class TestConfigHandling:
     def test_bad_configs_exit_3(self, args):
         assert run_cli(args) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("trunc", [8, 12, 14])
+    def test_birkhoff_random_trunc_below_bound(self, trunc, capsys):
+        code = run_cli(["birkhoff", "--trunc", str(trunc)])
+        assert code == cli.EXIT_CONFIG
+        assert f"trunc >= {cli.RANDOM_TRUNC_MIN}" in capsys.readouterr().out
+
     def test_seed_file_with_overrides(self, tmp_path):
         seed_file = tmp_path / "exp.cfg"
         seed_file.write_text(
@@ -93,7 +99,8 @@ class TestKdvPipeline:
         assert manifest["csv"] == "kdv.csv"
         assert manifest["exit_code"] == 0
         assert {c["name"] for c in manifest["checks"]} == {
-            "bigcell_coverage", "logtau_q_consistency", "pde_residual"}
+            "bigcell_coverage", "logtau_q_consistency",
+            "logtau_path_crosscheck", "pde_residual"}
         assert all(c["pass"] for c in manifest["checks"])
 
     def test_manifest_key_set_is_fixed(self, tmp_path):
@@ -106,6 +113,15 @@ class TestKdvPipeline:
             "trunc", "versions"]
         assert manifest["versions"]["tauforge"]
 
+    def test_telemetry_keys(self, tmp_path):
+        assert run_cli(["kdv"] + SMALL_KDV + ["--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "kdv_manifest.json").read_text())
+        telemetry = manifest["extra"]["telemetry"]
+        assert sorted(telemetry) == [
+            "crosscheck_levels", "crosscheck_worst_cell",
+            "min_abs_det_on_path", "points_factored"]
+        assert sorted(telemetry["crosscheck_levels"]) == ["t", "x"]
+
     def test_tail_mass_exits_2(self, capsys):
         code = run_cli(["kdv", "--trunc", "4", "--grid", "-1:1:11"])
         assert code == cli.EXIT_CHECK_FAILED
@@ -115,6 +131,13 @@ class TestKdvPipeline:
         code = run_cli(["kdv", "--preset", "one_pole:strength=1.0",
                         "--grid", "-0.3:-0.2:7,0.5:1.2:8"])
         assert code == cli.EXIT_BIG_CELL
+
+    def test_det_zero_between_nodes_exits_4(self, capsys):
+        # every node factors; the t legs cross det T_N = 0 near t = 1.0
+        code = run_cli(["kdv", "--preset", "one_pole:strength=1.0",
+                        "--grid", "-0.3:-0.2:7,1.2:2.0:8"])
+        assert code == cli.EXIT_BIG_CELL
+        assert "big_cell_required_node" in capsys.readouterr().out
 
 
 class TestErnstPipeline:

@@ -8,6 +8,7 @@ import pytest
 from tauforge import kdv
 from tauforge.birkhoff import factorize
 from tauforge.loops import MatrixLoop, TailMassError, multiply
+from tauforge.quadrature import cumulative_from, refine_path_cells
 from tauforge.twistor import SpacetimePoint
 
 
@@ -214,6 +215,27 @@ class TestTauGrid:
             kdv.tau_grid(strong, np.linspace(-0.3, -0.2, 3),
                          np.linspace(0.5, 1.2, 8))
 
+    def test_path_across_det_zero_raises(self):
+        # every node factors, but each t leg from t = 0 crosses det T_N = 0
+        # near t = 1.0 with det > 0 below and < 0 above
+        strong = kdv.seed_one_pole(strength=1.0)
+        with pytest.raises(kdv.PathCrossesBadCellError):
+            kdv.tau_grid(strong, np.linspace(-0.3, -0.2, 7),
+                         np.linspace(1.2, 2.0, 8))
+
+    def test_nonuniform_axes_rejected(self, one_pole_seed):
+        axis = np.linspace(-0.5, 0.5, 11)
+        bent = axis + 0.01 * axis ** 2
+        with pytest.raises(ValueError, match="evenly spaced"):
+            kdv.tau_grid(one_pole_seed, bent, axis)
+        with pytest.raises(ValueError, match="evenly spaced"):
+            kdv.tau_grid(one_pole_seed, axis, bent)
+
+    def test_telemetry_fields(self, one_pole_grid):
+        # the 51 x 51 nodes hold the origin and the x leg at t = 0
+        assert one_pole_grid.points_factored == 51 * 51
+        assert 0.0 < one_pole_grid.min_abs_det <= 1.0 + 1e-12
+
 
 class TestResidual:
     def test_one_pole_residual_small(self, one_pole_grid):
@@ -228,12 +250,76 @@ class TestResidual:
             u=one_pole_grid.u + 1e-3 * (one_pole_grid.xs ** 2)[:, None])
         assert kdv.kdv_residual(bad) > 1e-4
 
+    def test_rejects_nonuniform_axes(self, one_pole_grid):
+        g = one_pole_grid
+        bent = dataclasses.replace(g, ts=g.ts + 0.01 * g.ts ** 2)
+        with pytest.raises(ValueError, match="evenly spaced"):
+            kdv.kdv_residual(bent)
+        bent = dataclasses.replace(g, xs=g.xs + 0.01 * g.xs ** 2)
+        with pytest.raises(ValueError, match="evenly spaced"):
+            kdv.kdv_residual(bent)
+
     def test_rejects_tiny_grids(self, one_pole_grid):
         small = dataclasses.replace(
             one_pole_grid, u=one_pole_grid.u[:9, :],
             xs=one_pole_grid.xs[:9])
         with pytest.raises(ValueError):
             kdv.kdv_residual(small)
+
+
+def path_route_log_tau(seed, xs, ts, cols, tol_path=1e-7):
+    """log tau at columns xs[cols] by the contour formula, path-integrated
+    with refined trapezoid cells along (0, 0) -> (x, 0) -> (x, t)."""
+    m = 256
+    u_dir = {d: kdv._direction_u_samples(d, m) for d in ("x", "t")}
+
+    def variation(direction, x, t):
+        minus, _, ok = kdv._batch_minus_factors(seed, x, t, 32, None, 1e-9)
+        assert ok.all()
+        return kdv._gauge_variation_batch(minus, u_dir[direction], m)
+
+    x_breaks = np.union1d(xs, [0.0])
+    t_breaks = np.union1d(ts, [0.0])
+    vals_x, _, _ = refine_path_cells(
+        lambda pts, c: variation("x", pts, np.zeros_like(pts)),
+        np.column_stack([x_breaks[:-1], x_breaks[1:]]), 1, tol_path)
+    vals_t, _, _ = refine_path_cells(
+        lambda pts, c: variation("t", xs[cols][c], pts),
+        np.column_stack([t_breaks[:-1], t_breaks[1:]]), len(cols), tol_path)
+    cum_x = cumulative_from(x_breaks, vals_x, 0.0)[0]
+    cum_t = cumulative_from(t_breaks, vals_t, 0.0)
+    return (cum_x[np.searchsorted(x_breaks, xs[cols])][:, None]
+            + cum_t[:, np.searchsorted(t_breaks, ts)])
+
+
+class TestDeterminantRoute:
+    @pytest.mark.parametrize("seed, half_width, count", [
+        (kdv.seed_one_pole(), 1.0, 51),
+        (kdv.seed_vacuum(), 1.0, 51),
+        (kdv.seed_one_pole(pole=0.2 + 0.15j), 0.5, 21),
+    ], ids=["one_pole", "vacuum", "complex_pole"])
+    def test_matches_path_route(self, seed, half_width, count):
+        axis = np.linspace(-half_width, half_width, count)
+        grid = kdv.tau_grid(seed, axis, axis)
+        cols = np.array([0, count // 2, count - 1])
+        want = path_route_log_tau(seed, axis, axis, cols)
+        assert np.abs(grid.log_tau[cols] - want).max() <= 1e-10
+
+    def test_complex_pole_has_imaginary_log_tau(self):
+        axis = np.linspace(-0.5, 0.5, 11)
+        grid = kdv.tau_grid(kdv.seed_one_pole(pole=0.2 + 0.15j), axis, axis)
+        assert np.abs(grid.log_tau.imag).max() > 1e-3
+
+    def test_crosscheck_detects_perturbed_cell(self, one_pole_seed,
+                                               one_pole_grid):
+        worst, levels = kdv.path_crosscheck(one_pole_seed, one_pole_grid)
+        assert worst <= 1e-10
+        assert min(levels) >= 1
+        log_tau = one_pole_grid.log_tau.copy()
+        log_tau[-1, 10] += 1e-6
+        bad = dataclasses.replace(one_pole_grid, log_tau=log_tau)
+        worst, _ = kdv.path_crosscheck(one_pole_seed, bad)
+        assert worst > 1e-7
 
 
 class TestFactorsOnFamily:
