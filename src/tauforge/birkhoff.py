@@ -12,7 +12,6 @@ as BigCellError.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,23 +81,22 @@ def _rhs(order: int, n: int) -> np.ndarray:
 
 
 def factorize_batch(coeffs: np.ndarray, sample_count: int = DEFAULT_SAMPLES,
-                    tol: float = FACTOR_TOL, threads: int = 1):
+                    tol: float = FACTOR_TOL):
     """Factor a stack of loops given as (B, 2N+1, n, n) coefficient arrays.
 
     Returns (g_minus_coeffs (B, 2N+1, n, n), g_plus_coeffs, residuals, ok).
     Nodes whose system is singular or whose reconstruction residual exceeds
     tol are flagged ok = False instead of raising; the coefficient entries
-    for failed nodes are zero.  The stack is solved in independent chunks
-    of at most CHUNK loops, at least `threads` of them, mapped over that
-    many workers; each loop is solved on its own, so the output does not
-    depend on the thread count.
+    for failed nodes are zero.  The stack is solved serially in chunks of
+    CHUNK loops, like toeplitz_slogdet, to bound the memory of the dense
+    matrices; each loop is solved on its own, so a loop's result does not
+    depend on the others in its chunk.  An empty stack gives empty arrays.
     """
     b, nmodes, n, _ = coeffs.shape
     order = (nmodes - 1) // 2
     rhs = _rhs(order, n)
 
-    def solve(sl):
-        cs = coeffs[sl]
+    def solve(cs):
         t = _toeplitz_batch(cs, order, n)
         try:
             sol = np.linalg.solve(t, np.broadcast_to(rhs, (len(cs),) + rhs.shape))
@@ -122,13 +120,8 @@ def factorize_batch(coeffs: np.ndarray, sample_count: int = DEFAULT_SAMPLES,
         gp[~good] = 0
         return gm, gp, res, good
 
-    chunk = max(1, min(CHUNK, -(-b // threads)))
-    spans = [slice(lo, lo + chunk) for lo in range(0, max(b, 1), chunk)]
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(solve, spans))
-    else:
-        parts = [solve(sl) for sl in spans]
+    # an empty stack still makes one (empty) chunk, which fixes the shapes
+    parts = [solve(coeffs[lo:lo + CHUNK]) for lo in range(0, max(b, 1), CHUNK)]
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
@@ -194,7 +187,3 @@ def factorize(gamma: MatrixLoop, tol: float = FACTOR_TOL,
     g_plus = MatrixLoop(gp[0], gamma.sample_count, unimodular=gamma.unimodular)
     return BirkhoffFactors(g_minus, g_plus, float(res[0]), condition)
 
-
-def negative_part_expansion(factors: BirkhoffFactors, count: int) -> list[np.ndarray]:
-    """Coefficients P^i of g_minus = sum_i P^i lambda^{-i}; P^0 = identity."""
-    return [factors.g_minus.coeff(-i).copy() for i in range(count + 1)]

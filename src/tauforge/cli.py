@@ -66,6 +66,12 @@ CONFORMAL_CONSTANT_TOL = 1e-7
 # every rng seed 0-9 at the default strength; at 15 three seeds fail
 # round_trip_residual, and at 8-14 every seed fails it or tail_mass
 RANDOM_TRUNC_MIN = 16
+# (largest |strength|, smallest trunc), measured the same way: every seed
+# passes from that trunc on (checked up to 32 at 0.8 and 1.0) and some seed
+# fails one below it.  Above the last strength its trunc still applies, as
+# a necessary bound that no run has shown to suffice.
+RANDOM_TRUNC_BY_STRENGTH = ((0.5, RANDOM_TRUNC_MIN), (0.7, 17), (0.9, 18),
+                            (1.0, 19), (1.5, 21), (2.0, 24))
 
 
 class ConfigError(Exception):
@@ -161,8 +167,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.tol_path is not None and self.tol_path <= 0:
             raise ConfigError("tol_path must be positive")
-        if self.threads < 1:
-            raise ConfigError("thread count must be >= 1")
+        if self.threads != 1:
+            raise ConfigError(
+                f"threads = {self.threads}: tauforge runs on one thread, "
+                "so only threads = 1 is accepted")
         if self.count < 1:
             raise ConfigError("loop count must be >= 1")
         if self.pipeline in ("kdv", "ernst"):
@@ -186,11 +194,14 @@ class ExperimentConfig:
         if name == "one_pole" and "pole" in params \
                 and not 0 < abs(params["pole"]) < 1:
             raise ConfigError("one_pole needs a nonzero pole inside the unit disc")
-        if (self.pipeline, name) == ("birkhoff", "random") \
-                and self.trunc < RANDOM_TRUNC_MIN:
-            raise ConfigError(
-                f"random loops need trunc >= {RANDOM_TRUNC_MIN}: below it "
-                f"their exp spreads past the truncation")
+        if (self.pipeline, name) == ("birkhoff", "random"):
+            bound = next((trunc for top, trunc in RANDOM_TRUNC_BY_STRENGTH
+                          if abs(self.strength) <= top),
+                         RANDOM_TRUNC_BY_STRENGTH[-1][1])
+            if self.trunc < bound:
+                raise ConfigError(
+                    f"random loops at strength {self.strength:g} need "
+                    f"trunc >= {bound}: below it their round trip fails")
 
 
 _PRESET_PARAMS = {
@@ -275,12 +286,11 @@ def _run_kdv(config: ExperimentConfig):
     xs, ts = config.axes()
     grid = kdv.tau_grid(
         seed, xs, ts, order=config.trunc, sample_count=config.samples,
-        factor_tol=config.tol_factor, threads=config.threads)
+        factor_tol=config.tol_factor)
     tol_path = config.resolved_tol_path()
     crosscheck, levels = kdv.path_crosscheck(
         seed, grid, order=config.trunc, sample_count=config.samples,
-        tol_path=tol_path, factor_tol=config.tol_factor,
-        threads=config.threads)
+        tol_path=tol_path, factor_tol=config.tol_factor)
 
     dx = float(xs[1] - xs[0])
     fd = kdv._derivative_on_grid(grid.log_tau, dx, 1, axis=0)
@@ -387,8 +397,7 @@ def _run_birkhoff(config: ExperimentConfig):
                                amplitude=config.strength).coeffs
         for _ in range(config.count)])
     _, _, residuals, ok = factorize_batch(
-        stack, config.resolved_samples(), config.tol_factor,
-        threads=config.threads)
+        stack, config.resolved_samples(), config.tol_factor)
 
     checks = [
         Check("round_trip_residual", float(residuals.max()), config.tol_factor),
@@ -514,7 +523,7 @@ def _manifest(config: ExperimentConfig, checks, extra, csv_name, elapsed,
         "grid": grid,
         "trunc": config.trunc,
         "samples": config.resolved_samples(),
-        "threads": config.threads,
+        "threads": 1,  # kept in the fixed key set; runs are single-threaded
         "tolerances": {
             "factor": config.tol_factor,
             "path": config.resolved_tol_path(),
@@ -632,7 +641,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, help="circle sample count M")
         p.add_argument("--out", help="directory for CSV and manifest")
         p.add_argument("--threads", type=int,
-                       help="workers for the batched factorizations")
+                       help="accepted for compatibility; tauforge runs on "
+                            "one thread, so only 1 is valid")
         p.add_argument("--tol-factor", dest="tol_factor", type=float,
                        help="factorization residual tolerance")
         p.add_argument("--tol-path", dest="tol_path", type=float,

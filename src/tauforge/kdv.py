@@ -43,9 +43,11 @@ from .loops import (
     TAIL_THRESHOLD,
     MatrixLoop,
     ScalarLoop,
+    adjugate_2x2,
     circle_points,
     coeffs_to_samples,
     default_sample_count,
+    det_2x2,
     samples_to_coeffs,
 )
 from .phase_space import TauVariationInput, tau_variation
@@ -185,12 +187,10 @@ def _multiplier_loop(direction: str, order: int = 2) -> ScalarLoop:
 # -- potential extraction ----------------------------------------------
 
 
-def _batch_minus_factors(seed: KdVSeed, x, t, order, sample_count, tol,
-                         threads: int = 1):
+def _batch_minus_factors(seed: KdVSeed, x, t, order, sample_count, tol):
     coeffs = pullback_coeff_batch(seed, x, t, order, sample_count)
     m = sample_count or default_sample_count(order)
-    minus, _, residuals, ok = factorize_batch(coeffs, m, tol=tol,
-                                              threads=threads)
+    minus, _, residuals, ok = factorize_batch(coeffs, m, tol=tol)
     return minus, residuals, ok
 
 
@@ -208,14 +208,8 @@ def _gauge_variation_batch(minus, u_samples, m: int):
     dg_vals = coeffs_to_samples(ks[:, None, None] * minus, m,
                                 first_mode=-order - 1)
 
-    det = (g_vals[..., 0, 0] * g_vals[..., 1, 1]
-           - g_vals[..., 0, 1] * g_vals[..., 1, 0])
-    inv = np.empty_like(g_vals)
-    inv[..., 0, 0] = g_vals[..., 1, 1]
-    inv[..., 1, 1] = g_vals[..., 0, 0]
-    inv[..., 0, 1] = -g_vals[..., 0, 1]
-    inv[..., 1, 0] = -g_vals[..., 1, 0]
-    inv /= det[..., None, None]
+    inv = adjugate_2x2(g_vals)
+    inv /= det_2x2(g_vals)[..., None, None]
 
     w = dg_vals @ inv @ u_samples[None]
     tr = w[..., 0, 0] + w[..., 1, 1]
@@ -345,13 +339,11 @@ def _uniform_spacing(axis, name: str) -> float:
     return float(steps[0])
 
 
-def _node_sweep(seed: KdVSeed, x, t, order, sample_count, factor_tol,
-                threads: int):
+def _node_sweep(seed: KdVSeed, x, t, order, sample_count, factor_tol):
     """Minus factors, big-cell flags and (sign, log|det T_N|) at points."""
     coeffs = pullback_coeff_batch(seed, x, t, order, sample_count)
     m = sample_count or default_sample_count(order)
-    minus, _, _, ok = factorize_batch(coeffs, m, tol=factor_tol,
-                                      threads=threads)
+    minus, _, _, ok = factorize_batch(coeffs, m, tol=factor_tol)
     return (minus, ok, *toeplitz_slogdet(coeffs))
 
 
@@ -375,8 +367,8 @@ def _leg_increments(sign, logabs, x, t):
 
 
 def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
-             sample_count: int | None = None, factor_tol: float = 1e-9,
-             threads: int = 1) -> TauGrid:
+             sample_count: int | None = None,
+             factor_tol: float = 1e-9) -> TauGrid:
     """log tau, q, u over the grid; see the module docstring for the path."""
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
@@ -394,7 +386,7 @@ def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
     gx, gt = np.meshgrid(x_breaks, t_breaks, indexing="ij")
     need = np.isin(gx, xs) | ((gx == 0.0) & (gt == 0.0))
     minus, ok, sign_n, logabs_n = _node_sweep(
-        seed, gx[need], gt[need], order, sample_count, factor_tol, threads)
+        seed, gx[need], gt[need], order, sample_count, factor_tol)
     if not ok.all():
         bad = np.argwhere(~ok)[0, 0]
         raise PathCrossesBadCellError(
@@ -427,7 +419,7 @@ def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
 
 def path_crosscheck(seed: KdVSeed, grid: TauGrid, order: int = DEFAULT_ORDER,
                     sample_count: int | None = None, tol_path: float = 1e-7,
-                    factor_tol: float = 1e-9, threads: int = 1):
+                    factor_tol: float = 1e-9):
     """Delta log tau of the grid against the paper's contour formula.
 
     On a fixed sub-sample of cells, the change of grid.log_tau across a
@@ -445,7 +437,7 @@ def path_crosscheck(seed: KdVSeed, grid: TauGrid, order: int = DEFAULT_ORDER,
 
     def variation(direction, xpts, tpts):
         mn, _, good = _batch_minus_factors(
-            seed, xpts, tpts, order, sample_count, factor_tol, threads)
+            seed, xpts, tpts, order, sample_count, factor_tol)
         if not good.all():
             bad = np.argwhere(~good)[0, 0]
             raise PathCrossesBadCellError(

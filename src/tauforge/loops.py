@@ -10,8 +10,6 @@ an explicit truncation with a tail-mass check is requested.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import scipy.linalg
 
@@ -247,32 +245,6 @@ class MatrixLoop:
         return (f"{type(self).__name__}(n={self.n}, order={self.order}, "
                 f"sample_count={self.sample_count})")
 
-    # -- serialization ------------------------------------------------
-
-    def to_record(self) -> dict:
-        entries = []
-        for idx in np.argwhere(self.coeffs != 0):
-            k, r, c = idx
-            z = self.coeffs[k, r, c]
-            entries.append([int(k) - self.order, int(r), int(c), z.real, z.imag])
-        return {"n": self.n, "N": self.order, "coeffs": entries,
-                "sample_count": self.sample_count}
-
-    @classmethod
-    def from_record(cls, record: dict) -> "MatrixLoop":
-        n, order = int(record["n"]), int(record["N"])
-        coeffs = np.zeros((2 * order + 1, n, n), dtype=complex)
-        for k, r, c, re, im in record["coeffs"]:
-            coeffs[int(k) + order, int(r), int(c)] = complex(re, im)
-        return cls(coeffs, record.get("sample_count"))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_record())
-
-    @classmethod
-    def from_json(cls, text: str) -> "MatrixLoop":
-        return cls.from_record(json.loads(text))
-
 
 class ScalarLoop(MatrixLoop):
     """Scalar loop (n = 1); eval returns plain numbers, not 1x1 matrices."""
@@ -379,6 +351,21 @@ def inverse(a: MatrixLoop, cond_max: float = 1e10,
     return out
 
 
+def det_2x2(m):
+    """Determinants of a (..., 2, 2) stack."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+def adjugate_2x2(m):
+    """Adjugates of a (..., 2, 2) stack: m adj(m) = det(m) I."""
+    out = np.empty_like(m)
+    out[..., 0, 0] = m[..., 1, 1]
+    out[..., 1, 1] = m[..., 0, 0]
+    out[..., 0, 1] = -m[..., 0, 1]
+    out[..., 1, 0] = -m[..., 1, 0]
+    return out
+
+
 def adjugate_inverse(a: MatrixLoop) -> MatrixLoop:
     """Exact coefficient-level inverse for 2x2 loops with det = 1.
 
@@ -388,13 +375,8 @@ def adjugate_inverse(a: MatrixLoop) -> MatrixLoop:
     """
     if a.n != 2:
         raise ValueError("adjugate inverse is a 2x2 shortcut")
-    c = a.coeffs
-    out = np.empty_like(c)
-    out[:, 0, 0] = c[:, 1, 1]
-    out[:, 1, 1] = c[:, 0, 0]
-    out[:, 0, 1] = -c[:, 0, 1]
-    out[:, 1, 0] = -c[:, 1, 0]
-    return MatrixLoop(out, a.sample_count, unimodular=a.unimodular)
+    return MatrixLoop(adjugate_2x2(a.coeffs), a.sample_count,
+                      unimodular=a.unimodular)
 
 
 def _expm_2x2(vals):
@@ -406,7 +388,7 @@ def _expm_2x2(vals):
     """
     half_tr = 0.5 * (vals[..., 0, 0] + vals[..., 1, 1])
     u0 = vals - half_tr[..., None, None] * np.eye(2)
-    s2 = -(u0[..., 0, 0] * u0[..., 1, 1] - u0[..., 0, 1] * u0[..., 1, 0])
+    s2 = -det_2x2(u0)
     s = np.sqrt(s2)
     with np.errstate(invalid="ignore", divide="ignore"):
         sinhc = np.where(np.abs(s2) < 1e-8,

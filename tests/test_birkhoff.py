@@ -99,30 +99,26 @@ def test_batch_matches_single(rng):
         assert residuals[i] <= 1e-9
 
 
-def test_singular_loop_fails_alone_for_any_thread_count(rng):
-    good = np.stack([tf.random_unimodular_loop(rng).coeffs for _ in range(4)])
-    stack = np.concatenate([good, np.zeros_like(good[:1])])
-    alone = birkhoff.factorize_batch(good)
-    for threads in (1, 2, 5):
-        out = birkhoff.factorize_batch(stack, threads=threads)
-        assert out[3].tolist() == [True] * 4 + [False]
+def test_singular_loop_fails_alone(rng):
+    # 515 loops span two chunks; each chunk holds one zero (singular) loop
+    chunk = birkhoff.CHUNK
+    stack = np.stack([tf.random_unimodular_loop(rng, order=16).coeffs
+                      for _ in range(chunk + 3)])
+    zeros = [7, chunk + 1]
+    stack[zeros] = 0
+    out = birkhoff.factorize_batch(stack)
+    assert np.flatnonzero(~out[3]).tolist() == zeros
+    for lo in (0, chunk):
+        span = np.arange(lo, min(lo + chunk, len(stack)))
+        good = span[~np.isin(span, zeros)]
+        alone = birkhoff.factorize_batch(stack[good])
         for got, want in zip(out, alone):
-            assert np.array_equal(got[:4], want)
+            assert np.array_equal(got[good], want)
 
 
-def test_negative_part_expansion_identity():
-    fac = birkhoff.factorize(tf.MatrixLoop.identity())
-    parts = birkhoff.negative_part_expansion(fac, 3)
-    assert np.array_equal(parts[0], np.eye(2))
-    for p in parts[1:]:
-        assert np.abs(p).max() <= 1e-12
-
-
-def test_negative_part_expansion_leading_term(rng):
-    fac = birkhoff.factorize(tf.random_unimodular_loop(rng))
-    parts = birkhoff.negative_part_expansion(fac, 2)
-    assert np.array_equal(parts[0], np.eye(2))
-    assert len(parts) == 3
+def test_empty_stack_gives_empty_arrays():
+    out = birkhoff.factorize_batch(np.zeros((0, 17, 2, 2), dtype=complex))
+    assert [a.shape for a in out] == [(0, 17, 2, 2), (0, 17, 2, 2), (0,), (0,)]
 
 
 def test_condition_reported(rng):

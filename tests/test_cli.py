@@ -34,6 +34,7 @@ class TestConfigHandling:
         ["kdv", "--preset", "one_pole:radius=2"],
         ["kdv", "--tol-residual", "-1"],
         ["kdv", "--threads", "0"],
+        ["kdv", "--threads", "2"],
         ["kdv", "--grid", "1:-1:9"],
         ["kdv", "--grid", "0:1:9,0:1:9,0:1:9"],
         ["ernst", "--grid", "-1:1:9"],
@@ -49,6 +50,14 @@ class TestConfigHandling:
         code = run_cli(["birkhoff", "--trunc", str(trunc)])
         assert code == cli.EXIT_CONFIG
         assert f"trunc >= {cli.RANDOM_TRUNC_MIN}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("strength, bound", [(0.8, 18), (1.0, 19)])
+    def test_birkhoff_random_trunc_bound_grows_with_strength(
+            self, strength, bound, capsys):
+        args = ["birkhoff", "--count", "200", "--strength", str(strength)]
+        assert run_cli(args + ["--trunc", str(bound - 1)]) == cli.EXIT_CONFIG
+        assert f"trunc >= {bound}" in capsys.readouterr().out
+        assert run_cli(args + ["--trunc", str(bound)]) == 0
 
     def test_seed_file_with_overrides(self, tmp_path):
         seed_file = tmp_path / "exp.cfg"
@@ -68,6 +77,28 @@ class TestConfigHandling:
         assert manifest["grid"] == [[-0.3, 0.3, 9], [-0.3, 0.3, 9]]
         assert manifest["tolerances"]["residual"] == 0.5
 
+    def test_seed_file_threads_other_than_one_rejected(self, tmp_path, capsys):
+        seed_file = tmp_path / "exp.cfg"
+        seed_file.write_text("threads = 4\n")
+        code = run_cli(["birkhoff", "--seed-file", str(seed_file)])
+        assert code == cli.EXIT_CONFIG
+        assert "runs on one thread" in capsys.readouterr().out
+
+    def test_threads_one_still_accepted(self, tmp_path):
+        # the benchmark's kdv argv passes --threads 1
+        out = tmp_path / "flag"
+        assert run_cli(["kdv"] + SMALL_KDV
+                       + ["--threads", "1", "--out", str(out)]) == 0
+        manifest = json.loads((out / "kdv_manifest.json").read_text())
+        assert manifest["threads"] == 1
+        seed_file = tmp_path / "exp.cfg"
+        seed_file.write_text("threads = 1\n")
+        out = tmp_path / "seed"
+        assert run_cli(["birkhoff", "--count", "5", "--seed-file",
+                        str(seed_file), "--out", str(out)]) == 0
+        manifest = json.loads((out / "birkhoff_manifest.json").read_text())
+        assert manifest["threads"] == 1
+
     def test_seed_file_rejects_unknown_key(self, tmp_path):
         seed_file = tmp_path / "exp.cfg"
         seed_file.write_text("colour = blue\n")
@@ -85,11 +116,8 @@ class TestKdvPipeline:
         args = ["kdv"] + SMALL_KDV
         assert run_cli(args + ["--out", str(tmp_path / "a")]) == 0
         assert run_cli(args + ["--out", str(tmp_path / "b")]) == 0
-        assert run_cli(args + ["--out", str(tmp_path / "c"),
-                               "--threads", "3"]) == 0
         first = (tmp_path / "a" / "kdv.csv").read_bytes()
         assert first == (tmp_path / "b" / "kdv.csv").read_bytes()
-        assert first == (tmp_path / "c" / "kdv.csv").read_bytes()
 
         header = first.decode().splitlines()[0]
         assert header == "x,t,re_log_tau,im_log_tau,re_q,re_u,bigcell"

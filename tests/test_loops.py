@@ -1,7 +1,5 @@
 """Loop algebra: transforms, products, projections, contour extraction."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -247,19 +245,3 @@ class TestExponential:
         assert np.abs(vals + vals.conj().transpose(0, 2, 1)).max() <= 1e-10
         assert np.abs(np.trace(vals, axis1=1, axis2=2)).max() <= 1e-10
         assert tf.exp_pointwise(u).unimodular
-
-
-class TestSerialization:
-    def test_exact_round_trip(self, rng):
-        a = random_loop(rng, order=5)
-        rec = json.loads(a.to_json())
-        back = MatrixLoop.from_json(json.dumps(rec))
-        assert np.array_equal(back.coeffs, a.coeffs)
-        assert back.n == a.n and back.order == a.order
-        assert back.sample_count == a.sample_count
-
-    def test_record_fields(self, rng):
-        a = random_loop(rng, order=3)
-        rec = a.to_record()
-        assert set(rec) == {"n", "N", "coeffs", "sample_count"}
-        assert all(len(entry) == 5 for entry in rec["coeffs"])
