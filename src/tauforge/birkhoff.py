@@ -21,6 +21,8 @@ from .loops import (
     MatrixLoop,
     _fast_len,
     coeffs_to_samples,
+    inverse_2x2,
+    matmul_2x2,
     samples_to_coeffs,
 )
 
@@ -46,12 +48,20 @@ def toeplitz_matrix(gamma: MatrixLoop) -> np.ndarray:
     return _toeplitz_batch(gamma.coeffs[None], gamma.order, gamma.n)[0]
 
 
+def _toeplitz_index(order: int, n: int) -> np.ndarray:
+    """Flat position, in one (2N+1, n, n) loop, of every entry of T_N:
+    row m n + a, column j n + c holds entry (a, c) of mode m - j."""
+    blocks = np.arange(order + 1)
+    entry = np.arange(n)
+    mode = blocks[:, None, None, None] - blocks[None, None, :, None] + order
+    idx = (mode * n + entry[None, :, None, None]) * n + entry[None, None, None, :]
+    return idx.reshape(n * (order + 1), n * (order + 1))
+
+
 def _toeplitz_batch(coeffs: np.ndarray, order: int, n: int) -> np.ndarray:
-    idx = np.arange(order + 1)[:, None] - np.arange(order + 1)[None, :] + order
-    blocks = coeffs[:, idx]                      # (B, m, j, n, n)
-    blocks = blocks.transpose(0, 1, 3, 2, 4)     # (B, m, n, j, n)
-    b = coeffs.shape[0]
-    return blocks.reshape(b, n * (order + 1), n * (order + 1))
+    """T_N for a (B, 2N+1, n, n) stack, gathered in one indexing step."""
+    flat = coeffs.reshape(len(coeffs), (2 * order + 1) * n * n)
+    return flat[:, _toeplitz_index(order, n)]
 
 
 def toeplitz_slogdet(coeffs: np.ndarray):
@@ -74,30 +84,28 @@ def toeplitz_slogdet(coeffs: np.ndarray):
     return sign, logabs
 
 
-def _rhs(order: int, n: int) -> np.ndarray:
-    rhs = np.zeros((n * (order + 1), n), dtype=complex)
-    rhs[:n, :n] = np.eye(n)
-    return rhs
-
-
 def factorize_batch(coeffs: np.ndarray, sample_count: int = DEFAULT_SAMPLES,
                     tol: float = FACTOR_TOL):
-    """Factor a stack of loops given as (B, 2N+1, n, n) coefficient arrays.
+    """Factor a stack of 2x2 loops given as (B, 2N+1, 2, 2) coefficient arrays.
 
-    Returns (g_minus_coeffs (B, 2N+1, n, n), g_plus_coeffs, residuals, ok).
+    Returns (g_minus_coeffs (B, 2N+1, 2, 2), g_plus_coeffs, residuals, ok).
     Nodes whose system is singular or whose reconstruction residual exceeds
     tol are flagged ok = False instead of raising; the coefficient entries
     for failed nodes are zero.  The stack is solved serially in chunks of
     CHUNK loops, like toeplitz_slogdet, to bound the memory of the dense
     matrices; each loop is solved on its own, so a loop's result does not
     depend on the others in its chunk.  An empty stack gives empty arrays.
+    Loops of another matrix size raise ValueError.
     """
     b, nmodes, n, _ = coeffs.shape
+    if n != 2:
+        raise ValueError(f"factorize_batch factors 2x2 loops, got {n}x{n}")
     order = (nmodes - 1) // 2
-    rhs = _rhs(order, n)
+    rhs = np.zeros((2 * (order + 1), 2), dtype=complex)
+    rhs[:2] = np.eye(2)
 
     def solve(cs):
-        t = _toeplitz_batch(cs, order, n)
+        t = _toeplitz_batch(cs, order, 2)
         try:
             sol = np.linalg.solve(t, np.broadcast_to(rhs, (len(cs),) + rhs.shape))
             good = np.ones(len(cs), dtype=bool)
@@ -110,8 +118,8 @@ def factorize_batch(coeffs: np.ndarray, sample_count: int = DEFAULT_SAMPLES,
                     good[j] = True
                 except np.linalg.LinAlgError:
                     pass
-        plus = sol.reshape(len(cs), order + 1, n, n)
-        gm, gp, res = _assemble(cs, plus, order, n, sample_count)
+        plus = sol.reshape(len(cs), order + 1, 2, 2)
+        gm, gp, res = _assemble(cs, plus, order, sample_count)
         bad = ~np.isfinite(res)
         res[bad] = np.inf
         good &= ~bad
@@ -125,48 +133,38 @@ def factorize_batch(coeffs: np.ndarray, sample_count: int = DEFAULT_SAMPLES,
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def _assemble(coeffs, plus, order, n, sample_count):
-    """Normalize the factors and measure sup |gamma - g_minus g_plus^{-1}|."""
-    b = len(coeffs)
+def _assemble(coeffs, plus, order, sample_count):
+    """Normalize the factors and measure sup |gamma - g_minus g_plus^{-1}|.
+
+    All sample algebra is the closed 2x2 form; a singular g_plus sample or
+    twist makes the residual non-finite, which fails that loop alone.
+    """
     m = _fast_len(max(sample_count, 4 * order + 2))
     gamma_vals = coeffs_to_samples(coeffs, m)
-    prod_vals = gamma_vals @ coeffs_to_samples(plus, m, first_mode=0)
-    minus = samples_to_coeffs(prod_vals, order)[:, :order + 1]  # modes -N..0
+    plus_vals = coeffs_to_samples(plus, m, first_mode=0)
+    minus = samples_to_coeffs(matmul_2x2(gamma_vals, plus_vals),
+                              order)[:, :order + 1]  # modes -N..0
 
     # normalize: right-multiply both factors so that g_minus mode 0 is
-    # exactly the identity; the twist constant is itself mode 0
+    # exactly the identity; the twist constant is itself mode 0, so it
+    # multiplies the g_plus samples as it does the coefficients
     with np.errstate(all="ignore"):
-        twist = _inv_per_loop(minus[:, -1])
-    minus = minus @ twist[:, None]
-    plus = plus @ twist[:, None]
-    minus[:, -1] = np.eye(n)
+        twist = inverse_2x2(minus[:, -1])[:, None]
+        minus = matmul_2x2(minus, twist)
+        plus = matmul_2x2(plus, twist)
+        plus_vals = matmul_2x2(plus_vals, twist)
+    minus[:, -1] = np.eye(2)
 
-    gm = np.zeros((b, 2 * order + 1, n, n), dtype=complex)
+    gm = np.zeros(coeffs.shape, dtype=complex)
     gm[:, :order + 1] = minus
     gp = np.zeros_like(gm)
     gp[:, order:] = plus
 
-    plus_vals = coeffs_to_samples(plus, m, first_mode=0)
     minus_vals = coeffs_to_samples(minus, m, first_mode=-order)
     with np.errstate(all="ignore"):
-        recon = minus_vals @ _inv_per_loop(plus_vals)
+        recon = matmul_2x2(minus_vals, inverse_2x2(plus_vals))
     res = np.abs(recon - gamma_vals).max(axis=(1, 2, 3))
     return gm, gp, res
-
-
-def _inv_per_loop(mats):
-    """Inverse of a stack over axis 0; a loop holding a singular matrix gets
-    NaNs, so it fails alone instead of with every loop in its chunk."""
-    try:
-        return np.linalg.inv(mats)
-    except np.linalg.LinAlgError:
-        out = np.full_like(mats, np.nan)
-        for j, mat in enumerate(mats):
-            try:
-                out[j] = np.linalg.inv(mat)
-            except np.linalg.LinAlgError:
-                pass
-        return out
 
 
 def factorize(gamma: MatrixLoop, tol: float = FACTOR_TOL,

@@ -28,6 +28,7 @@ from .loops import (
     DEFAULT_ORDER,
     DEFAULT_SAMPLES,
     MatrixLoop,
+    NumericalInvariantError,
     TailMassError,
     default_sample_count,
     inverse,
@@ -35,6 +36,7 @@ from .loops import (
     multiply,
     random_tangent,
     random_unimodular_loop,
+    random_unimodular_stack,
 )
 from .phase_space import cocycle, poisson_anomaly
 from .quadrature import PathRefinementError
@@ -391,20 +393,30 @@ def _run_birkhoff(config: ExperimentConfig):
         factorize(_twist_loop(config.trunc), tol=config.tol_factor)
         raise AssertionError("twist loop unexpectedly factored")
 
-    rng = np.random.default_rng(config.rng_seed)
-    stack = np.stack([
-        random_unimodular_loop(rng, order=config.trunc,
-                               amplitude=config.strength).coeffs
-        for _ in range(config.count)])
+    stack = random_unimodular_stack(
+        np.random.default_rng(config.rng_seed), config.count,
+        order=config.trunc, amplitude=config.strength)
     _, _, residuals, ok = factorize_batch(
         stack, config.resolved_samples(), config.tol_factor)
 
+    tol = config.tol_factor
+    worst = float(residuals.max())
     checks = [
-        Check("round_trip_residual", float(residuals.max()), config.tol_factor),
+        Check("round_trip_residual", worst, tol),
         Check("big_cell_fraction", float((~ok).mean()), 0.0),
     ]
-    extra = {"summary": {"loops": int(config.count),
-                         "max_residual": float(residuals.max())}}
+    extra = {
+        "summary": {"loops": int(config.count), "max_residual": worst},
+        "telemetry": {
+            "loops_factored": len(residuals),
+            "not_ok": int((~ok).sum()),
+            "worst_residual": worst,
+            # how far the worst loop is from failing; inf when it is exact
+            "residual_margin": tol / worst if worst > 0 else float("inf"),
+            # loops that passed within a factor 10 of the bound
+            "near_misses": int((ok & (residuals > tol / 10)).sum()),
+        },
+    }
     return (checks, ["index", "residual"],
             [np.arange(len(residuals)), residuals], extra)
 
@@ -418,8 +430,7 @@ def _run_selftest(config: ExperimentConfig):
     checks.append(Check("loop_inverse_round_trip",
                         float(np.abs(vals - np.eye(2)).max()), 1e-10))
 
-    stack = np.stack([random_unimodular_loop(rng).coeffs for _ in range(20)])
-    _, _, residuals, ok = factorize_batch(stack)
+    _, _, residuals, ok = factorize_batch(random_unimodular_stack(rng, 20))
     checks.append(Check("birkhoff_round_trip", float(residuals.max()), 1e-9))
     checks.append(Check("birkhoff_big_cell_flags", float((~ok).sum()), 0.0))
 
@@ -568,7 +579,7 @@ def run(config: ExperimentConfig) -> int:
     except TailMassError as err:
         print(f"[FAIL] tail_mass: {err}")
         return EXIT_CHECK_FAILED
-    except ValueError as err:
+    except NumericalInvariantError as err:
         print(f"[FAIL] numerical_invariant: {err}")
         return EXIT_CHECK_FAILED
 

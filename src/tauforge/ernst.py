@@ -26,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from .loops import NumericalInvariantError
 from .quadrature import cumulative_from, refine_path_cells
 from .twistor import ernst_frame
 
@@ -222,7 +223,8 @@ def logtau_field(sol: ErnstSolution, rs, zs,
     log_tau = base_r[:, None] + cum_z[:, np.searchsorted(z_breaks, zs)]
 
     if np.abs(log_tau.imag).max() > 1e-9:
-        raise ValueError("log tau came out non-real for a real metric block")
+        raise NumericalInvariantError(
+            "log tau came out non-real for a real metric block")
 
     gr, gz = np.meshgrid(rs, zs, indexing="ij")
     return ErnstTauField(

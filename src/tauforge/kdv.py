@@ -43,11 +43,11 @@ from .loops import (
     TAIL_THRESHOLD,
     MatrixLoop,
     ScalarLoop,
-    adjugate_2x2,
     circle_points,
     coeffs_to_samples,
     default_sample_count,
-    det_2x2,
+    inverse_2x2,
+    matmul_2x2,
     samples_to_coeffs,
 )
 from .phase_space import TauVariationInput, tau_variation
@@ -208,10 +208,7 @@ def _gauge_variation_batch(minus, u_samples, m: int):
     dg_vals = coeffs_to_samples(ks[:, None, None] * minus, m,
                                 first_mode=-order - 1)
 
-    inv = adjugate_2x2(g_vals)
-    inv /= det_2x2(g_vals)[..., None, None]
-
-    w = dg_vals @ inv @ u_samples[None]
+    w = matmul_2x2(matmul_2x2(dg_vals, inverse_2x2(g_vals)), u_samples)
     tr = w[..., 0, 0] + w[..., 1, 1]
     c_minus_one = tr @ circle_points(m) / m
     return -c_minus_one

@@ -27,6 +27,11 @@ class SingularLoopError(RuntimeError):
     """Raised when a pointwise inverse meets a sample matrix with cond > limit."""
 
 
+class NumericalInvariantError(ValueError):
+    """A computed quantity broke an invariant it must hold (reality, a
+    vanishing defect); the CLI reports it as a failed check, exit 2."""
+
+
 def _fast_len(m: int) -> int:
     # next power of two; keeps numpy's FFT on its fastest path
     return 1 << (int(m) - 1).bit_length()
@@ -366,6 +371,25 @@ def adjugate_2x2(m):
     return out
 
 
+def inverse_2x2(m):
+    """Inverses of a (..., 2, 2) stack, adjugate over determinant; a
+    singular matrix gives non-finite entries instead of raising."""
+    return adjugate_2x2(m) / det_2x2(m)[..., None, None]
+
+
+def matmul_2x2(a, b):
+    """Products of broadcast (..., 2, 2) stacks, entry by entry."""
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape),
+                   dtype=np.result_type(a, b))
+    out[..., 0, 0] = a00 * b00 + a01 * b10
+    out[..., 0, 1] = a00 * b01 + a01 * b11
+    out[..., 1, 0] = a10 * b00 + a11 * b10
+    out[..., 1, 1] = a10 * b01 + a11 * b11
+    return out
+
+
 def adjugate_inverse(a: MatrixLoop) -> MatrixLoop:
     """Exact coefficient-level inverse for 2x2 loops with det = 1.
 
@@ -397,6 +421,17 @@ def _expm_2x2(vals):
         np.cosh(s)[..., None, None] * np.eye(2) + sinhc[..., None, None] * u0)
 
 
+def _exp_samples(vals):
+    """exp of every (..., n, n) sample matrix: scalar, closed 2x2 form, or
+    batched scaling-and-squaring."""
+    n = vals.shape[-1]
+    if n == 1:
+        return np.exp(vals)
+    if n == 2:
+        return _expm_2x2(vals)
+    return scipy.linalg.expm(vals)
+
+
 def exp_pointwise(a: MatrixLoop, tail_tol: float | None = TAIL_THRESHOLD) -> MatrixLoop:
     """Pointwise matrix exponential, recovered at the input's truncation.
 
@@ -404,13 +439,7 @@ def exp_pointwise(a: MatrixLoop, tail_tol: float | None = TAIL_THRESHOLD) -> Mat
     scaling-and-squaring.  Raises TailMassError when exp spreads the
     spectrum past what order N can hold.
     """
-    vals = MatrixLoop.samples(a)
-    if a.n == 1:
-        exp_vals = np.exp(vals)
-    elif a.n == 2:
-        exp_vals = _expm_2x2(vals)
-    else:
-        exp_vals = scipy.linalg.expm(vals)
+    exp_vals = _exp_samples(MatrixLoop.samples(a))
     out = type(a).from_samples(exp_vals, a.order, tail_tol=tail_tol)
     # det(exp u) = exp(tr u): traceless input gives a unimodular loop
     if a.n > 1 and np.abs(np.trace(a.coeffs, axis1=1, axis2=2)).max() < 1e-13:
@@ -444,35 +473,69 @@ def commutator(a: MatrixLoop, b: MatrixLoop) -> MatrixLoop:
 
 # -- random smooth loops (shared by tests, selftest, CLI) ----------------
 
-def random_tangent(rng: np.random.Generator, n: int = 2, band: int = TANGENT_BAND,
-                   amplitude: float = 0.5, decay: float = 0.25,
-                   order: int = DEFAULT_ORDER, sample_count: int | None = None,
-                   antihermitian: bool = False, traceless: bool = True) -> MatrixLoop:
-    """Random smooth loop with geometrically decaying band-limited modes.
+def random_tangent_stack(rng: np.random.Generator, count: int, n: int = 2,
+                         band: int = TANGENT_BAND, amplitude: float = 0.5,
+                         decay: float = 0.25, order: int = DEFAULT_ORDER,
+                         sample_count: int | None = None,
+                         antihermitian: bool = False,
+                         traceless: bool = True) -> np.ndarray:
+    """Coefficients (count, 2N+1, n, n) of random smooth loops.
 
-    The decay keeps exp of the result inside the default tail-mass budget
-    at order 32.  Raises ValueError when the band does not fit the order.
+    Modes -band..band are complex Gaussian blocks damped by decay^|k|, and
+    each loop is scaled to sup norm amplitude on its circle grid.  The
+    normals are drawn in one call, loop by loop and mode by mode (the real
+    block, then the imaginary one), so the stack equals count sequential
+    random_tangent calls and leaves rng in the same state.  The decay keeps
+    exp of the result inside the default tail-mass budget at order 32.
+    Raises ValueError when the band does not fit the order.
     """
     if band > order:
         raise ValueError(f"tangent band {band} exceeds truncation order {order}")
-    coeffs = np.zeros((2 * order + 1, n, n), dtype=complex)
-    for k in range(-band, band + 1):
-        block = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        coeffs[k + order] = block * decay ** abs(k)
+    m = sample_count or default_sample_count(order)
+    if m < 4 * order + 2:
+        raise ValueError(f"sample_count {m} < 4N+2 = {4 * order + 2}")
+    normals = rng.standard_normal((count, 2 * band + 1, 2, n, n))
+    weights = np.array([decay ** abs(k) for k in range(-band, band + 1)])
+    coeffs = np.zeros((count, 2 * order + 1, n, n), dtype=complex)
+    coeffs[:, order - band:order + band + 1] = (
+        (normals[:, :, 0] + 1j * normals[:, :, 1]) * weights[:, None, None])
     if antihermitian:
         # enforce u(theta)^* = -u(theta): c_{-k} = -c_k^H
-        for k in range(1, band + 1):
-            coeffs[-k + order] = -coeffs[k + order].conj().T
-        coeffs[order] = 0.5 * (coeffs[order] - coeffs[order].conj().T)
+        positive = coeffs[:, order + 1:order + band + 1]
+        coeffs[:, order - band:order] = -positive[:, ::-1].conj().swapaxes(-1, -2)
+        mode0 = coeffs[:, order]
+        coeffs[:, order] = 0.5 * (mode0 - mode0.conj().swapaxes(-1, -2))
     if traceless:
         idx = np.arange(n)
-        tr = np.trace(coeffs, axis1=1, axis2=2) / n
-        coeffs[:, idx, idx] -= tr[:, None]
-    loop = MatrixLoop(coeffs, sample_count)
-    scale = amplitude / max(loop.sup_norm(), np.finfo(float).tiny)
-    return MatrixLoop(coeffs * scale, sample_count)
+        tr = np.trace(coeffs, axis1=-2, axis2=-1) / n
+        coeffs[..., idx, idx] -= tr[..., None]
+    sup = np.abs(coeffs_to_samples(coeffs, m)).max(axis=(1, 2, 3))
+    scale = amplitude / np.maximum(sup, np.finfo(float).tiny)
+    return coeffs * scale[:, None, None, None]
+
+
+def random_unimodular_stack(rng: np.random.Generator, count: int,
+                            **kw) -> np.ndarray:
+    """exp of count random traceless tangents, (count, 2N+1, n, n).
+
+    Unimodular by construction; the keywords are random_tangent_stack's
+    except traceless.  The tail mass of exp is checked loop by loop and
+    the worst loop raises TailMassError.
+    """
+    order = kw.get("order", DEFAULT_ORDER)
+    m = kw.get("sample_count") or default_sample_count(order)
+    tangent = random_tangent_stack(rng, count, traceless=True, **kw)
+    return samples_to_coeffs(_exp_samples(coeffs_to_samples(tangent, m)),
+                             order, tail_tol=TAIL_THRESHOLD)
+
+
+def random_tangent(rng: np.random.Generator, **kw) -> MatrixLoop:
+    """One random smooth loop: random_tangent_stack with count = 1."""
+    return MatrixLoop(random_tangent_stack(rng, 1, **kw)[0],
+                      kw.get("sample_count"))
 
 
 def random_unimodular_loop(rng: np.random.Generator, **kw) -> MatrixLoop:
-    """exp of a random smooth traceless tangent; unimodular by construction."""
-    return exp_pointwise(random_tangent(rng, **kw))
+    """One random unimodular loop: random_unimodular_stack with count = 1."""
+    return MatrixLoop(random_unimodular_stack(rng, 1, **kw)[0],
+                      kw.get("sample_count"), unimodular=True)

@@ -18,6 +18,7 @@ import numpy as np
 from .birkhoff import BirkhoffFactors, factorize
 from .loops import (
     MatrixLoop,
+    NumericalInvariantError,
     ScalarLoop,
     adjugate_inverse,
     commutator,
@@ -53,11 +54,13 @@ class LoopTangent:
         if self.antihermitian:
             bad = self.antihermitian_defect()
             if bad > tol:
-                raise ValueError(f"antihermitian defect {bad:.3e} > {tol:.1e}")
+                raise NumericalInvariantError(
+                    f"antihermitian defect {bad:.3e} > {tol:.1e}")
         if self.traceless:
             bad = self.trace_defect()
             if bad > tol:
-                raise ValueError(f"trace defect {bad:.3e} > {tol:.1e}")
+                raise NumericalInvariantError(
+                    f"trace defect {bad:.3e} > {tol:.1e}")
         return self
 
 
@@ -186,13 +189,13 @@ def vacuum_logderiv_diffeo(gamma_or_factors, xi10: ScalarLoop,
     -(1/4 pi i) contour xi10 [tr((dg g^-1)^2) - tr((dg+ g+^-1)^2)] dlambda.
     When xi10 extends over the unit disc (only nonnegative modes) the
     g_plus term vanishes by Cauchy's theorem; that cancellation is checked
-    rather than assumed, and a violation raises ValueError.
+    rather than assumed, and a violation raises NumericalInvariantError.
     """
     factors = _factors_of(gamma_or_factors)
     minus_term, plus_term = _diffeo_terms(factors, xi10)
     ks = np.arange(-xi10.order, xi10.order + 1)
     if not np.any(np.abs(xi10.coeffs[ks < 0]) > 0) and abs(plus_term) > gplus_tol:
-        raise ValueError(
+        raise NumericalInvariantError(
             f"g_plus term {abs(plus_term):.3e} should vanish for disc-holomorphic xi10")
     return complex(-(minus_term - plus_term) / (2 * _TWO_PI_I))
 
@@ -235,6 +238,7 @@ def _maybe_real(value: complex, check_real: bool | None, default: bool,
     check = default if check_real is None else check_real
     if check:
         if abs(value.imag) > tol:
-            raise ValueError(f"imaginary part {value.imag:.3e} exceeds {tol:.1e}")
+            raise NumericalInvariantError(
+                f"imaginary part {value.imag:.3e} exceeds {tol:.1e}")
         return float(value.real)
     return value

@@ -200,6 +200,43 @@ class TestBirkhoffPipeline:
         assert run_cli(["birkhoff", "--preset", "twist"]) == cli.EXIT_BIG_CELL
         assert "big_cell_required_node" in capsys.readouterr().out
 
+    def test_telemetry_keys(self, tmp_path):
+        assert run_cli(["birkhoff", "--count", "30", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "birkhoff_manifest.json").read_text())
+        telemetry = manifest["extra"]["telemetry"]
+        assert sorted(telemetry) == [
+            "loops_factored", "near_misses", "not_ok", "residual_margin",
+            "worst_residual"]
+        tol = manifest["tolerances"]["factor"]
+        assert telemetry["loops_factored"] == 30
+        assert telemetry["not_ok"] == 0
+        assert telemetry["worst_residual"] == manifest["extra"]["summary"][
+            "max_residual"]
+        assert telemetry["residual_margin"] == tol / telemetry["worst_residual"]
+        assert telemetry["residual_margin"] > 10
+        assert telemetry["near_misses"] == 0
+
+
+class TestErrorMapping:
+    """Only the library's own error types become exit codes."""
+
+    def _raise_in_runner(self, monkeypatch, err):
+        def runner(config):
+            raise err
+        monkeypatch.setitem(cli._DISPATCH, "birkhoff", runner)
+
+    def test_plain_value_error_propagates(self, monkeypatch):
+        self._raise_in_runner(monkeypatch, ValueError("a programming error"))
+        with pytest.raises(ValueError, match="a programming error"):
+            run_cli(["birkhoff", "--count", "5"])
+
+    def test_numerical_invariant_exits_2(self, monkeypatch, capsys):
+        self._raise_in_runner(
+            monkeypatch, cli.NumericalInvariantError("log tau came out non-real"))
+        assert run_cli(["birkhoff", "--count", "5"]) == cli.EXIT_CHECK_FAILED
+        assert "[FAIL] numerical_invariant: log tau came out non-real" in \
+            capsys.readouterr().out
+
 
 class TestSelftest:
     def test_selftest_passes(self, capsys):

@@ -1,0 +1,206 @@
+"""Property tests: the 2x2 kernels, the factorization and the loop generators.
+
+Each property is checked on inputs drawn by hypothesis; the random loops
+come from numpy generators seeded by the drawn integers.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+
+import tauforge as tf
+from tauforge import birkhoff
+from tauforge.loops import (
+    DEFAULT_ORDER,
+    TANGENT_BAND,
+    det_2x2,
+    inverse_2x2,
+    matmul_2x2,
+)
+
+SETTINGS = settings(max_examples=40, deadline=None)
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny
+
+entries = st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                             allow_infinity=False)
+
+
+def stacks():
+    return array_shapes(min_dims=0, max_dims=2, max_side=4).flatmap(
+        lambda lead: arrays(complex, lead + (2, 2), elements=entries))
+
+
+@st.composite
+def broadcast_pairs(draw):
+    """Two stacks whose leading shapes broadcast: the second's is a suffix."""
+    a = draw(stacks())
+    lead = a.shape[:-2]
+    tail = lead[draw(st.integers(0, len(lead))):]
+    return a, draw(arrays(complex, tail + (2, 2), elements=entries))
+
+
+# -- 2x2 kernels against numpy ---------------------------------------------
+
+@SETTINGS
+@given(broadcast_pairs())
+def test_matmul_2x2_matches_matmul(pair):
+    a, b = pair
+    got = matmul_2x2(a, b)
+    want = a @ b
+    assert got.shape == want.shape
+    scale = np.abs(a) @ np.abs(b)
+    assert np.all(np.abs(got - want) <= 4 * EPS * scale + TINY)
+
+
+@SETTINGS
+@given(stacks())
+def test_det_2x2_matches_det(m):
+    scale = np.abs(m[..., 0, 0] * m[..., 1, 1]) + np.abs(m[..., 0, 1] * m[..., 1, 0])
+    # np.linalg.det returns exp(log|det|), which adds a relative error of
+    # about eps |log|det||
+    with np.errstate(all="ignore"):
+        spread = 1 + np.abs(np.log(scale))
+        bound = np.where(scale > 0, 16 * EPS * scale * spread, 0) + TINY
+    assert np.all(np.abs(det_2x2(m) - np.linalg.det(m)) <= bound)
+
+
+@SETTINGS
+@given(stacks())
+def test_inverse_2x2_matches_inv(m):
+    # both routes lose about cond(m) digits of relative accuracy, so compare
+    # where m is well conditioned; adjugate / det squares the entries, so
+    # also where they are not so small that det underflows (loop samples
+    # are of order one)
+    cond = np.linalg.cond(m) if m.size else np.zeros(m.shape[:-2])
+    well = (cond < 1e8) & (np.abs(m).max(axis=(-1, -2)) > 1e-100)
+    got = inverse_2x2(m[well])
+    want = np.linalg.inv(m[well])
+    bound = 16 * EPS * cond[well] * np.abs(want).max(axis=(-1, -2))
+    assert np.all(np.abs(got - want).max(axis=(-1, -2)) <= bound)
+
+
+def test_inverse_2x2_of_singular_is_not_finite():
+    m = np.array([[[1.0, 2.0], [2.0, 4.0]], np.zeros((2, 2))], dtype=complex)
+    with np.errstate(all="ignore"):
+        inv = inverse_2x2(m)
+    assert not np.isfinite(inv).all(axis=(-1, -2)).any()
+
+
+# -- the factorization on random smooth loops -------------------------------
+
+loop_params = st.fixed_dictionaries({
+    "seed": st.integers(0, 2 ** 32 - 1),
+    "count": st.integers(1, 4),
+    "order": st.integers(20, DEFAULT_ORDER),
+    "amplitude": st.floats(0.05, 0.5),
+})
+
+
+def _stack(p):
+    return tf.random_unimodular_stack(
+        np.random.default_rng(p["seed"]), p["count"], order=p["order"],
+        amplitude=p["amplitude"])
+
+
+@SETTINGS
+@given(loop_params)
+def test_factorization_round_trip(p):
+    gamma = _stack(p)
+    order = p["order"]
+    minus, plus, res, ok = birkhoff.factorize_batch(gamma)
+    assert ok.all()
+    assert res.max() <= 1e-9
+    # supports and normalization hold exactly, not to a tolerance
+    assert not minus[:, order + 1:].any()
+    assert not plus[:, :order].any()
+    assert (minus[:, order] == np.eye(2)).all()
+    # gamma = g_minus g_plus^-1 off the sample grid
+    theta = np.random.default_rng(p["seed"]).uniform(0, 2 * np.pi, 9)
+    for g, gm, gp in zip(gamma, minus, plus):
+        vals = [tf.MatrixLoop(c).eval(theta) for c in (g, gm, gp)]
+        recon = vals[1] @ np.linalg.inv(vals[2])
+        assert np.abs(recon - vals[0]).max() <= 1e-9
+
+
+@SETTINGS
+@given(loop_params, st.integers(0, 2 ** 32 - 1))
+def test_minus_factor_invariant_under_constant_right_twist(p, twist_seed):
+    # gamma C = g_minus (C^-1 g_plus)^-1, so g_minus does not change
+    gamma = _stack(p)
+    c = tf.random_unimodular_stack(np.random.default_rng(twist_seed), 1,
+                                   order=1, band=0)[0, 1]
+    minus, _, _, ok = birkhoff.factorize_batch(gamma)
+    twisted, _, _, ok_twisted = birkhoff.factorize_batch(matmul_2x2(gamma, c))
+    assert ok.all() and ok_twisted.all()
+    assert np.abs(twisted - minus).max() <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_factorize_batch_is_2x2_only(n):
+    with pytest.raises(ValueError, match="2x2"):
+        birkhoff.factorize_batch(np.zeros((3, 17, n, n), dtype=complex))
+
+
+# -- the stack generators against the per-loop reference ---------------------
+
+def _reference_tangent(rng, n=2, band=TANGENT_BAND, amplitude=0.5, decay=0.25,
+                       order=DEFAULT_ORDER, antihermitian=False,
+                       traceless=True):
+    """One loop, drawn mode by mode: the per-loop generator the stack
+    form replaced, kept as the reference for its draw order."""
+    coeffs = np.zeros((2 * order + 1, n, n), dtype=complex)
+    for k in range(-band, band + 1):
+        block = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        coeffs[k + order] = block * decay ** abs(k)
+    if antihermitian:
+        for k in range(1, band + 1):
+            coeffs[-k + order] = -coeffs[k + order].conj().T
+        coeffs[order] = 0.5 * (coeffs[order] - coeffs[order].conj().T)
+    if traceless:
+        idx = np.arange(n)
+        tr = np.trace(coeffs, axis1=1, axis2=2) / n
+        coeffs[:, idx, idx] -= tr[:, None]
+    loop = tf.MatrixLoop(coeffs)
+    scale = amplitude / max(loop.sup_norm(), np.finfo(float).tiny)
+    return tf.MatrixLoop(coeffs * scale)
+
+
+tangent_params = st.fixed_dictionaries({
+    "n": st.sampled_from([2, 3]),
+    "band": st.integers(0, TANGENT_BAND),
+    "amplitude": st.floats(0.05, 0.5),
+    "order": st.integers(TANGENT_BAND, DEFAULT_ORDER),
+    "antihermitian": st.booleans(),
+    "traceless": st.booleans(),
+})
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), tangent_params)
+def test_tangent_stack_equals_per_loop_draws(seed, count, kw):
+    rng_stack, rng_loop = (np.random.default_rng(seed) for _ in range(2))
+    stack = tf.random_tangent_stack(rng_stack, count, **kw)
+    loops = [_reference_tangent(rng_loop, **kw).coeffs for _ in range(count)]
+    assert np.array_equal(stack, np.stack(loops))
+    assert rng_stack.bit_generator.state == rng_loop.bit_generator.state
+
+
+@SETTINGS
+@given(loop_params)
+def test_unimodular_stack_equals_sequential_loops(p):
+    kw = {"order": p["order"], "amplitude": p["amplitude"]}
+    rng_stack, rng_loop, rng_ref = (np.random.default_rng(p["seed"])
+                                    for _ in range(3))
+    stack = tf.random_unimodular_stack(rng_stack, p["count"], **kw)
+    loops = [tf.random_unimodular_loop(rng_loop, **kw)
+             for _ in range(p["count"])]
+    reference = [tf.exp_pointwise(_reference_tangent(rng_ref, **kw)).coeffs
+                 for _ in range(p["count"])]
+    assert np.array_equal(stack, np.stack([lp.coeffs for lp in loops]))
+    assert np.array_equal(stack, np.stack(reference))
+    assert all(lp.unimodular for lp in loops)
+    assert (rng_stack.bit_generator.state == rng_loop.bit_generator.state
+            == rng_ref.bit_generator.state)
