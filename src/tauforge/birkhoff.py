@@ -178,10 +178,10 @@ def factorize(gamma: MatrixLoop, tol: float = FACTOR_TOL,
     condition = float(np.linalg.cond(t))
     if not np.isfinite(condition) or condition > cond_limit:
         raise BigCellError(f"Toeplitz condition {condition:.3e} exceeds {cond_limit:.1e}")
-    gm, gp, res, ok = factorize_batch(gamma.coeffs[None], gamma.sample_count, tol=tol)
+    gm, gp, res, ok = factorize_batch(gamma.coeffs[None], tol=tol)
     if not ok[0]:
         raise BigCellError(f"reconstruction residual {res[0]:.3e} exceeds tol {tol:.1e}")
-    g_minus = MatrixLoop(gm[0], gamma.sample_count, unimodular=gamma.unimodular)
-    g_plus = MatrixLoop(gp[0], gamma.sample_count, unimodular=gamma.unimodular)
+    g_minus = MatrixLoop(gm[0], unimodular=gamma.unimodular)
+    g_plus = MatrixLoop(gp[0], unimodular=gamma.unimodular)
     return BirkhoffFactors(g_minus, g_plus, float(res[0]), condition)
 

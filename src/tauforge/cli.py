@@ -26,7 +26,6 @@ from .birkhoff import BigCellError, factorize, factorize_batch
 from .kdv import PathCrossesBadCellError
 from .loops import (
     DEFAULT_ORDER,
-    DEFAULT_SAMPLES,
     MatrixLoop,
     NumericalInvariantError,
     TailMassError,
@@ -103,7 +102,6 @@ class ExperimentConfig:
     seed_file: str = ""
     grid: str = ""
     trunc: int = DEFAULT_ORDER
-    samples: int | None = None
     out: str = ""
     threads: int = 1
     tol_factor: float = 1e-9
@@ -113,11 +111,6 @@ class ExperimentConfig:
     rng_seed: int = 0
     count: int = 100
     strength: float = 0.5
-
-    def resolved_samples(self) -> int:
-        if self.samples is not None:
-            return self.samples
-        return default_sample_count(self.trunc)
 
     def resolved_tol_path(self) -> float:
         if self.tol_path is not None:
@@ -160,10 +153,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown pipeline '{self.pipeline}'")
         if self.trunc < 1:
             raise ConfigError("truncation order must be >= 1")
-        if self.samples is not None and self.samples < 4 * self.trunc + 2:
-            raise ConfigError(
-                f"sample count M = {self.samples} violates M >= 4N + 2 "
-                f"= {4 * self.trunc + 2} at N = {self.trunc}")
         for name in ("tol_factor", "tol_residual", "tol_headline"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -238,7 +227,6 @@ _CONFIG_TYPES = {
     "preset": str,
     "grid": str,
     "trunc": int,
-    "samples": int,
     "out": str,
     "threads": int,
     "tol_factor": float,
@@ -286,13 +274,12 @@ def _run_kdv(config: ExperimentConfig):
     else:
         seed = kdv.seed_one_pole(order=config.trunc, **params)
     xs, ts = config.axes()
-    grid = kdv.tau_grid(
-        seed, xs, ts, order=config.trunc, sample_count=config.samples,
-        factor_tol=config.tol_factor)
+    grid = kdv.tau_grid(seed, xs, ts, order=config.trunc,
+                        factor_tol=config.tol_factor)
     tol_path = config.resolved_tol_path()
     crosscheck, levels = kdv.path_crosscheck(
-        seed, grid, order=config.trunc, sample_count=config.samples,
-        tol_path=tol_path, factor_tol=config.tol_factor)
+        seed, grid, order=config.trunc, tol_path=tol_path,
+        factor_tol=config.tol_factor)
 
     dx = float(xs[1] - xs[0])
     fd = kdv._derivative_on_grid(grid.log_tau, dx, 1, axis=0)
@@ -396,8 +383,7 @@ def _run_birkhoff(config: ExperimentConfig):
     stack = random_unimodular_stack(
         np.random.default_rng(config.rng_seed), config.count,
         order=config.trunc, amplitude=config.strength)
-    _, _, residuals, ok = factorize_batch(
-        stack, config.resolved_samples(), config.tol_factor)
+    _, _, residuals, ok = factorize_batch(stack, tol=config.tol_factor)
 
     tol = config.tol_factor
     worst = float(residuals.max())
@@ -426,7 +412,7 @@ def _run_selftest(config: ExperimentConfig):
     checks = []
 
     loop = random_unimodular_loop(rng)
-    vals = multiply(loop, inverse(loop)).samples(DEFAULT_SAMPLES)
+    vals = multiply(loop, inverse(loop)).samples()
     checks.append(Check("loop_inverse_round_trip",
                         float(np.abs(vals - np.eye(2)).max()), 1e-10))
 
@@ -533,7 +519,7 @@ def _manifest(config: ExperimentConfig, checks, extra, csv_name, elapsed,
         "seed_file": config.seed_file,
         "grid": grid,
         "trunc": config.trunc,
-        "samples": config.resolved_samples(),
+        "samples": default_sample_count(config.trunc),
         "threads": 1,  # kept in the fixed key set; runs are single-threaded
         "tolerances": {
             "factor": config.tol_factor,
@@ -649,7 +635,6 @@ def _parser() -> argparse.ArgumentParser:
                        help="flat key=value config file")
         p.add_argument("--grid", help="min:max:count[,min:max:count]")
         p.add_argument("--trunc", type=int, help="Fourier truncation order N")
-        p.add_argument("--samples", type=int, help="circle sample count M")
         p.add_argument("--out", help="directory for CSV and manifest")
         p.add_argument("--threads", type=int,
                        help="accepted for compatibility; tauforge runs on "
@@ -685,7 +670,11 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parser().parse_args(_preprocess(argv))
+    try:
+        args = _parser().parse_args(_preprocess(argv))
+    except SystemExit as stop:
+        # argparse exits 2 on a bad flag; here 2 means a failed check
+        return EXIT_PASS if stop.code in (0, None) else EXIT_CONFIG
     try:
         config = build_config(args)
     except ConfigError as err:

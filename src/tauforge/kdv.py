@@ -130,8 +130,9 @@ def _exp_minus_mu_phi(mu, lam, branch: float = 1.0):
             - (mu * s)[..., None, None] * phi)
 
 
-def _pullback_values(seed: KdVSeed, v, x, t, m: int):
-    """Sampled translated loops, shape (B, m, 2, 2)."""
+def _pullback_values(seed: KdVSeed, v, x, t, order: int):
+    """Translated loops on the circle grid of their order, (B, M, 2, 2)."""
+    m = default_sample_count(order)
     lam = circle_points(m)
     v = np.atleast_1d(np.asarray(v, dtype=complex))[:, None]
     x = np.atleast_1d(np.asarray(x, dtype=complex))[:, None]
@@ -143,20 +144,17 @@ def _pullback_values(seed: KdVSeed, v, x, t, m: int):
 
 
 def pullback_coeff_batch(seed: KdVSeed, x, t, order: int = DEFAULT_ORDER,
-                         sample_count: int | None = None,
                          tail_tol: float | None = TAIL_THRESHOLD):
     """Coefficients (B, 2N+1, 2, 2) of the translated loops at v = 0."""
-    m = sample_count or default_sample_count(order)
-    vals = _pullback_values(seed, np.zeros_like(np.atleast_1d(x)), x, t, m)
+    vals = _pullback_values(seed, np.zeros_like(np.atleast_1d(x)), x, t,
+                            order)
     return samples_to_coeffs(vals, order, tail_tol)
 
 
 def pullback_patching(seed: KdVSeed, p: SpacetimePoint,
-                      order: int = DEFAULT_ORDER,
-                      sample_count: int | None = None) -> MatrixLoop:
+                      order: int = DEFAULT_ORDER) -> MatrixLoop:
     """Translated patching loop at one space-time point."""
-    m = sample_count or default_sample_count(order)
-    vals = _pullback_values(seed, p.v, p.x, p.t, m)[0]
+    vals = _pullback_values(seed, p.v, p.x, p.t, order)[0]
     return MatrixLoop.from_samples(vals, order, tail_tol=TAIL_THRESHOLD,
                                    unimodular=True)
 
@@ -187,10 +185,9 @@ def _multiplier_loop(direction: str, order: int = 2) -> ScalarLoop:
 # -- potential extraction ----------------------------------------------
 
 
-def _batch_minus_factors(seed: KdVSeed, x, t, order, sample_count, tol):
-    coeffs = pullback_coeff_batch(seed, x, t, order, sample_count)
-    m = sample_count or default_sample_count(order)
-    minus, _, residuals, ok = factorize_batch(coeffs, m, tol=tol)
+def _batch_minus_factors(seed: KdVSeed, x, t, order, tol):
+    coeffs = pullback_coeff_batch(seed, x, t, order)
+    minus, _, residuals, ok = factorize_batch(coeffs, tol=tol)
     return minus, residuals, ok
 
 
@@ -215,25 +212,23 @@ def _gauge_variation_batch(minus, u_samples, m: int):
 
 
 def q_expansion(seed: KdVSeed, p: SpacetimePoint,
-                order: int = DEFAULT_ORDER,
-                sample_count: int | None = None) -> complex:
+                order: int = DEFAULT_ORDER) -> complex:
     """q from the expansion of the negative factor: tr(P1 P0^-1 Phi0)."""
-    loop = pullback_patching(seed, p, order, sample_count)
+    loop = pullback_patching(seed, p, order)
     factors = factorize(loop)
     p1 = factors.g_minus.coeff(-1)
     return complex(np.trace(p1 @ PHI0))
 
 
 def q_contour(seed: KdVSeed, p: SpacetimePoint,
-              order: int = DEFAULT_ORDER,
-              sample_count: int | None = None) -> complex:
+              order: int = DEFAULT_ORDER) -> complex:
     """q as the contour variation of log tau in the x direction.
 
     Assembled through the generic variation machinery (multiplier h from
     the direction decomposition, horizontal lift, gauge part only) so the
     route is independent of the expansion formula.
     """
-    loop = pullback_patching(seed, p, order, sample_count)
+    loop = pullback_patching(seed, p, order)
     variation = TauVariationInput(
         h=_multiplier_loop("x"), phi=phi_normal_form(order=2), v_coeff=None)
     return tau_variation(loop, variation)
@@ -336,11 +331,10 @@ def _uniform_spacing(axis, name: str) -> float:
     return float(steps[0])
 
 
-def _node_sweep(seed: KdVSeed, x, t, order, sample_count, factor_tol):
+def _node_sweep(seed: KdVSeed, x, t, order, factor_tol):
     """Minus factors, big-cell flags and (sign, log|det T_N|) at points."""
-    coeffs = pullback_coeff_batch(seed, x, t, order, sample_count)
-    m = sample_count or default_sample_count(order)
-    minus, _, _, ok = factorize_batch(coeffs, m, tol=factor_tol)
+    coeffs = pullback_coeff_batch(seed, x, t, order)
+    minus, _, _, ok = factorize_batch(coeffs, tol=factor_tol)
     return (minus, ok, *toeplitz_slogdet(coeffs))
 
 
@@ -364,7 +358,6 @@ def _leg_increments(sign, logabs, x, t):
 
 
 def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
-             sample_count: int | None = None,
              factor_tol: float = 1e-9) -> TauGrid:
     """log tau, q, u over the grid; see the module docstring for the path."""
     xs = np.asarray(xs, dtype=float)
@@ -383,7 +376,7 @@ def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
     gx, gt = np.meshgrid(x_breaks, t_breaks, indexing="ij")
     need = np.isin(gx, xs) | ((gx == 0.0) & (gt == 0.0))
     minus, ok, sign_n, logabs_n = _node_sweep(
-        seed, gx[need], gt[need], order, sample_count, factor_tol)
+        seed, gx[need], gt[need], order, factor_tol)
     if not ok.all():
         bad = np.argwhere(~ok)[0, 0]
         raise PathCrossesBadCellError(
@@ -415,8 +408,7 @@ def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
 
 
 def path_crosscheck(seed: KdVSeed, grid: TauGrid, order: int = DEFAULT_ORDER,
-                    sample_count: int | None = None, tol_path: float = 1e-7,
-                    factor_tol: float = 1e-9):
+                    tol_path: float = 1e-7, factor_tol: float = 1e-9):
     """Delta log tau of the grid against the paper's contour formula.
 
     On a fixed sub-sample of cells, the change of grid.log_tau across a
@@ -429,12 +421,12 @@ def path_crosscheck(seed: KdVSeed, grid: TauGrid, order: int = DEFAULT_ORDER,
     levels of the (x, t) cells.
     """
     xs, ts = grid.xs, grid.ts
-    m = sample_count or default_sample_count(order)
+    m = default_sample_count(order)
     u_dir = {d: _direction_u_samples(d, m) for d in ("x", "t")}
 
     def variation(direction, xpts, tpts):
         mn, _, good = _batch_minus_factors(
-            seed, xpts, tpts, order, sample_count, factor_tol)
+            seed, xpts, tpts, order, factor_tol)
         if not good.all():
             bad = np.argwhere(~good)[0, 0]
             raise PathCrossesBadCellError(

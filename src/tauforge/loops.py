@@ -2,7 +2,8 @@
 
 A loop is the trigonometric polynomial f(lambda) = sum_{k=-N}^{N} c_k lambda^k
 with lambda = exp(i theta), stored by its coefficient stack c_k (each an n x n
-complex matrix) together with a fixed sample grid theta_j = 2 pi j / M.
+complex matrix); its sample grid theta_j = 2 pi j / M has the M that
+default_sample_count derives from N.
 Products are dealiased by zero-padding to an exact grid; nothing is ever
 smoothed or filtered, so every operation is exact up to rounding except where
 an explicit truncation with a tail-mass check is requested.
@@ -82,6 +83,8 @@ def samples_to_coeffs(samples, order: int, tail_tol: float | None = None):
     """
     samples = np.asarray(samples, dtype=complex)
     m = samples.shape[-3]
+    if 2 * order + 1 > m:
+        raise ValueError("sample grid cannot resolve the loop")
     spec = np.fft.fft(samples, axis=-3) / m
     idx = np.arange(-order, order + 1) % m
     if tail_tol is not None:
@@ -96,10 +99,10 @@ def samples_to_coeffs(samples, order: int, tail_tol: float | None = None):
 
 
 class MatrixLoop:
-    """Matrix-valued loop with modes -order..order on a fixed circle grid."""
+    """Matrix-valued loop with modes -order..order; its circle grid has
+    default_sample_count(order) points."""
 
-    def __init__(self, coeffs, sample_count: int | None = None,
-                 unimodular: bool = False):
+    def __init__(self, coeffs, unimodular: bool = False):
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.ndim == 1:
             coeffs = coeffs[:, None, None]
@@ -110,46 +113,37 @@ class MatrixLoop:
         self.coeffs = coeffs
         self.order = (coeffs.shape[0] - 1) // 2
         self.n = coeffs.shape[1]
-        minimum = 4 * self.order + 2
-        if sample_count is None:
-            sample_count = default_sample_count(self.order)
-        if sample_count < minimum:
-            raise ValueError(f"sample_count {sample_count} < 4N+2 = {minimum}")
-        self.sample_count = int(sample_count)
         self.unimodular = bool(unimodular)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def identity(cls, n: int = 2, order: int = DEFAULT_ORDER,
-                 sample_count: int | None = None) -> "MatrixLoop":
+    def identity(cls, n: int = 2, order: int = DEFAULT_ORDER) -> "MatrixLoop":
         coeffs = np.zeros((2 * order + 1, n, n), dtype=complex)
         coeffs[order] = np.eye(n)
-        return cls(coeffs, sample_count, unimodular=True)
+        return cls(coeffs, unimodular=True)
 
     @classmethod
     def from_modes(cls, modes: dict, n: int = 2, order: int = DEFAULT_ORDER,
-                   sample_count: int | None = None, **kw) -> "MatrixLoop":
+                   **kw) -> "MatrixLoop":
         """Build a loop from a {mode: matrix} dict; unspecified modes are zero."""
         coeffs = np.zeros((2 * order + 1, n, n), dtype=complex)
         for k, block in modes.items():
             if abs(k) > order:
                 raise ValueError(f"mode {k} outside -{order}..{order}")
             coeffs[k + order] = np.asarray(block, dtype=complex)
-        return cls(coeffs, sample_count, **kw)
+        return cls(coeffs, **kw)
 
     @classmethod
     def from_samples(cls, samples, order: int, tail_tol: float | None = None,
                      **kw) -> "MatrixLoop":
         """Recover coefficients from values on the equispaced grid.
 
-        The sample count must resolve the requested order (M >= 4N+2); mass in
-        the discarded alias bins beyond +-order is checked against tail_tol
-        when given and raises TailMassError if exceeded.
+        The grid must resolve the requested order (M >= 2N+1); mass in the
+        discarded alias bins beyond +-order is checked against tail_tol when
+        given and raises TailMassError if exceeded.
         """
-        samples = np.asarray(samples)
-        return cls(samples_to_coeffs(samples, order, tail_tol),
-                   samples.shape[0], **kw)
+        return cls(samples_to_coeffs(samples, order, tail_tol), **kw)
 
     # -- basic access -------------------------------------------------
 
@@ -171,9 +165,11 @@ class MatrixLoop:
         ks = np.arange(-self.order, self.order + 1)
         return np.tensordot(np.asarray(z) ** ks, self.coeffs, axes=(0, 0))
 
-    def samples(self, sample_count: int | None = None):
-        """Values on the grid theta_j = 2 pi j / M, exact via zero-padded FFT."""
-        return coeffs_to_samples(self.coeffs, sample_count or self.sample_count)
+    def samples(self, m: int | None = None):
+        """Values on the grid theta_j = 2 pi j / M, exact via zero-padded FFT;
+        M defaults to default_sample_count(order)."""
+        return coeffs_to_samples(self.coeffs,
+                                 m or default_sample_count(self.order))
 
     def sup_norm(self) -> float:
         return float(np.abs(self.samples()).max())
@@ -188,8 +184,7 @@ class MatrixLoop:
         if order >= self.order:
             coeffs = np.zeros((2 * order + 1, self.n, self.n), dtype=complex)
             coeffs[order - self.order:order + self.order + 1] = self.coeffs
-            return type(self)(coeffs, max(self.sample_count, 4 * order + 2),
-                              unimodular=self.unimodular)
+            return type(self)(coeffs, unimodular=self.unimodular)
         if tail_tol is not None:
             ks = np.arange(-self.order, self.order + 1)
             dropped = _tail_fraction(self.coeffs, np.abs(ks) <= order)
@@ -197,8 +192,7 @@ class MatrixLoop:
                 raise TailMassError(
                     f"truncation to order {order} drops {dropped:.3e} of the mass")
         sl = slice(self.order - order, self.order + order + 1)
-        return type(self)(self.coeffs[sl].copy(), self.sample_count,
-                          unimodular=self.unimodular)
+        return type(self)(self.coeffs[sl].copy(), unimodular=self.unimodular)
 
     def project(self, part: str) -> "MatrixLoop":
         """Keep one mode range; complementary parts sum to the original."""
@@ -212,11 +206,11 @@ class MatrixLoop:
         if keep is None:
             raise ValueError(f"unknown projection {part!r}")
         coeffs = np.where(keep[:, None, None], self.coeffs, 0.0)
-        return type(self)(coeffs, self.sample_count)
+        return type(self)(coeffs)
 
     def derivative_theta(self) -> "MatrixLoop":
         ks = np.arange(-self.order, self.order + 1)
-        return type(self)(1j * ks[:, None, None] * self.coeffs, self.sample_count)
+        return type(self)(1j * ks[:, None, None] * self.coeffs)
 
     def derivative_lambda(self) -> "MatrixLoop":
         """d/dlambda; mode k goes to k c_k at mode k-1 (range grows by one)."""
@@ -227,11 +221,10 @@ class MatrixLoop:
         return type(self)(coeffs)
 
     def trace(self) -> "ScalarLoop":
-        return ScalarLoop(np.trace(self.coeffs, axis1=1, axis2=2),
-                          self.sample_count)
+        return ScalarLoop(np.trace(self.coeffs, axis1=1, axis2=2))
 
     def scaled(self, factor: complex) -> "MatrixLoop":
-        return type(self)(self.coeffs * factor, self.sample_count)
+        return type(self)(self.coeffs * factor)
 
     def __matmul__(self, other):
         return multiply(self, other)
@@ -241,33 +234,30 @@ class MatrixLoop:
         a, b = self.truncate(order), other.truncate(order)
         cls = ScalarLoop if isinstance(self, ScalarLoop) and isinstance(other, ScalarLoop) \
             else MatrixLoop
-        return cls(a.coeffs + b.coeffs, max(a.sample_count, b.sample_count))
+        return cls(a.coeffs + b.coeffs)
 
     def __sub__(self, other):
         return self + other.scaled(-1.0)
 
     def __repr__(self):
-        return (f"{type(self).__name__}(n={self.n}, order={self.order}, "
-                f"sample_count={self.sample_count})")
+        return f"{type(self).__name__}(n={self.n}, order={self.order})"
 
 
 class ScalarLoop(MatrixLoop):
     """Scalar loop (n = 1); eval returns plain numbers, not 1x1 matrices."""
 
-    def __init__(self, coeffs, sample_count: int | None = None,
-                 real_on_circle: bool = False, **kw):
-        super().__init__(coeffs, sample_count, **kw)
+    def __init__(self, coeffs, real_on_circle: bool = False, **kw):
+        super().__init__(coeffs, **kw)
         if self.n != 1:
             raise ValueError("ScalarLoop requires n = 1")
         self.real_on_circle = bool(real_on_circle)
 
     @classmethod
     def from_modes(cls, modes: dict, n: int = 1, order: int = DEFAULT_ORDER,
-                   sample_count: int | None = None, **kw) -> "ScalarLoop":
+                   **kw) -> "ScalarLoop":
         wrapped = {k: np.atleast_2d(np.asarray(v, dtype=complex))
                    for k, v in modes.items()}
-        return super().from_modes(wrapped, n=1, order=order,
-                                  sample_count=sample_count, **kw)
+        return super().from_modes(wrapped, n=1, order=order, **kw)
 
     def eval(self, theta):
         return super().eval(theta)[..., 0, 0]
@@ -275,30 +265,27 @@ class ScalarLoop(MatrixLoop):
     def eval_point(self, z: complex):
         return super().eval_point(z)[0, 0]
 
-    def samples(self, sample_count: int | None = None):
-        return super().samples(sample_count)[..., 0, 0]
+    def samples(self, m: int | None = None):
+        return super().samples(m)[..., 0, 0]
 
     def imag_defect(self) -> float:
         return float(np.abs(self.samples().imag).max())
 
     @classmethod
     def from_scalar_function(cls, fn, order: int = DEFAULT_ORDER,
-                             sample_count: int | None = None,
                              tail_tol: float | None = TAIL_THRESHOLD,
                              **kw) -> "ScalarLoop":
-        m = sample_count or default_sample_count(order)
+        m = default_sample_count(order)
         vals = np.asarray(fn(circle_points(m)), dtype=complex)[:, None, None]
         return cls.from_samples(vals, order, tail_tol=tail_tol, **kw)
 
 
-def monomial(k: int, block, order: int | None = None,
-             sample_count: int | None = None) -> MatrixLoop:
+def monomial(k: int, block, order: int | None = None) -> MatrixLoop:
     """Single-mode loop block * lambda^k."""
     block = np.atleast_2d(np.asarray(block, dtype=complex))
     order = order if order is not None else max(abs(k), 1)
     cls = ScalarLoop if block.shape == (1, 1) else MatrixLoop
-    return cls.from_modes({k: block}, n=block.shape[0], order=order,
-                          sample_count=sample_count)
+    return cls.from_modes({k: block}, n=block.shape[0], order=order)
 
 
 # -- pointwise algebra ---------------------------------------------------
@@ -322,7 +309,6 @@ def multiply(a: MatrixLoop, b: MatrixLoop, out_order: int | None = None,
         prod = sa @ sb
     cls = ScalarLoop if prod.shape[1] == 1 else MatrixLoop
     result = cls(samples_to_coeffs(prod, exact_order),
-                 default_sample_count(exact_order),
                  unimodular=a.unimodular and b.unimodular and a.n == b.n)
     if out_order is not None and out_order < exact_order:
         result = result.truncate(out_order, tail_tol)
@@ -399,8 +385,7 @@ def adjugate_inverse(a: MatrixLoop) -> MatrixLoop:
     """
     if a.n != 2:
         raise ValueError("adjugate inverse is a 2x2 shortcut")
-    return MatrixLoop(adjugate_2x2(a.coeffs), a.sample_count,
-                      unimodular=a.unimodular)
+    return MatrixLoop(adjugate_2x2(a.coeffs), unimodular=a.unimodular)
 
 
 def _expm_2x2(vals):
@@ -476,7 +461,6 @@ def commutator(a: MatrixLoop, b: MatrixLoop) -> MatrixLoop:
 def random_tangent_stack(rng: np.random.Generator, count: int, n: int = 2,
                          band: int = TANGENT_BAND, amplitude: float = 0.5,
                          decay: float = 0.25, order: int = DEFAULT_ORDER,
-                         sample_count: int | None = None,
                          antihermitian: bool = False,
                          traceless: bool = True) -> np.ndarray:
     """Coefficients (count, 2N+1, n, n) of random smooth loops.
@@ -491,9 +475,6 @@ def random_tangent_stack(rng: np.random.Generator, count: int, n: int = 2,
     """
     if band > order:
         raise ValueError(f"tangent band {band} exceeds truncation order {order}")
-    m = sample_count or default_sample_count(order)
-    if m < 4 * order + 2:
-        raise ValueError(f"sample_count {m} < 4N+2 = {4 * order + 2}")
     normals = rng.standard_normal((count, 2 * band + 1, 2, n, n))
     weights = np.array([decay ** abs(k) for k in range(-band, band + 1)])
     coeffs = np.zeros((count, 2 * order + 1, n, n), dtype=complex)
@@ -509,7 +490,8 @@ def random_tangent_stack(rng: np.random.Generator, count: int, n: int = 2,
         idx = np.arange(n)
         tr = np.trace(coeffs, axis1=-2, axis2=-1) / n
         coeffs[..., idx, idx] -= tr[..., None]
-    sup = np.abs(coeffs_to_samples(coeffs, m)).max(axis=(1, 2, 3))
+    sup = np.abs(coeffs_to_samples(coeffs, default_sample_count(order))
+                 ).max(axis=(1, 2, 3))
     scale = amplitude / np.maximum(sup, np.finfo(float).tiny)
     return coeffs * scale[:, None, None, None]
 
@@ -523,7 +505,7 @@ def random_unimodular_stack(rng: np.random.Generator, count: int,
     the worst loop raises TailMassError.
     """
     order = kw.get("order", DEFAULT_ORDER)
-    m = kw.get("sample_count") or default_sample_count(order)
+    m = default_sample_count(order)
     tangent = random_tangent_stack(rng, count, traceless=True, **kw)
     return samples_to_coeffs(_exp_samples(coeffs_to_samples(tangent, m)),
                              order, tail_tol=TAIL_THRESHOLD)
@@ -531,11 +513,10 @@ def random_unimodular_stack(rng: np.random.Generator, count: int,
 
 def random_tangent(rng: np.random.Generator, **kw) -> MatrixLoop:
     """One random smooth loop: random_tangent_stack with count = 1."""
-    return MatrixLoop(random_tangent_stack(rng, 1, **kw)[0],
-                      kw.get("sample_count"))
+    return MatrixLoop(random_tangent_stack(rng, 1, **kw)[0])
 
 
 def random_unimodular_loop(rng: np.random.Generator, **kw) -> MatrixLoop:
     """One random unimodular loop: random_unimodular_stack with count = 1."""
     return MatrixLoop(random_unimodular_stack(rng, 1, **kw)[0],
-                      kw.get("sample_count"), unimodular=True)
+                      unimodular=True)

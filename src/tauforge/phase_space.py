@@ -83,10 +83,10 @@ def _as_loop(u) -> MatrixLoop:
     return u.loop if isinstance(u, LoopTangent) else u
 
 
-def _factor_inverse(g: MatrixLoop) -> MatrixLoop:
-    # Birkhoff factors of unimodular loops have det = 1, so the 2x2 inverse
-    # is exact at coefficient level
-    if g.n == 2:
+def _loop_inverse(g: MatrixLoop) -> MatrixLoop:
+    # adj(g) = g^-1 only when det g = 1: then the 2x2 inverse is exact at
+    # coefficient level; any other loop is inverted pointwise
+    if g.n == 2 and g.unimodular:
         return adjugate_inverse(g)
     return inverse(g)
 
@@ -107,7 +107,7 @@ def reduced_symplectic(gamma: MatrixLoop, u, v, check_real: bool | None = None) 
     omega(u, v) == -omega(v, u) holds bitwise and omega(u, u) == 0.0.
     """
     u, v = _as_loop(u), _as_loop(v)
-    ginv = _factor_inverse(gamma) if gamma.n == 2 and gamma.unimodular else inverse(gamma)
+    ginv = _loop_inverse(gamma)
     ubar = multiply(multiply(ginv, u), gamma)
     vbar = multiply(multiply(ginv, v), gamma)
     omega_uv = mean_theta(multiply(ubar, vbar.derivative_theta()).trace())
@@ -119,7 +119,7 @@ def hamiltonian_gauge(gamma: MatrixLoop, u, check_real: bool | None = None):
     """H_u(gamma) = -(1/2 pi) contour tr(dgamma gamma^-1 u)."""
     tangent = u
     u = _as_loop(u)
-    ginv = _factor_inverse(gamma) if gamma.n == 2 and gamma.unimodular else inverse(gamma)
+    ginv = _loop_inverse(gamma)
     w = multiply(gamma.derivative_theta(), ginv)
     value = -mean_theta(multiply(w, u).trace())
     default = isinstance(tangent, LoopTangent)
@@ -129,7 +129,7 @@ def hamiltonian_gauge(gamma: MatrixLoop, u, check_real: bool | None = None):
 def hamiltonian_diffeo(gamma: MatrixLoop, xi: ScalarLoop,
                        check_real: bool | None = None):
     """H_xi(gamma) = (1/4 pi) contour xi tr((gamma' gamma^-1)^2) dtheta."""
-    ginv = _factor_inverse(gamma) if gamma.n == 2 and gamma.unimodular else inverse(gamma)
+    ginv = _loop_inverse(gamma)
     w = multiply(gamma.derivative_theta(), ginv)
     sq = multiply(w, w).trace()
     value = 0.5 * mean_theta(multiply(xi, sq))
@@ -168,7 +168,7 @@ def vacuum_logderiv_gauge(gamma_or_factors, u) -> complex:
     factors = _factors_of(gamma_or_factors)
     g = factors.g_minus
     dg = g.derivative_lambda()
-    integrand = multiply(multiply(dg, _factor_inverse(g)), _as_loop(u)).trace()
+    integrand = multiply(multiply(dg, _loop_inverse(g)), _as_loop(u)).trace()
     return complex(-contour_integral_dlambda(integrand) / _TWO_PI_I)
 
 
@@ -176,7 +176,7 @@ def _diffeo_terms(factors, xi10: ScalarLoop) -> tuple:
     """Contour values of xi10 tr((dg g^-1)^2) for both factors, minus first."""
     terms = []
     for g in (factors.g_minus, factors.g_plus):
-        w = multiply(g.derivative_lambda(), _factor_inverse(g))
+        w = multiply(g.derivative_lambda(), _loop_inverse(g))
         sq = multiply(w, w).trace()
         terms.append(contour_integral_dlambda(multiply(xi10, sq)))
     return tuple(terms)

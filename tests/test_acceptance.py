@@ -103,7 +103,7 @@ def vacuum_grid():
 def one_pole_minus(one_pole_seed):
     gx, gt = np.meshgrid(AXIS_51, AXIS_51, indexing="ij")
     minus, _, ok = _batch_minus_factors(
-        one_pole_seed, gx.ravel(), gt.ravel(), 32, None, 1e-9)
+        one_pole_seed, gx.ravel(), gt.ravel(), 32, 1e-9)
     return minus, ok
 
 
@@ -165,7 +165,7 @@ def test_criterion_3_kdv_headline_identity(report):
         worst_fd = max(worst_fd,
                        float(np.abs(fd - grid.q)[grid.bigcell].max()))
         minus, _, flags = _batch_minus_factors(
-            seed, gx.ravel(), gt.ravel(), 32, None, 1e-9)
+            seed, gx.ravel(), gt.ravel(), 32, 1e-9)
         q_contour = _gauge_variation_batch(minus, u_x, SAMPLES)
         worst_two = max(worst_two,
                         float(np.abs(grid.q.ravel() - q_contour)[flags].max()))

@@ -41,9 +41,28 @@ class TestConfigHandling:
         ["kdv", "--seed-file", "/nonexistent/seeds.cfg"],
         ["kdv", "--preset", "one_pole:pole=1.5"],
         ["birkhoff", "--trunc", "3"],
+        ["kdv", "--trunc", "abc"],
+        ["kdv", "--no-such-flag", "1"],
     ])
     def test_bad_configs_exit_3(self, args):
         assert run_cli(args) == cli.EXIT_CONFIG
+
+    def test_help_exits_0(self, capsys):
+        assert run_cli(["kdv", "--help"]) == cli.EXIT_PASS
+        assert "--trunc" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("pipeline", cli.PIPELINES)
+    def test_every_flag_has_a_seed_file_key(self, pipeline):
+        args = cli._parser().parse_args([pipeline])
+        assert set(vars(args)) - {"pipeline", "seed_file"} \
+            == set(cli._CONFIG_TYPES)
+
+    @pytest.mark.parametrize("trunc, samples", [(32, 256), (64, 512)])
+    def test_manifest_samples_follow_trunc(self, tmp_path, trunc, samples):
+        assert run_cli(["birkhoff", "--count", "5", "--trunc", str(trunc),
+                        "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "birkhoff_manifest.json").read_text())
+        assert manifest["samples"] == samples
 
     @pytest.mark.parametrize("trunc", [8, 12, 14])
     def test_birkhoff_random_trunc_below_bound(self, trunc, capsys):

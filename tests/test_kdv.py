@@ -174,7 +174,7 @@ class TestTauGrid:
         dt = float(g.ts[1] - g.ts[0])
         gx, gt = np.meshgrid(g.xs, g.ts, indexing="ij")
         mn, _, ok = kdv._batch_minus_factors(
-            one_pole_seed, gx.ravel(), gt.ravel(), 32, None, 1e-9)
+            one_pole_seed, gx.ravel(), gt.ravel(), 32, 1e-9)
         assert ok.all()
         vt = kdv._gauge_variation_batch(
             mn, kdv._direction_u_samples("t", 256), 256).reshape(gx.shape)
@@ -187,7 +187,7 @@ class TestTauGrid:
         dt = float(g.ts[1] - g.ts[0])
         gx, gt = np.meshgrid(g.xs, g.ts, indexing="ij")
         mn, _, ok = kdv._batch_minus_factors(
-            one_pole_seed, gx.ravel(), gt.ravel(), 32, None, 1e-9)
+            one_pole_seed, gx.ravel(), gt.ravel(), 32, 1e-9)
         vt = kdv._gauge_variation_batch(
             mn, kdv._direction_u_samples("t", 256), 256).reshape(gx.shape)
         mix_tq = kdv._derivative_on_grid(g.q, dt, 1, axis=1)
@@ -274,7 +274,7 @@ def path_route_log_tau(seed, xs, ts, cols, tol_path=1e-7):
     u_dir = {d: kdv._direction_u_samples(d, m) for d in ("x", "t")}
 
     def variation(direction, x, t):
-        minus, _, ok = kdv._batch_minus_factors(seed, x, t, 32, None, 1e-9)
+        minus, _, ok = kdv._batch_minus_factors(seed, x, t, 32, 1e-9)
         assert ok.all()
         return kdv._gauge_variation_batch(minus, u_dir[direction], m)
 

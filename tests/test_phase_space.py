@@ -11,7 +11,7 @@ import pytest
 import tauforge as tf
 from tauforge import birkhoff
 from tauforge import phase_space as ps
-from tauforge.loops import MatrixLoop, ScalarLoop
+from tauforge.loops import MatrixLoop, ScalarLoop, circle_points
 
 
 def unitary_loop(rng, amplitude=0.5):
@@ -238,6 +238,43 @@ class TestVacuumLogderivGauge:
         u = tf.random_tangent(rng, band=3)
         fac = birkhoff.factorize(gamma)
         assert ps.vacuum_logderiv_gauge(fac, u) == ps.vacuum_logderiv_gauge(gamma, u)
+
+
+class TestNonUnimodularLoop:
+    """Factors of a loop with det != 1 are inverted pointwise: their
+    adjugate is det times the inverse, not the inverse."""
+
+    M = 1024  # fine grid for the sample route, far above the factor orders
+
+    def _residue(self, vals):
+        # (1/2 pi i) contour f dlambda = mode -1 of f
+        return (vals * circle_points(self.M)).mean()
+
+    def _log_derivative(self, g):
+        # dg g^-1 on the fine grid, g^-1 by np.linalg.inv of its samples
+        return (g.derivative_lambda().samples(self.M)
+                @ np.linalg.inv(g.samples(self.M)))
+
+    def test_logderivs_match_sample_inverse(self):
+        rng = np.random.default_rng(3)
+        gamma = tf.exp_pointwise(tf.random_tangent(rng, traceless=False))
+        assert not gamma.unimodular
+        u = tf.random_tangent(rng)
+        # tr((dg g^-1)^2) of the minus factor has modes <= -4, so xi needs
+        # a mode >= 3 for the residue to see it
+        xi = ScalarLoop.from_modes({3: 1.0, 4: 0.5}, order=4)
+        fac = birkhoff.factorize(gamma)
+
+        w_minus = self._log_derivative(fac.g_minus)
+        w_plus = self._log_derivative(fac.g_plus)
+        gauge = -self._residue(
+            np.trace(w_minus @ u.samples(self.M), axis1=1, axis2=2))
+        xi_vals = xi.samples(self.M)
+        squares = [np.trace(w @ w, axis1=1, axis2=2) for w in (w_minus, w_plus)]
+        diffeo = -0.5 * self._residue(xi_vals * (squares[0] - squares[1]))
+
+        assert abs(ps.vacuum_logderiv_gauge(fac, u) - gauge) <= 1e-12
+        assert abs(ps.vacuum_logderiv_diffeo(fac, xi) - diffeo) <= 1e-12
 
 
 class TestVacuumLogderivDiffeo:

@@ -1,4 +1,5 @@
-"""Property tests: the 2x2 kernels, the factorization and the loop generators.
+"""Property tests: the 2x2 kernels, dealiased products, the factorization
+and the loop generators.
 
 Each property is checked on inputs drawn by hypothesis; the random loops
 come from numpy generators seeded by the drawn integers.
@@ -87,6 +88,54 @@ def test_inverse_2x2_of_singular_is_not_finite():
     with np.errstate(all="ignore"):
         inv = inverse_2x2(m)
     assert not np.isfinite(inv).all(axis=(-1, -2)).any()
+
+
+# -- dealiased products against pointwise products off the grid ------------
+
+product_params = st.fixed_dictionaries({
+    "seed": st.integers(0, 2 ** 32 - 1),
+    "orders": st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    "sizes": st.sampled_from([(2, 2), (3, 3), (1, 2), (1, 3), (2, 1)]),
+    "pad": st.integers(1, 8),
+})
+
+
+def _gaussian_loop(rng, order, n):
+    shape = (2 * order + 1, n, n)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return tf.ScalarLoop(coeffs) if n == 1 else tf.MatrixLoop(coeffs)
+
+
+def _matrix_values(loop, theta):
+    # (..., n, n) values also for a scalar loop, so products broadcast
+    return tf.MatrixLoop.eval(loop, theta)
+
+
+@SETTINGS
+@given(product_params)
+def test_multiply_matches_pointwise_product(p):
+    rng = np.random.default_rng(p["seed"])
+    a, b = (_gaussian_loop(rng, order, n)
+            for order, n in zip(p["orders"], p["sizes"]))
+    prod = tf.multiply(a, b)
+    assert prod.order == a.order + b.order
+    theta = rng.uniform(0, 2 * np.pi, 16)
+    av, bv = _matrix_values(a, theta), _matrix_values(b, theta)
+    # sum over modes of |c_k| bounds every partial sum of both routes
+    sa, sb = (np.abs(loop.coeffs).sum(axis=0) for loop in (a, b))
+    if 1 in p["sizes"]:
+        want, scale = av * bv, sa * sb
+    else:
+        want, scale = av @ bv, sa @ sb
+    got = _matrix_values(prod, theta)
+    bound = 64 * EPS * scale
+    assert np.all(np.abs(got - want) <= bound)
+
+    up = prod.truncate(prod.order + p["pad"])
+    kept = slice(p["pad"], p["pad"] + 2 * prod.order + 1)
+    assert np.array_equal(up.coeffs[kept], prod.coeffs)
+    assert not np.delete(up.coeffs, kept, axis=0).any()
+    assert np.all(np.abs(_matrix_values(up, theta) - got) <= bound)
 
 
 # -- the factorization on random smooth loops -------------------------------
