@@ -63,6 +63,8 @@ FIELD_EQUATION_TOL = 1e-10
 RESIDUE_ROUTE_TOL = 1e-12
 LOOP_CLOSEDNESS_TOL = 1e-8
 CONFORMAL_CONSTANT_TOL = 1e-7
+# rows per block of the CSV writer; bounds the keys and strings held at once
+CSV_BLOCK_ROWS = 1024
 # smallest trunc at which `birkhoff --preset random --count 1000` passes for
 # every rng seed 0-9 at the default strength; at 15 three seeds fail
 # round_trip_residual, and at 8-14 every seed fails it or tail_mass
@@ -362,6 +364,11 @@ def _run_ernst(config: ExperimentConfig):
             "candidate1_std": report.candidate1_std,
             "candidate2_std": report.candidate2_std,
         },
+        "telemetry": {
+            "points": int(field.log_tau.size),
+            "logtau_levels": field.levels,
+            "logtau_final_change": field.final_change,
+        },
     }
     return checks, header, columns, extra
 
@@ -546,6 +553,45 @@ def _manifest(config: ExperimentConfig, checks, extra, csv_name, elapsed,
     }
 
 
+def _write_csv(path, header, columns):
+    """Write columns as CSV under a one-line header.
+
+    The bytes are those numpy's savetxt writes for column_stack(columns)
+    with delimiter ",", header ",".join(header) and comments "", printing
+    bool and integer columns as %d and the rest as %.17g, which
+    round-trips every float64; a complex column raises ValueError.
+    Rows are written in blocks of CSV_BLOCK_ROWS, and within a block each
+    distinct value of a column is formatted once: grid tables repeat their
+    values, and formatting is the cost.  Floats are told apart by their
+    bits, so -0.0 and 0.0 (printed -0 and 0) never share a string.
+    """
+    cols = [np.ravel(c) for c in columns]
+    if len({len(c) for c in cols}) > 1:
+        raise ValueError("CSV columns differ in length")
+    # column_stack casts every value to the common dtype before it prints
+    common = np.result_type(*cols)
+    if common.kind not in "biuf":
+        raise ValueError(f"cannot write {common} columns as CSV")
+    floats = common.kind == "f"
+    if floats:
+        # %.17g prints any float through float64, so the cast changes no text
+        common = np.dtype(np.float64)
+    fmts = ["%d" if c.dtype.kind in "biu" else "%.17g" for c in cols]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(cols[0]), CSV_BLOCK_ROWS):
+            texts = []
+            for col, fmt in zip(cols, fmts):
+                block = np.ascontiguousarray(
+                    col[start:start + CSV_BLOCK_ROWS], dtype=common)
+                keys = block.view(np.int64) if floats else block
+                _, first, inverse = np.unique(keys, return_index=True,
+                                              return_inverse=True)
+                strings = list(map(fmt.__mod__, block[first].tolist()))
+                texts.append(map(strings.__getitem__, inverse.tolist()))
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+
+
 def run(config: ExperimentConfig) -> int:
     start = time.perf_counter()
     try:
@@ -583,13 +629,7 @@ def run(config: ExperimentConfig) -> int:
         csv_name = None
         if columns is not None:
             csv_name = f"{config.pipeline}.csv"
-            # %.17g round-trips every float64; flags and indices print as ints
-            fmt = ["%d" if np.asarray(c).dtype.kind in "biu" else "%.17g"
-                   for c in columns]
-            np.savetxt(out_dir / csv_name,
-                       np.column_stack([np.ravel(c) for c in columns]),
-                       fmt=fmt, delimiter=",", header=",".join(header),
-                       comments="")
+            _write_csv(out_dir / csv_name, header, columns)
         manifest = _manifest(config, checks, extra, csv_name, elapsed,
                              exit_code)
         with open(out_dir / f"{config.pipeline}_manifest.json", "w") as fh:

@@ -31,6 +31,9 @@ from .quadrature import cumulative_from, refine_path_cells
 from .twistor import ernst_frame
 
 BASE_POINT = (1.0, 0.0)
+# refinement cap of each path leg; closed-form integrands are cheap, so deep
+# refinement is affordable
+PATH_MAX_LEVEL = 14
 
 
 @dataclass(frozen=True)
@@ -178,13 +181,19 @@ def _d_z_logtau(sol, r, z):
 
 @dataclass
 class ErnstTauField:
-    """Grid data over (r, z); arrays indexed [ir, iz]; log_tau real."""
+    """Grid data over (r, z); arrays indexed [ir, iz]; log_tau real.
+
+    levels and final_change hold, per path leg ("r", "z"), the refinement
+    level reached and the worst per-cell change at that level.
+    """
 
     rs: np.ndarray
     zs: np.ndarray
     log_tau: np.ndarray
     dlogtau_w: np.ndarray
     dlogtau_wbar: np.ndarray
+    levels: dict
+    final_change: dict
 
 
 def _validated_axes(rs, zs):
@@ -207,18 +216,17 @@ def logtau_field(sol: ErnstSolution, rs, zs,
 
     r_breaks = np.union1d(rs, [r0])
     r_cells = np.column_stack([r_breaks[:-1], r_breaks[1:]])
-    # closed-form integrands are cheap, so deep refinement is affordable
-    vals_r, _, _ = refine_path_cells(
+    vals_r, level_r, change_r = refine_path_cells(
         lambda pts, cols: _d_r_logtau(sol, pts, np.zeros_like(pts)),
-        r_cells, 1, tol_path, max_level=14)
+        r_cells, 1, tol_path, max_level=PATH_MAX_LEVEL)
     cum_r = cumulative_from(r_breaks, vals_r, r0)[0]
     base_r = cum_r[np.searchsorted(r_breaks, rs)]
 
     z_breaks = np.union1d(zs, [z0])
     z_cells = np.column_stack([z_breaks[:-1], z_breaks[1:]])
-    vals_z, _, _ = refine_path_cells(
+    vals_z, level_z, change_z = refine_path_cells(
         lambda pts, cols: _d_z_logtau(sol, rs[cols], pts),
-        z_cells, len(rs), tol_path, max_level=14)
+        z_cells, len(rs), tol_path, max_level=PATH_MAX_LEVEL)
     cum_z = cumulative_from(z_breaks, vals_z, z0)
     log_tau = base_r[:, None] + cum_z[:, np.searchsorted(z_breaks, zs)]
 
@@ -230,7 +238,9 @@ def logtau_field(sol: ErnstSolution, rs, zs,
     return ErnstTauField(
         rs=rs, zs=zs, log_tau=log_tau.real,
         dlogtau_w=dlogtau(sol, gr, gz, "w"),
-        dlogtau_wbar=dlogtau(sol, gr, gz, "wbar"))
+        dlogtau_wbar=dlogtau(sol, gr, gz, "wbar"),
+        levels={"r": level_r, "z": level_z},
+        final_change={"r": change_r, "z": change_z})
 
 
 def rectangle_loop_integral(sol: ErnstSolution, rspan, zspan,

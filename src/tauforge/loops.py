@@ -315,8 +315,7 @@ def multiply(a: MatrixLoop, b: MatrixLoop, out_order: int | None = None,
     return result
 
 
-def inverse(a: MatrixLoop, cond_max: float = 1e10,
-            out_order: int | None = None) -> MatrixLoop:
+def inverse(a: MatrixLoop, cond_max: float = 1e10) -> MatrixLoop:
     """Pointwise inverse transformed back at the loop's own truncation.
 
     Raises SingularLoopError when any sample matrix has 2-norm condition
@@ -337,7 +336,7 @@ def inverse(a: MatrixLoop, cond_max: float = 1e10,
         if cond > cond_max:
             raise SingularLoopError(f"sample condition {cond:.3e} > {cond_max:.1e}")
         inv_vals = np.linalg.inv(vals)
-    out = type(a).from_samples(inv_vals, a.order if out_order is None else out_order)
+    out = type(a).from_samples(inv_vals, a.order)
     out.unimodular = a.unimodular
     return out
 

@@ -4,9 +4,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from tauforge import cli
+from tauforge import cli, ernst
 
 SMALL_KDV = ["--grid", "-0.4:0.4:11"]
 
@@ -206,6 +207,22 @@ class TestErnstPipeline:
         assert run_cli(["ernst", "--preset", "non_solution"]) == cli.EXIT_CHECK_FAILED
         assert "[FAIL] field_equations" in capsys.readouterr().out
 
+    def test_telemetry_keys(self, tmp_path):
+        assert run_cli(["ernst", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "ernst_manifest.json").read_text())
+        telemetry = manifest["extra"]["telemetry"]
+        assert sorted(telemetry) == [
+            "logtau_final_change", "logtau_levels", "points"]
+        assert telemetry["points"] == 16 * 11
+        tol = manifest["tolerances"]["path"]
+        for leg in ("r", "z"):
+            level = telemetry["logtau_levels"][leg]
+            assert isinstance(level, int)
+            assert 1 <= level <= ernst.PATH_MAX_LEVEL == 14
+            assert 0 <= telemetry["logtau_final_change"][leg] <= tol
+        assert sorted(telemetry["logtau_levels"]) == ["r", "z"]
+        assert sorted(telemetry["logtau_final_change"]) == ["r", "z"]
+
 
 class TestBirkhoffPipeline:
     def test_round_trip_batch(self, tmp_path):
@@ -234,6 +251,35 @@ class TestBirkhoffPipeline:
         assert telemetry["residual_margin"] == tol / telemetry["worst_residual"]
         assert telemetry["residual_margin"] > 10
         assert telemetry["near_misses"] == 0
+
+
+class TestCsvArtifact:
+    @pytest.mark.parametrize("args", [
+        ["ernst", "--preset", "kasner:a=0.7"],
+        ["kdv"] + SMALL_KDV,
+        ["birkhoff", "--count", "30"],
+    ])
+    def test_csv_equals_savetxt_of_runner_columns(self, args, tmp_path,
+                                                  monkeypatch):
+        pipeline = args[0]
+        runner = cli._DISPATCH[pipeline]
+        returned = {}
+
+        def keep(config):
+            returned["result"] = runner(config)
+            return returned["result"]
+
+        monkeypatch.setitem(cli._DISPATCH, pipeline, keep)
+        assert run_cli(args + ["--out", str(tmp_path)]) == 0
+        _, header, columns, _ = returned["result"]
+        fmt = ["%d" if np.asarray(c).dtype.kind in "biu" else "%.17g"
+               for c in columns]
+        np.savetxt(tmp_path / "ref.csv",
+                   np.column_stack([np.ravel(c) for c in columns]),
+                   fmt=fmt, delimiter=",", header=",".join(header),
+                   comments="")
+        assert ((tmp_path / f"{pipeline}.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
 
 
 class TestErrorMapping:

@@ -1,9 +1,12 @@
-"""Property tests: the 2x2 kernels, dealiased products, the factorization
-and the loop generators.
+"""Property tests: the 2x2 kernels, dealiased products, the factorization,
+the loop generators and the CSV writer.
 
 Each property is checked on inputs drawn by hypothesis; the random loops
 come from numpy generators seeded by the drawn integers.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import tauforge as tf
-from tauforge import birkhoff
+from tauforge import birkhoff, cli
 from tauforge.loops import (
     DEFAULT_ORDER,
     TANGENT_BAND,
@@ -253,3 +256,83 @@ def test_unimodular_stack_equals_sequential_loops(p):
     assert all(lp.unimodular for lp in loops)
     assert (rng_stack.bit_generator.state == rng_loop.bit_generator.state
             == rng_ref.bit_generator.state)
+
+
+# -- the CSV writer against np.savetxt ----------------------------------------
+
+BLOCK = cli.CSV_BLOCK_ROWS
+# signed zeros, infinities, NaNs with two payloads and both signs, the
+# smallest subnormal, a mid-range subnormal and the extreme normals
+SPECIAL_FLOATS = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+     1.7976931348623157e308, -1.7976931348623157e308],
+    np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+              0x7FF0000000000001], dtype=np.uint64).view(np.float64),
+])
+
+
+def _savetxt_bytes(header, columns) -> bytes:
+    fmt = ["%d" if c.dtype.kind in "biu" else "%.17g" for c in columns]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ref.csv"
+        np.savetxt(path, np.column_stack(columns), fmt=fmt, delimiter=",",
+                   header=",".join(header), comments="")
+        return path.read_bytes()
+
+
+def _written_bytes(header, columns) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        cli._write_csv(path, header, columns)
+        return path.read_bytes()
+
+
+@st.composite
+def csv_tables(draw):
+    """Columns of one length: floats drawn from a pool, so values repeat,
+    mixed with fresh values of any exponent; bools; int64 of any size."""
+    rows = draw(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                 2 * BLOCK + 3]))
+    kinds = draw(st.lists(st.sampled_from("fbi"), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns = []
+    for kind in kinds:
+        if kind == "b":
+            columns.append(rng.random(rows) < 0.5)
+        elif kind == "i":
+            pool = rng.integers(-3, 4, 5)
+            fresh = rng.integers(-2 ** 63, 2 ** 63 - 1, rows, endpoint=True)
+            columns.append(np.where(rng.random(rows) < 0.5,
+                                    pool[rng.integers(0, 5, rows)], fresh))
+        else:
+            drawn = draw(st.lists(st.floats(width=64), min_size=1, max_size=8))
+            pool = np.concatenate([SPECIAL_FLOATS, drawn])
+            # products underflow to signed zeros and subnormals at the low end
+            fresh = (rng.standard_normal(rows)
+                     * 10.0 ** rng.integers(-330, 308, rows))
+            share = draw(st.sampled_from([0.0, 0.5, 0.95, 1.0]))
+            columns.append(np.where(rng.random(rows) < share,
+                                    pool[rng.integers(0, len(pool), rows)],
+                                    fresh))
+    return [f"c{j}" for j in range(len(columns))], columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(csv_tables())
+def test_write_csv_matches_savetxt(table):
+    header, columns = table
+    assert _written_bytes(header, columns) == _savetxt_bytes(header, columns)
+
+
+def test_write_csv_keeps_signed_zeros_apart_in_one_block():
+    column = np.array([0.0, -0.0, 0.0, -0.0])
+    assert _written_bytes(["a"], [column]) == b"a\n0\n-0\n0\n-0\n"
+
+
+@pytest.mark.parametrize("columns", [
+    [np.ones(3), np.ones(3, dtype=complex)],
+    [np.ones(3), np.ones(4)],
+])
+def test_write_csv_rejects_complex_and_ragged_columns(columns, tmp_path):
+    with pytest.raises(ValueError):
+        cli._write_csv(tmp_path / "x.csv", ["a", "b"], columns)
