@@ -150,9 +150,25 @@ class ExperimentConfig:
             spans.append((lo, hi, n))
         return spans
 
+    def _check_finite(self):
+        """Every float setting, grid bound and preset parameter is finite:
+        NaN passes every comparison below, and inf reaches the numerics."""
+        values = {name: getattr(self, name) for name, kind in _CONFIG_TYPES.items()
+                  if kind is float and getattr(self, name) is not None}
+        if self.pipeline in ("kdv", "ernst"):
+            for axis, (lo, hi, _) in enumerate(self.grid_spec(), 1):
+                values[f"grid axis {axis} min"] = lo
+                values[f"grid axis {axis} max"] = hi
+        values.update((f"preset {key}", val)
+                      for key, val in self.resolved_preset()[1].items())
+        bad = [name for name, val in values.items() if not np.isfinite(val)]
+        if bad:
+            raise ConfigError(f"non-finite value for {', '.join(bad)}")
+
     def validate(self):
         if self.pipeline not in PIPELINES:
             raise ConfigError(f"unknown pipeline '{self.pipeline}'")
+        self._check_finite()
         if self.trunc < 1:
             raise ConfigError("truncation order must be >= 1")
         for name in ("tol_factor", "tol_residual", "tol_headline"):
@@ -269,6 +285,17 @@ def load_seed_file(path: str) -> dict:
 # -- pipelines -----------------------------------------------------------
 
 
+def _residual_telemetry(residuals, tol):
+    """(worst reconstruction residual, tol over it, near misses).
+
+    The margin says how far the worst loop is from failing (inf when it is
+    exact); a near miss is a loop that passed within a factor 10 of tol.
+    """
+    worst = float(residuals.max())
+    margin = tol / worst if worst > 0 else float("inf")
+    return worst, margin, int(((residuals > tol / 10) & (residuals <= tol)).sum())
+
+
 def _run_kdv(config: ExperimentConfig):
     name, params = config.resolved_preset()
     if name == "vacuum":
@@ -300,6 +327,8 @@ def _run_kdv(config: ExperimentConfig):
         checks.append(Check("pde_residual",
                             kdv.kdv_residual(grid), config.tol_residual))
 
+    worst, margin, near_misses = _residual_telemetry(grid.factor_residuals,
+                                                     config.tol_factor)
     header = ["x", "t", "re_log_tau", "im_log_tau", "re_q", "re_u", "bigcell"]
     columns = [*np.meshgrid(xs, ts, indexing="ij"), grid.log_tau.real,
                grid.log_tau.imag, grid.q.real, grid.u.real, grid.bigcell]
@@ -314,6 +343,9 @@ def _run_kdv(config: ExperimentConfig):
             "min_abs_det_on_path": grid.min_abs_det,
             "crosscheck_worst_cell": crosscheck,
             "crosscheck_levels": {"x": levels[0], "t": levels[1]},
+            "worst_factor_residual": worst,
+            "factor_residual_margin": margin,
+            "near_misses": near_misses,
         },
     }
     return checks, header, columns, extra
@@ -392,10 +424,10 @@ def _run_birkhoff(config: ExperimentConfig):
         order=config.trunc, amplitude=config.strength)
     _, _, residuals, ok = factorize_batch(stack, tol=config.tol_factor)
 
-    tol = config.tol_factor
-    worst = float(residuals.max())
+    worst, margin, near_misses = _residual_telemetry(residuals,
+                                                     config.tol_factor)
     checks = [
-        Check("round_trip_residual", worst, tol),
+        Check("round_trip_residual", worst, config.tol_factor),
         Check("big_cell_fraction", float((~ok).mean()), 0.0),
     ]
     extra = {
@@ -404,10 +436,8 @@ def _run_birkhoff(config: ExperimentConfig):
             "loops_factored": len(residuals),
             "not_ok": int((~ok).sum()),
             "worst_residual": worst,
-            # how far the worst loop is from failing; inf when it is exact
-            "residual_margin": tol / worst if worst > 0 else float("inf"),
-            # loops that passed within a factor 10 of the bound
-            "near_misses": int((ok & (residuals > tol / 10)).sum()),
+            "residual_margin": margin,
+            "near_misses": near_misses,
         },
     }
     return (checks, ["index", "residual"],

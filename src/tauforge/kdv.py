@@ -114,33 +114,39 @@ def seed_one_pole(pole: float = 0.25, strength: float = 0.3,
 
 
 def _exp_minus_mu_phi(mu, lam, branch: float = 1.0):
-    """exp(-mu Phi) at given circle points; branch flips sqrt for testing."""
+    """(C, mu S) with exp(-mu Phi) = C I - (mu S) Phi at circle points lam.
+
+    C = cosh(sqrt(z)) and S = sinh(sqrt(z))/sqrt(z), z = mu^2 / lam; both
+    are even in sqrt(z), and branch flips the square root for testing.
+    """
     mu = np.asarray(mu, dtype=complex)
-    lam = np.asarray(lam, dtype=complex)
-    z = mu * mu / lam
+    z = mu * mu / np.asarray(lam, dtype=complex)
     sq = branch * np.sqrt(z)
     c = np.cosh(sq)
     small = np.abs(z) < 1e-8
     with np.errstate(invalid="ignore", divide="ignore"):
         s = np.where(small, 1.0 + z / 6.0 + z * z / 120.0, np.sinh(sq) / sq)
-    phi = np.zeros(lam.shape + (2, 2), dtype=complex)
-    phi[..., 0, 1] = 1.0 / lam
-    phi[..., 1, 0] = 1.0
-    return (c[..., None, None] * np.eye(2)
-            - (mu * s)[..., None, None] * phi)
+    return c, mu * s
 
 
 def _pullback_values(seed: KdVSeed, v, x, t, order: int):
-    """Translated loops on the circle grid of their order, (B, M, 2, 2)."""
+    """Translated loops on the circle grid of their order, (B, M, 2, 2).
+
+    exp(-mu Phi) P0 = C P0 - (mu S) Phi P0, where Phi P0 is P0 with its
+    rows swapped and the new top row divided by lambda.  The stack is
+    entry-major, like every sample stack.
+    """
     m = default_sample_count(order)
     lam = circle_points(m)
     v = np.atleast_1d(np.asarray(v, dtype=complex))[:, None]
     x = np.atleast_1d(np.asarray(x, dtype=complex))[:, None]
     t = np.atleast_1d(np.asarray(t, dtype=complex))[:, None]
-    mu = v + lam[None, :] * x + lam[None, :] ** 2 * t
-    exp_fac = _exp_minus_mu_phi(mu, np.broadcast_to(lam, mu.shape))
-    p0_vals = MatrixLoop.samples(seed.p0, m)
-    return exp_fac @ p0_vals[None]
+    c, mu_s = _exp_minus_mu_phi(v + lam * x + lam ** 2 * t, lam)
+    p0 = np.moveaxis(MatrixLoop.samples(seed.p0, m), -3, -1)  # (2, 2, M)
+    phi_p0 = np.stack([p0[1] / lam, p0[0]])
+    vals = c[:, None, None] * p0
+    vals -= mu_s[:, None, None] * phi_p0
+    return np.moveaxis(vals, -1, -3)
 
 
 def pullback_coeff_batch(seed: KdVSeed, x, t, order: int = DEFAULT_ORDER,
@@ -308,7 +314,8 @@ class TauGrid:
 
     u carries the solution-field scaling u = -2 dq/dx (see the module
     docstring); q is the log tau derivative itself.  points_factored
-    counts the distinct points pulled back and factored; min_abs_det is
+    counts the distinct points pulled back and factored, and
+    factor_residuals holds their reconstruction residuals; min_abs_det is
     the smallest |det T_N| among them, the margin of the path to the
     bad-cell boundary det T_N = 0.
     """
@@ -320,6 +327,7 @@ class TauGrid:
     u: np.ndarray
     bigcell: np.ndarray
     points_factored: int
+    factor_residuals: np.ndarray
     min_abs_det: float
 
 
@@ -332,10 +340,11 @@ def _uniform_spacing(axis, name: str) -> float:
 
 
 def _node_sweep(seed: KdVSeed, x, t, order, factor_tol):
-    """Minus factors, big-cell flags and (sign, log|det T_N|) at points."""
+    """Minus factors, big-cell flags, reconstruction residuals and
+    (sign, log|det T_N|) at points."""
     coeffs = pullback_coeff_batch(seed, x, t, order)
-    minus, _, _, ok = factorize_batch(coeffs, tol=factor_tol)
-    return (minus, ok, *toeplitz_slogdet(coeffs))
+    minus, _, residuals, ok = factorize_batch(coeffs, tol=factor_tol)
+    return (minus, ok, residuals, *toeplitz_slogdet(coeffs))
 
 
 def _leg_increments(sign, logabs, x, t):
@@ -375,7 +384,7 @@ def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
     t_breaks = np.union1d(ts, [0.0])
     gx, gt = np.meshgrid(x_breaks, t_breaks, indexing="ij")
     need = np.isin(gx, xs) | ((gx == 0.0) & (gt == 0.0))
-    minus, ok, sign_n, logabs_n = _node_sweep(
+    minus, ok, residuals, sign_n, logabs_n = _node_sweep(
         seed, gx[need], gt[need], order, factor_tol)
     if not ok.all():
         bad = np.argwhere(~ok)[0, 0]
@@ -403,7 +412,7 @@ def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
     # every node is a path point, and a path point off the big cell raised
     bigcell = np.ones(q.shape, dtype=bool)
     return TauGrid(xs=xs, ts=ts, log_tau=log_tau, q=q, u=u, bigcell=bigcell,
-                   points_factored=int(need.sum()),
+                   points_factored=int(need.sum()), factor_residuals=residuals,
                    min_abs_det=float(np.exp(logabs_n.min())))
 
 

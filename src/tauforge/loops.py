@@ -49,12 +49,26 @@ def circle_points(m: int):
 
 
 # -- coefficient stacks (..., K, n, n), modes on axis -3 -----------------
+#
+# Sample stacks (..., M, n, n) are views of memory laid out entry-major,
+# (..., n, n, M): every FFT row and every entry plane is contiguous.
+
+
+def _entry_major_empty(shape, dtype=complex):
+    """Uninitialized (..., M, n, n) array whose memory is (..., n, n, M)."""
+    shape = tuple(shape)
+    if len(shape) < 3:
+        return np.empty(shape, dtype=dtype)
+    return np.moveaxis(np.empty(shape[:-3] + shape[-2:] + shape[-3:-2],
+                                dtype=dtype), -1, -3)
+
 
 def coeffs_to_samples(coeffs, m: int, first_mode: int | None = None):
     """Values on the M-point circle grid, exact via zero-padded FFT.
 
     The K modes on axis -3 run first_mode..first_mode+K-1; the default
-    centres them on 0, as for a loop with modes -N..N.
+    centres them on 0, as for a loop with modes -N..N.  The result is an
+    entry-major view (see above).
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     k = coeffs.shape[-3]
@@ -62,14 +76,18 @@ def coeffs_to_samples(coeffs, m: int, first_mode: int | None = None):
         raise ValueError("sample grid cannot resolve the loop")
     if first_mode is None:
         first_mode = -((k - 1) // 2)
-    spec = np.zeros(coeffs.shape[:-3] + (m,) + coeffs.shape[-2:], dtype=complex)
-    spec[..., (first_mode + np.arange(k)) % m, :, :] = coeffs
-    return np.fft.ifft(spec, axis=-3) * m
+    spec = np.zeros(coeffs.shape[:-3] + coeffs.shape[-2:] + (m,), dtype=complex)
+    spec[..., (first_mode + np.arange(k)) % m] = np.moveaxis(coeffs, -3, -1)
+    np.fft.ifft(spec, axis=-1, out=spec)
+    spec *= m
+    return np.moveaxis(spec, -1, -3)
 
 
-def _tail_fraction(stack, kept):
-    """Per-loop share of the mode-norm mass outside the kept modes (axis -3)."""
-    norms = np.linalg.norm(stack.reshape(stack.shape[:-2] + (-1,)), axis=-1)
+def _tail_fraction(stack, kept, axis: int = -3):
+    """Per-loop share of the mode-norm mass outside the kept modes; the
+    modes run along axis, the other two trailing axes are the entries."""
+    stack = np.moveaxis(stack, axis, -1)
+    norms = np.sqrt((stack.real ** 2 + stack.imag ** 2).sum(axis=(-3, -2)))
     total = norms.sum(axis=-1)
     dropped = norms[..., ~kept].sum(axis=-1)
     return dropped / np.where(total > 0, total, 1.0)
@@ -78,24 +96,26 @@ def _tail_fraction(stack, kept):
 def samples_to_coeffs(samples, order: int, tail_tol: float | None = None):
     """Modes -order..order of loops sampled on the circle grid (axis -3).
 
-    With tail_tol, the mass in the discarded alias bins is checked loop by
-    loop and the worst loop raises TailMassError if it exceeds tail_tol.
+    The FFT runs along the grid axis moved last, which is contiguous for
+    entry-major stacks.  With tail_tol, the mass in the discarded alias
+    bins is checked loop by loop and the worst loop raises TailMassError
+    if it exceeds tail_tol.
     """
     samples = np.asarray(samples, dtype=complex)
     m = samples.shape[-3]
     if 2 * order + 1 > m:
         raise ValueError("sample grid cannot resolve the loop")
-    spec = np.fft.fft(samples, axis=-3) / m
+    spec = np.fft.fft(np.moveaxis(samples, -3, -1), axis=-1)
     idx = np.arange(-order, order + 1) % m
     if tail_tol is not None:
         kept = np.zeros(m, dtype=bool)
         kept[idx] = True
-        worst = _tail_fraction(spec, kept).max()
+        worst = _tail_fraction(spec, kept, axis=-1).max()
         if worst > tail_tol:
             raise TailMassError(
                 f"discarded alias mass {worst:.3e} exceeds {tail_tol:.1e}; "
                 "increase the truncation order")
-    return spec[..., idx, :, :]
+    return np.moveaxis(spec[..., idx] / m, -1, -3)
 
 
 class MatrixLoop:
@@ -348,7 +368,7 @@ def det_2x2(m):
 
 def adjugate_2x2(m):
     """Adjugates of a (..., 2, 2) stack: m adj(m) = det(m) I."""
-    out = np.empty_like(m)
+    out = _entry_major_empty(m.shape, m.dtype)
     out[..., 0, 0] = m[..., 1, 1]
     out[..., 1, 1] = m[..., 0, 0]
     out[..., 0, 1] = -m[..., 0, 1]
@@ -366,8 +386,8 @@ def matmul_2x2(a, b):
     """Products of broadcast (..., 2, 2) stacks, entry by entry."""
     a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
     b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape),
-                   dtype=np.result_type(a, b))
+    out = _entry_major_empty(np.broadcast_shapes(a.shape, b.shape),
+                             np.result_type(a, b))
     out[..., 0, 0] = a00 * b00 + a01 * b10
     out[..., 0, 1] = a00 * b01 + a01 * b11
     out[..., 1, 0] = a10 * b00 + a11 * b10
@@ -392,17 +412,27 @@ def _expm_2x2(vals):
 
     u0 = u - (tr/2) I is traceless, so u0^2 = s^2 I with s^2 = -det u0;
     cosh s and sinh(s)/s are even in s, so the square-root branch drops
-    out, and sinh(s)/s switches to its series near s = 0.
+    out, and sinh(s)/s switches to its series near s = 0.  The result is
+    built entry by entry, in the entry-major order of matmul_2x2.
     """
     half_tr = 0.5 * (vals[..., 0, 0] + vals[..., 1, 1])
-    u0 = vals - half_tr[..., None, None] * np.eye(2)
-    s2 = -det_2x2(u0)
+    u00 = vals[..., 0, 0] - half_tr
+    u11 = vals[..., 1, 1] - half_tr
+    s2 = -(u00 * u11 - vals[..., 0, 1] * vals[..., 1, 0])
     s = np.sqrt(s2)
     with np.errstate(invalid="ignore", divide="ignore"):
         sinhc = np.where(np.abs(s2) < 1e-8,
                          1.0 + s2 / 6.0 + s2 * s2 / 120.0, np.sinh(s) / s)
-    return np.exp(half_tr)[..., None, None] * (
-        np.cosh(s)[..., None, None] * np.eye(2) + sinhc[..., None, None] * u0)
+    scale = np.exp(half_tr)
+    cosh = np.cosh(s)
+    out = _entry_major_empty(vals.shape, complex)
+    # multiply into out: numpy rounds a complex product written over its
+    # first operand differently, and `scale * (...)` can elide into that
+    np.multiply(scale, cosh + sinhc * u00, out=out[..., 0, 0])
+    np.multiply(scale, cosh + sinhc * u11, out=out[..., 1, 1])
+    np.multiply(scale, sinhc * vals[..., 0, 1], out=out[..., 0, 1])
+    np.multiply(scale, sinhc * vals[..., 1, 0], out=out[..., 1, 0])
+    return out
 
 
 def _exp_samples(vals):

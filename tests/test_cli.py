@@ -48,6 +48,29 @@ class TestConfigHandling:
     def test_bad_configs_exit_3(self, args):
         assert run_cli(args) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("args, name", [
+        (["kdv", "--grid=nan:1:11,-0.1:0.1:7"], "grid axis 1 min"),
+        (["kdv", "--grid=-0.1:0.1:7,-0.1:inf:7"], "grid axis 2 max"),
+        (["ernst", "--grid=0.5:inf:9"], "grid axis 1 max"),
+        (["birkhoff", "--preset", "random", "--strength", "nan"], "strength"),
+        (["kdv", "--preset", "one_pole:strength=nan"], "preset strength"),
+        (["kdv", "--preset", "one_pole:pole=-inf"], "preset pole"),
+        (["ernst", "--preset", "kasner:a=inf"], "preset a"),
+        (["kdv", "--tol-factor", "nan"], "tol_factor"),
+        (["kdv", "--tol-path", "inf"], "tol_path"),
+        (["ernst", "--tol-residual", "nan"], "tol_residual"),
+        (["kdv", "--tol-headline", "inf"], "tol_headline"),
+    ])
+    def test_non_finite_values_exit_3(self, args, name, capsys):
+        assert run_cli(args) == cli.EXIT_CONFIG
+        assert name in capsys.readouterr().out
+
+    def test_non_finite_seed_file_value_exits_3(self, tmp_path):
+        seed_file = tmp_path / "exp.cfg"
+        seed_file.write_text("tol_factor = nan\n")
+        assert run_cli(["kdv", "--seed-file", str(seed_file)]) \
+            == cli.EXIT_CONFIG
+
     def test_help_exits_0(self, capsys):
         assert run_cli(["kdv", "--help"]) == cli.EXIT_PASS
         assert "--trunc" in capsys.readouterr().out
@@ -167,8 +190,14 @@ class TestKdvPipeline:
         telemetry = manifest["extra"]["telemetry"]
         assert sorted(telemetry) == [
             "crosscheck_levels", "crosscheck_worst_cell",
-            "min_abs_det_on_path", "points_factored"]
+            "factor_residual_margin", "min_abs_det_on_path", "near_misses",
+            "points_factored", "worst_factor_residual"]
         assert sorted(telemetry["crosscheck_levels"]) == ["t", "x"]
+        worst = telemetry["worst_factor_residual"]
+        assert 0 < worst <= manifest["tolerances"]["factor"]
+        assert telemetry["factor_residual_margin"] \
+            == manifest["tolerances"]["factor"] / worst
+        assert 0 <= telemetry["near_misses"] <= telemetry["points_factored"]
 
     def test_tail_mass_exits_2(self, capsys):
         code = run_cli(["kdv", "--trunc", "4", "--grid", "-1:1:11"])

@@ -1,5 +1,6 @@
-"""Property tests: the 2x2 kernels, dealiased products, the factorization,
-the loop generators and the CSV writer.
+"""Property tests: the 2x2 kernels, the entry-major sample transforms, the
+KdV pullback, dealiased products, the factorization, the loop generators
+and the CSV writer.
 
 Each property is checked on inputs drawn by hypothesis; the random loops
 come from numpy generators seeded by the drawn integers.
@@ -15,13 +16,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import tauforge as tf
-from tauforge import birkhoff, cli
+from tauforge import birkhoff, cli, kdv
 from tauforge.loops import (
     DEFAULT_ORDER,
     TANGENT_BAND,
+    circle_points,
+    coeffs_to_samples,
+    default_sample_count,
     det_2x2,
     inverse_2x2,
     matmul_2x2,
+    samples_to_coeffs,
 )
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -91,6 +96,111 @@ def test_inverse_2x2_of_singular_is_not_finite():
     with np.errstate(all="ignore"):
         inv = inverse_2x2(m)
     assert not np.isfinite(inv).all(axis=(-1, -2)).any()
+
+
+# -- entry-major sample stacks ---------------------------------------------
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _entry_major(a):
+    """The same (..., M, n, n) values held in (..., n, n, M) memory."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -3, -1)), -1, -3)
+
+
+def _grid_axis_is_fastest(a, axis=-3):
+    """The grid axis has the smallest stride; axes of length 1 have none."""
+    strides = [abs(step) for step, n in zip(a.strides, a.shape) if n > 1]
+    return a.shape[axis] <= 1 or abs(a.strides[axis]) == min(strides)
+
+
+transform_params = st.fixed_dictionaries({
+    "seed": st.integers(0, 2 ** 32 - 1),
+    "lead": array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=3),
+    "n": st.integers(1, 3),
+    "modes": st.integers(1, 9),
+    "m": st.sampled_from([9, 16, 20, 32]),
+    "first_mode": st.one_of(st.none(), st.integers(-40, 40)),
+})
+
+
+@SETTINGS
+@given(transform_params)
+def test_coeffs_to_samples_matches_fft_on_c_order(p):
+    rng = np.random.default_rng(p["seed"])
+    shape = p["lead"] + (p["modes"], p["n"], p["n"])
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    m, k, first = p["m"], p["modes"], p["first_mode"]
+    got = coeffs_to_samples(coeffs, m, first_mode=first)
+    if first is None:
+        first = -((k - 1) // 2)
+    spec = np.zeros(p["lead"] + (m, p["n"], p["n"]), dtype=complex)
+    spec[..., (first + np.arange(k)) % m, :, :] = coeffs
+    want = np.fft.ifft(spec, axis=-3) * m
+    assert got.shape == want.shape
+    assert np.array_equal(_bits(got), _bits(want))
+    assert _grid_axis_is_fastest(got)
+
+
+@SETTINGS
+@given(transform_params)
+def test_samples_to_coeffs_matches_fft_on_c_order(p):
+    rng = np.random.default_rng(p["seed"])
+    m = p["m"]
+    order = min(p["modes"], (m - 1) // 2)
+    shape = p["lead"] + (m, p["n"], p["n"])
+    samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = (np.fft.fft(samples, axis=-3) / m)[
+        ..., np.arange(-order, order + 1) % m, :, :]
+    for layout in (samples, _entry_major(samples)):
+        got = samples_to_coeffs(layout, order)
+        assert got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+@SETTINGS
+@given(broadcast_pairs())
+def test_2x2_kernels_do_not_depend_on_layout(pair):
+    a, b = pair
+    if a.ndim < 3:
+        return
+    em = _entry_major(a)
+    assert np.array_equal(_bits(matmul_2x2(em, b)), _bits(matmul_2x2(a, b)))
+    assert np.array_equal(_bits(matmul_2x2(b, em)), _bits(matmul_2x2(b, a)))
+    with np.errstate(all="ignore"):
+        assert np.array_equal(_bits(inverse_2x2(em)), _bits(inverse_2x2(a)))
+        assert _grid_axis_is_fastest(inverse_2x2(a))
+    assert _grid_axis_is_fastest(matmul_2x2(a, b))
+
+
+pullback_params = st.fixed_dictionaries({
+    "preset": st.sampled_from(["vacuum", "one_pole"]),
+    "order": st.sampled_from([8, 16, 32]),
+    "points": st.lists(st.tuples(*[st.floats(-1, 1)] * 3), min_size=1,
+                       max_size=4),
+})
+
+
+@SETTINGS
+@given(pullback_params)
+def test_pullback_values_match_generic_product(p):
+    order = p["order"]
+    seed = (kdv.seed_vacuum(order) if p["preset"] == "vacuum"
+            else kdv.seed_one_pole(order=order))
+    v, x, t = (np.array(col) for col in zip(*p["points"]))
+    got = kdv._pullback_values(seed, v, x, t, order)
+
+    lam = circle_points(default_sample_count(order))
+    mu = v[:, None] + lam * x[:, None] + lam ** 2 * t[:, None]
+    c, mu_s = kdv._exp_minus_mu_phi(mu, lam)
+    phi = np.zeros(lam.shape + (2, 2), dtype=complex)
+    phi[:, 0, 1] = 1 / lam
+    phi[:, 1, 0] = 1
+    exp_fac = c[..., None, None] * np.eye(2) - mu_s[..., None, None] * phi
+    want = exp_fac @ seed.p0.samples()
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert _grid_axis_is_fastest(got)
 
 
 # -- dealiased products against pointwise products off the grid ------------
