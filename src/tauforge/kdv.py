@@ -25,7 +25,7 @@ the logarithm is continued along that path; a path point off the big cell,
 or a sign change or large phase jump of det T_N between neighbouring path
 points, means the path crosses det T_N = 0 and raises
 PathCrossesBadCellError.  The paper's contour formula, integrated with
-refined trapezoid cells, is kept as a cross-check on a few cells
+Gauss-Legendre cells, is kept as a cross-check on a few cells
 (path_crosscheck).  The solution field is u = -2 dq/dx by 4th-order finite
 differences, the scaling in which the family satisfies
 4 u_t = u_xxx + 6 u u_x.  All loop-valued work is batched over points.
@@ -118,15 +118,19 @@ def _exp_minus_mu_phi(mu, lam, branch: float = 1.0):
 
     C = cosh(sqrt(z)) and S = sinh(sqrt(z))/sqrt(z), z = mu^2 / lam; both
     are even in sqrt(z), and branch flips the square root for testing.
+    With sqrt(z) = a + ib, cosh and sinh share cosh a, sinh a, cos b, sin b.
     """
     mu = np.asarray(mu, dtype=complex)
     z = mu * mu / np.asarray(lam, dtype=complex)
     sq = branch * np.sqrt(z)
-    c = np.cosh(sq)
-    small = np.abs(z) < 1e-8
+    ch, sh = np.cosh(sq.real), np.sinh(sq.real)
+    cb, sb = np.cos(sq.imag), np.sin(sq.imag)
     with np.errstate(invalid="ignore", divide="ignore"):
-        s = np.where(small, 1.0 + z / 6.0 + z * z / 120.0, np.sinh(sq) / sq)
-    return c, mu * s
+        s = (sh * cb + 1j * (ch * sb)) / sq
+    small = np.abs(z) < 1e-8
+    zs = z[small]
+    s[small] = 1.0 + zs / 6.0 + zs * zs / 120.0
+    return ch * cb + 1j * (sh * sb), mu * s
 
 
 def _pullback_values(seed: KdVSeed, v, x, t, order: int):
@@ -211,8 +215,10 @@ def _gauge_variation_batch(minus, u_samples, m: int):
     dg_vals = coeffs_to_samples(ks[:, None, None] * minus, m,
                                 first_mode=-order - 1)
 
-    w = matmul_2x2(matmul_2x2(dg_vals, inverse_2x2(g_vals)), u_samples)
-    tr = w[..., 0, 0] + w[..., 1, 1]
+    a = matmul_2x2(dg_vals, inverse_2x2(g_vals))
+    # tr(a u) from the entry planes, without forming a u
+    tr = sum(a[..., i, j] * u_samples[:, j, i]
+             for i in range(2) for j in range(2))
     c_minus_one = tr @ circle_points(m) / m
     return -c_minus_one
 
@@ -426,7 +432,7 @@ def path_crosscheck(seed: KdVSeed, grid: TauGrid, order: int = DEFAULT_ORDER,
     cells between neighbouring t nodes on the x columns at both ends and
     nearest 0, and for each of these columns the x cell next to it, on the
     side of x = 0, in the row nearest t = 0 (the x leg itself when t = 0
-    is a node).  Returns the worst per-cell difference and the refinement
+    is a node).  Returns the worst per-cell difference and the Gauss
     levels of the (x, t) cells.
     """
     xs, ts = grid.xs, grid.ts

@@ -236,6 +236,10 @@ class TestErnstPipeline:
         assert run_cli(["ernst", "--preset", "non_solution"]) == cli.EXIT_CHECK_FAILED
         assert "[FAIL] field_equations" in capsys.readouterr().out
 
+    def test_path_tolerance_below_roundoff_exits_2(self, capsys):
+        assert run_cli(["ernst", "--tol-path", "1e-30"]) == cli.EXIT_CHECK_FAILED
+        assert "[FAIL] path_refinement" in capsys.readouterr().out
+
     def test_telemetry_keys(self, tmp_path):
         assert run_cli(["ernst", "--out", str(tmp_path)]) == 0
         manifest = json.loads((tmp_path / "ernst_manifest.json").read_text())
@@ -247,7 +251,7 @@ class TestErnstPipeline:
         for leg in ("r", "z"):
             level = telemetry["logtau_levels"][leg]
             assert isinstance(level, int)
-            assert 1 <= level <= ernst.PATH_MAX_LEVEL == 14
+            assert 1 <= level <= ernst.PATH_MAX_LEVEL == 8
             assert 0 <= telemetry["logtau_final_change"][leg] <= tol
         assert sorted(telemetry["logtau_levels"]) == ["r", "z"]
         assert sorted(telemetry["logtau_final_change"]) == ["r", "z"]

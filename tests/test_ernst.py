@@ -96,6 +96,18 @@ class TestDlogtau:
                 dwb = ernst.dlogtau(sol, r, z, "wbar")
                 assert abs(dw - np.conj(dwb)) < 1e-12
 
+    def test_path_integrands_are_the_wirtinger_pair(self, source):
+        # the r and z integrands of logtau_field, written in psi_r and psi_z,
+        # against the combinations of the two dlogtau directions
+        for sol in (ernst.kasner(0.7), source, ernst.non_solution(),
+                    shear_solution()):
+            for r, z in POINTS:
+                dw = ernst.dlogtau(sol, r, z, "w")
+                dwb = ernst.dlogtau(sol, r, z, "wbar")
+                assert abs(ernst._d_r_logtau(sol, r, z) - 1j * (dw - dwb)) \
+                    < 1e-14
+                assert abs(ernst._d_z_logtau(sol, r, z) - (dw + dwb)) < 1e-14
+
     def test_direction_validated(self):
         with pytest.raises(ValueError):
             ernst.dlogtau(ernst.flat(), 1.0, 0.0, "x")

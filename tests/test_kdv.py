@@ -74,6 +74,18 @@ class TestPullback:
         ident = MatrixLoop.identity(order=loop.order)
         assert np.abs(loop.coeffs - ident.coeffs).max() < 1e-14
 
+    def test_exp_factors_match_complex_cosh_sinh(self):
+        lam = np.exp(2j * np.pi * np.arange(16) / 16)
+        mu = np.stack([0.7 * lam - 0.4 * lam ** 2, 1e-5 * lam,
+                       np.zeros_like(lam)])
+        c, mu_s = kdv._exp_minus_mu_phi(mu, lam)
+        sq = np.sqrt(mu * mu / lam)
+        with np.errstate(invalid="ignore"):
+            want_s = np.where(sq == 0, 1.0, np.sinh(sq) / sq)
+        # the real-part route rounds differently: a few ulps of |C| ~ 1
+        assert np.abs(c - np.cosh(sq)).max() < 1e-15
+        assert np.abs(mu_s - mu * want_s).max() < 1e-15
+
     def test_branch_flip_is_identical(self):
         lam = np.exp(2j * np.pi * np.arange(8) / 8)
         mu = 0.3 * lam + 0.1 * lam ** 2
@@ -270,7 +282,7 @@ class TestResidual:
 
 def path_route_log_tau(seed, xs, ts, cols, tol_path=1e-7):
     """log tau at columns xs[cols] by the contour formula, path-integrated
-    with refined trapezoid cells along (0, 0) -> (x, 0) -> (x, t)."""
+    with Gauss-Legendre cells along (0, 0) -> (x, 0) -> (x, t)."""
     m = 256
     u_dir = {d: kdv._direction_u_samples(d, m) for d in ("x", "t")}
 
@@ -321,6 +333,24 @@ class TestDeterminantRoute:
         bad = dataclasses.replace(one_pole_grid, log_tau=log_tau)
         worst, _ = kdv.path_crosscheck(one_pole_seed, bad)
         assert worst > 1e-7
+
+    def test_crosscheck_evaluation_budget(self, monkeypatch):
+        # the benchmark's kdv_wide grid, at the middle of its preset range
+        seed = kdv.seed_one_pole(pole=0.25, strength=0.33)
+        grid = kdv.tau_grid(seed, np.linspace(-1, 1, 41),
+                            np.linspace(-0.15, 0.15, 7))
+        points = []
+
+        def counted(eval_fn, *args, **kwargs):
+            def eval_counted(pts, cols):
+                points.append(len(pts))
+                return eval_fn(pts, cols)
+            return refine_path_cells(eval_counted, *args, **kwargs)
+
+        monkeypatch.setattr(kdv, "refine_path_cells", counted)
+        worst, _ = kdv.path_crosscheck(seed, grid)
+        assert worst <= 5.2e-14
+        assert sum(points) <= 150
 
 
 class TestFactorsOnFamily:
