@@ -2,12 +2,12 @@
 
 g_plus extends holomorphically over the unit disc (modes >= 0), g_minus over
 its complement including infinity (modes <= 0) with g_minus(infinity) = I.
-The factorization is computed as one dense block-Toeplitz solve: requiring
-modes 1..N of gamma g_plus to vanish and mode 0 to equal the identity gives
-a square system of size n(N+1) whose unknowns are the g_plus coefficients;
-g_minus is then the nonpositive part of gamma g_plus.  Loops off the big
-cell (nontrivial partial indices) make the system singular and are reported
-as BigCellError.
+Requiring modes 1..N of gamma g_plus to vanish and mode 0 to equal the
+identity gives a square block-Toeplitz system T_N of size n(N+1) in the
+g_plus coefficients; g_minus is the nonpositive part of gamma g_plus.  One
+LU factorization of T_N per loop gives both that solve and det T_N, the
+Segal-Wilson tau-function.  Loops off the big cell (nontrivial partial
+indices) make T_N singular and are reported as BigCellError.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .loops import (
     DEFAULT_SAMPLES,
@@ -45,7 +46,7 @@ class BirkhoffFactors:
 
 def toeplitz_matrix(gamma: MatrixLoop) -> np.ndarray:
     """Dense system matrix; block (m, j) holds gamma's mode m - j."""
-    return _toeplitz_batch(gamma.coeffs[None], gamma.order, gamma.n)[0]
+    return gamma.coeffs.reshape(-1)[_toeplitz_index(gamma.order, gamma.n)]
 
 
 def _toeplitz_index(order: int, n: int) -> np.ndarray:
@@ -58,10 +59,41 @@ def _toeplitz_index(order: int, n: int) -> np.ndarray:
     return idx.reshape(n * (order + 1), n * (order + 1))
 
 
-def _toeplitz_batch(coeffs: np.ndarray, order: int, n: int) -> np.ndarray:
-    """T_N for a (B, 2N+1, n, n) stack, gathered in one indexing step."""
-    flat = coeffs.reshape(len(coeffs), (2 * order + 1) * n * n)
-    return flat[:, _toeplitz_index(order, n)]
+def _lu_chunk(cs: np.ndarray, order: int, n: int):
+    """(X, ok, sign, log|det T_N|) for a (B, 2N+1, n, n) chunk from one
+    LAPACK zgesv per loop; X solves T_N X = E_0, the identity top block.
+
+    np.take gathers T_N transposed in C order (fancy indexing would put the
+    loop axis innermost), so tt[i].T is T_N in Fortran order and zgesv
+    overwrites it with its LU factors, whose diagonal and pivot parity give
+    the determinant.  A singular T_N gives X = 0, ok False, sign 0 and
+    log|det| = -inf, without raising.
+    """
+    b, size = len(cs), n * (order + 1)
+    flat = np.asarray(cs, dtype=complex).reshape(b, (2 * order + 1) * n * n)
+    tt = np.take(flat, _toeplitz_index(order, n).T, axis=1)
+    rhs = np.eye(size, n, dtype=complex)
+    sol = np.empty((b, size, n), dtype=complex)
+    piv = np.empty((b, size), dtype=np.int32)
+    info = np.empty(b, dtype=int)
+    for i in range(b):
+        _, piv[i], sol[i], info[i] = lapack.zgesv(tt[i].T, rhs, overwrite_a=1)
+    ok = info == 0
+    sol[~ok] = 0
+    diag = np.diagonal(tt, axis1=1, axis2=2)
+    odd = np.count_nonzero(piv != np.arange(size), axis=1) % 2  # 0-based
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sign = np.prod(diag / np.abs(diag), axis=1) * (1 - 2 * odd)
+        logabs = np.log(np.abs(diag)).sum(axis=1)
+    return sol, ok, np.where(ok, sign, 0), np.where(ok, logabs, -np.inf)
+
+
+def _by_chunk(fn, coeffs: np.ndarray):
+    """fn's outputs over chunks of CHUNK loops, concatenated; an empty
+    stack still makes one (empty) chunk, which fixes the shapes."""
+    parts = [fn(coeffs[lo:lo + CHUNK])
+             for lo in range(0, max(len(coeffs), 1), CHUNK)]
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def toeplitz_slogdet(coeffs: np.ndarray):
@@ -69,68 +101,49 @@ def toeplitz_slogdet(coeffs: np.ndarray):
 
     det T_N is the Segal-Wilson tau-function of the loop up to its
     normalization; it vanishes exactly where the solve is singular, so
-    |det| measures the distance to the boundary of the big cell.  The
-    stack is decomposed in chunks of CHUNK loops to bound the memory of
-    the dense matrices.
+    |det| measures the distance to the boundary of the big cell.  A
+    singular T_N gives sign 0 and log|det| = -inf.
     """
-    b, nmodes, n, _ = coeffs.shape
+    _, nmodes, n, _ = coeffs.shape
+    return _by_chunk(lambda cs: _lu_chunk(cs, nmodes // 2, n)[2:], coeffs)
+
+
+def factorize_slogdet(coeffs: np.ndarray, sample_count: int = DEFAULT_SAMPLES,
+                      tol: float = FACTOR_TOL):
+    """factorize_batch's four arrays, then toeplitz_slogdet's (sign,
+    log|det T_N|), both from one LU factorization per loop."""
+    _, nmodes, n, _ = coeffs.shape
+    if n != 2:
+        raise ValueError(f"only 2x2 loops are factored, got {n}x{n}")
     order = (nmodes - 1) // 2
-    sign = np.empty(b, dtype=complex)
-    logabs = np.empty(b)
-    for lo in range(0, b, CHUNK):
-        sl = slice(lo, lo + CHUNK)
-        sign[sl], logabs[sl] = np.linalg.slogdet(
-            _toeplitz_batch(coeffs[sl], order, n))
-    return sign, logabs
+
+    def chunk(cs):
+        sol, good, sign, logabs = _lu_chunk(cs, order, 2)
+        gm, gp, res = _assemble(cs, sol.reshape(len(cs), order + 1, 2, 2),
+                                order, sample_count)
+        res[~np.isfinite(res)] = np.inf
+        good &= res <= tol
+        gm[~good] = gp[~good] = 0
+        return gm, gp, res, good, sign, logabs
+
+    return _by_chunk(chunk, coeffs)
 
 
 def factorize_batch(coeffs: np.ndarray, sample_count: int = DEFAULT_SAMPLES,
                     tol: float = FACTOR_TOL):
     """Factor a stack of 2x2 loops given as (B, 2N+1, 2, 2) coefficient arrays.
 
-    Returns (g_minus_coeffs (B, 2N+1, 2, 2), g_plus_coeffs, residuals, ok).
-    Nodes whose system is singular or whose reconstruction residual exceeds
-    tol are flagged ok = False instead of raising; the coefficient entries
-    for failed nodes are zero.  The stack is solved serially in chunks of
-    CHUNK loops, like toeplitz_slogdet, to bound the memory of the dense
-    matrices; each loop is solved on its own, so a loop's result does not
-    depend on the others in its chunk.  An empty stack gives empty arrays.
-    Loops of another matrix size raise ValueError.
+    Returns (g_minus_coeffs (B, 2N+1, 2, 2), g_plus_coeffs, residuals, ok),
+    the first four arrays of factorize_slogdet.  Nodes whose system is
+    singular or whose reconstruction residual exceeds tol are flagged
+    ok = False instead of raising; the coefficient entries for failed nodes
+    are zero.  The stack is solved serially in chunks of CHUNK loops to
+    bound the memory of the dense matrices; each loop is LU-factored on its
+    own, so a loop's result does not depend on the others in its chunk.  An
+    empty stack gives empty arrays.  Loops of another matrix size raise
+    ValueError.
     """
-    b, nmodes, n, _ = coeffs.shape
-    if n != 2:
-        raise ValueError(f"factorize_batch factors 2x2 loops, got {n}x{n}")
-    order = (nmodes - 1) // 2
-    rhs = np.zeros((2 * (order + 1), 2), dtype=complex)
-    rhs[:2] = np.eye(2)
-
-    def solve(cs):
-        t = _toeplitz_batch(cs, order, 2)
-        try:
-            sol = np.linalg.solve(t, np.broadcast_to(rhs, (len(cs),) + rhs.shape))
-            good = np.ones(len(cs), dtype=bool)
-        except np.linalg.LinAlgError:
-            sol = np.zeros((len(cs),) + rhs.shape, dtype=complex)
-            good = np.zeros(len(cs), dtype=bool)
-            for j in range(len(cs)):
-                try:
-                    sol[j] = np.linalg.solve(t[j], rhs)
-                    good[j] = True
-                except np.linalg.LinAlgError:
-                    pass
-        plus = sol.reshape(len(cs), order + 1, 2, 2)
-        gm, gp, res = _assemble(cs, plus, order, sample_count)
-        bad = ~np.isfinite(res)
-        res[bad] = np.inf
-        good &= ~bad
-        good &= res <= tol
-        gm[~good] = 0
-        gp[~good] = 0
-        return gm, gp, res, good
-
-    # an empty stack still makes one (empty) chunk, which fixes the shapes
-    parts = [solve(coeffs[lo:lo + CHUNK]) for lo in range(0, max(b, 1), CHUNK)]
-    return tuple(np.concatenate(col) for col in zip(*parts))
+    return factorize_slogdet(coeffs, sample_count, tol)[:4]
 
 
 def _assemble(coeffs, plus, order, sample_count):

@@ -37,16 +37,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .birkhoff import factorize, factorize_batch, toeplitz_slogdet
+from .birkhoff import factorize, factorize_batch, factorize_slogdet
 from .loops import (
     DEFAULT_ORDER,
     TAIL_THRESHOLD,
     MatrixLoop,
     ScalarLoop,
+    adjugate_2x2,
     circle_points,
     coeffs_to_samples,
     default_sample_count,
-    inverse_2x2,
+    det_2x2,
     matmul_2x2,
     samples_to_coeffs,
 )
@@ -215,11 +216,11 @@ def _gauge_variation_batch(minus, u_samples, m: int):
     dg_vals = coeffs_to_samples(ks[:, None, None] * minus, m,
                                 first_mode=-order - 1)
 
-    a = matmul_2x2(dg_vals, inverse_2x2(g_vals))
-    # tr(a u) from the entry planes, without forming a u
+    # tr(dg g^-1 u) = tr(a u) / det g, a = dg adj(g), from the entry planes
+    a = matmul_2x2(dg_vals, adjugate_2x2(g_vals))
     tr = sum(a[..., i, j] * u_samples[:, j, i]
              for i in range(2) for j in range(2))
-    c_minus_one = tr @ circle_points(m) / m
+    c_minus_one = (tr / det_2x2(g_vals)) @ circle_points(m) / m
     return -c_minus_one
 
 
@@ -347,10 +348,10 @@ def _uniform_spacing(axis, name: str) -> float:
 
 def _node_sweep(seed: KdVSeed, x, t, order, factor_tol):
     """Minus factors, big-cell flags, reconstruction residuals and
-    (sign, log|det T_N|) at points."""
-    coeffs = pullback_coeff_batch(seed, x, t, order)
-    minus, _, residuals, ok = factorize_batch(coeffs, tol=factor_tol)
-    return (minus, ok, residuals, *toeplitz_slogdet(coeffs))
+    (sign, log|det T_N|) at points, from one LU factorization per point."""
+    minus, _, residuals, ok, sign, logabs = factorize_slogdet(
+        pullback_coeff_batch(seed, x, t, order), tol=factor_tol)
+    return minus, ok, residuals, sign, logabs
 
 
 def _leg_increments(sign, logabs, x, t):

@@ -1,10 +1,13 @@
 """Birkhoff factorization: residuals, normalization, stratum detection."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import tauforge as tf
-from tauforge import birkhoff
+from tauforge import birkhoff, kdv
+from tauforge.cli import _twist_loop
 
 
 def test_identity_factors_to_identity():
@@ -125,3 +128,72 @@ def test_condition_reported(rng):
     fac = birkhoff.factorize(tf.random_unimodular_loop(rng))
     assert np.isfinite(fac.condition)
     assert fac.condition >= 1.0
+
+
+# -- the LU route against numpy's dense solve and determinant -------------
+
+
+def _dense(stack):
+    return np.stack([birkhoff.toeplitz_matrix(tf.MatrixLoop(c))
+                     for c in stack])
+
+
+def _assert_slogdet_matches_numpy(stack):
+    sign, logabs = birkhoff.toeplitz_slogdet(stack)
+    want_sign, want_logabs = np.linalg.slogdet(_dense(stack))
+    assert np.abs(logabs - want_logabs).max() <= 1e-12
+    assert np.abs(sign - want_sign).max() <= 1e-12
+
+
+def _assert_plus_matches_numpy(stack):
+    order = (stack.shape[1] - 1) // 2
+    rhs = np.zeros((2 * (order + 1), 2))
+    rhs[:2] = np.eye(2)
+    want = np.linalg.solve(_dense(stack), rhs).reshape(-1, order + 1, 2, 2)
+    # the normalization twist is the identity up to rounding: block row 0
+    # of T_N X = E_0 already makes mode 0 of g_minus the identity; the
+    # loops cut down to N = 8 miss the default residual tolerance
+    _, plus, _, ok = birkhoff.factorize_batch(stack, tol=np.inf)
+    assert ok.all()
+    scale = np.abs(want).max(axis=(1, 2, 3))
+    err = np.abs(plus[:, order:] - want).max(axis=(1, 2, 3))
+    assert (err <= 1e-12 * scale).all()
+
+
+@pytest.mark.parametrize("order", [8, 16, 32])
+def test_lu_route_matches_numpy_on_random_loops(order):
+    # order-32 unimodular loops cut down to modes -N..N
+    stack = tf.random_unimodular_stack(np.random.default_rng(order), 12)
+    stack = stack[:, 32 - order:33 + order]
+    _assert_slogdet_matches_numpy(stack)
+    _assert_plus_matches_numpy(stack)
+
+
+def test_lu_route_matches_numpy_on_a_pullback_stack():
+    seed = kdv.seed_one_pole(pole=0.25, strength=0.33)
+    x = np.linspace(-1, 1, 21)
+    stack = kdv.pullback_coeff_batch(seed, x, 0.15 * x[::-1])
+    _assert_slogdet_matches_numpy(stack)
+    _assert_plus_matches_numpy(stack)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_toeplitz_slogdet_matches_numpy_for_other_sizes(n):
+    rng = np.random.default_rng(n)
+    decay = 0.7 ** np.abs(np.arange(-16, 17))[:, None, None]
+    stack = 0.3 * decay * (rng.standard_normal((10, 33, n, n))
+                           + 1j * rng.standard_normal((10, 33, n, n)))
+    stack[:, 16] += np.eye(n)
+    _assert_slogdet_matches_numpy(stack)
+
+
+@pytest.mark.parametrize("loop", ["zero", "twist"])
+def test_singular_system_gives_zero_determinant_quietly(loop):
+    coeffs = (np.zeros((33, 2, 2), dtype=complex) if loop == "zero"
+              else _twist_loop(16).coeffs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sign, logabs = birkhoff.toeplitz_slogdet(coeffs[None])
+        _, _, _, ok = birkhoff.factorize_batch(coeffs[None])
+    assert sign.tolist() == [0] and logabs.tolist() == [-np.inf]
+    assert ok.tolist() == [False]

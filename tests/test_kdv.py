@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from tauforge import kdv
 from tauforge.birkhoff import factorize
@@ -351,6 +352,27 @@ class TestDeterminantRoute:
         worst, _ = kdv.path_crosscheck(seed, grid)
         assert worst <= 5.2e-14
         assert sum(points) <= 150
+
+    def test_tau_grid_factors_each_point_once(self, monkeypatch):
+        # one LU per point gives both g_plus and det T_N; a second
+        # factorization for the determinant fails here
+        calls = {"zgesv": 0, "slogdet": 0, "solve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(lapack, "zgesv", counted("zgesv", lapack.zgesv))
+        for name in ("slogdet", "solve"):
+            monkeypatch.setattr(np.linalg, name,
+                                counted(name, getattr(np.linalg, name)))
+        seed = kdv.seed_one_pole(pole=0.25, strength=0.33)
+        grid = kdv.tau_grid(seed, np.linspace(-1, 1, 41),
+                            np.linspace(-0.15, 0.15, 7))
+        assert grid.points_factored == 287
+        assert calls == {"zgesv": 287, "slogdet": 0, "solve": 0}
 
 
 class TestFactorsOnFamily:
