@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import cumulative_from, refine_path_cells
+from .quadrature import cumulative_from, refine_path_cells, validated_axes
 from .twistor import ernst_frame
 
 BASE_POINT = (1.0, 0.0)
@@ -202,22 +202,12 @@ class ErnstTauField:
     final_change: dict
 
 
-def _validated_axes(rs, zs):
-    rs = np.asarray(rs, dtype=float)
-    zs = np.asarray(zs, dtype=float)
-    if len(rs) < 2 or len(zs) < 2:
-        raise ValueError("grid needs at least 2 nodes per axis")
-    if not (np.all(np.diff(rs) > 0) and np.all(np.diff(zs) > 0)):
-        raise ValueError("grid axes must be strictly increasing")
-    if rs[0] <= 0:
-        raise ValueError("grid must stay in the r > 0 half plane")
-    return rs, zs
-
-
 def logtau_field(sol: ErnstSolution, rs, zs,
                  tol_path: float = 1e-9) -> ErnstTauField:
     """Path-integrate d log tau from (1, 0): first in r at z = 0, then in z."""
-    rs, zs = _validated_axes(rs, zs)
+    rs, zs = validated_axes(rs, zs)
+    if rs[0] <= 0:
+        raise ValueError("grid must stay in the r > 0 half plane")
     r0, z0 = BASE_POINT
 
     r_breaks = np.union1d(rs, [r0])

@@ -52,7 +52,7 @@ from .loops import (
     samples_to_coeffs,
 )
 from .phase_space import TauVariationInput, tau_variation
-from .quadrature import cumulative_from, refine_path_cells
+from .quadrature import cumulative_from, refine_path_cells, validated_axes
 from .twistor import SpacetimePoint, SymmetryGenerator, decompose
 
 PHI0 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -376,12 +376,7 @@ def _leg_increments(sign, logabs, x, t):
 def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
              factor_tol: float = 1e-9) -> TauGrid:
     """log tau, q, u over the grid; see the module docstring for the path."""
-    xs = np.asarray(xs, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    if len(xs) < 2 or len(ts) < 2:
-        raise ValueError("grid needs at least 2 nodes per axis")
-    if not (np.all(np.diff(xs) > 0) and np.all(np.diff(ts) > 0)):
-        raise ValueError("grid axes must be strictly increasing")
+    xs, ts = validated_axes(xs, ts)
     dx = _uniform_spacing(xs, "x")
     _uniform_spacing(ts, "t")
 

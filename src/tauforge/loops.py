@@ -246,9 +246,6 @@ class MatrixLoop:
     def scaled(self, factor: complex) -> "MatrixLoop":
         return type(self)(self.coeffs * factor)
 
-    def __matmul__(self, other):
-        return multiply(self, other)
-
     def __add__(self, other):
         order = max(self.order, other.order)
         a, b = self.truncate(order), other.truncate(order)

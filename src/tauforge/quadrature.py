@@ -24,6 +24,16 @@ class PathRefinementError(Exception):
     """Refinement hit the level cap before meeting the tolerance."""
 
 
+def validated_axes(*axes):
+    """Grid axes as float arrays; each needs 2+ strictly increasing nodes."""
+    axes = [np.asarray(axis, dtype=float) for axis in axes]
+    if any(len(axis) < 2 for axis in axes):
+        raise ValueError("grid needs at least 2 nodes per axis")
+    if not all(np.all(np.diff(axis) > 0) for axis in axes):
+        raise ValueError("grid axes must be strictly increasing")
+    return axes
+
+
 def cumulative_from(breaks, cell_values, anchor: float):
     """Antiderivative at the breakpoints, zero at the breakpoint nearest anchor.
 

@@ -343,6 +343,48 @@ class TestSelftest:
         assert "[FAIL]" not in out
         assert "checks passed" in out
 
+    def test_makes_every_check_of_its_pipeline_runs(self, tmp_path):
+        assert run_cli(["selftest", "--out", str(tmp_path)]) == 0
+        manifest = json.loads(
+            (tmp_path / "selftest_manifest.json").read_text())
+        made = {c["name"]: c for c in manifest["checks"]}
+        assert all(c["pass"] for c in made.values())
+        pipeline_checks = set()
+        for config in cli.SELFTEST_CONFIGS:
+            config.validate()
+            prefix = f"{config.pipeline}_{config.resolved_preset()[0]}."
+            expected = {prefix + c.name: c
+                        for c in cli._DISPATCH[config.pipeline](config)[0]}
+            assert {name for name in made if name.startswith(prefix)} \
+                == set(expected)
+            for name, check in expected.items():
+                assert (made[name]["value"], made[name]["threshold"],
+                        made[name]["op"]) \
+                    == (float(check.value), float(check.threshold), check.op)
+            pipeline_checks |= set(expected)
+        # the checks the pipelines do not make are selftest's own identities
+        assert set(made) - pipeline_checks == {
+            "loop_inverse_round_trip", "big_cell_detected", "cocycle_identity",
+            "poisson_anomaly_order", "ernst_frame_residue",
+            "ernst_kasner_radial"}
+        assert {
+            "birkhoff_random.round_trip_residual",
+            "birkhoff_random.big_cell_fraction", "kdv_vacuum.vacuum_max_q",
+            "kdv_one_pole.logtau_q_consistency", "kdv_one_pole.pde_residual",
+            "kdv_one_pole.logtau_path_crosscheck",
+            "ernst_kasner.residue_route", "ernst_kasner.loop_closedness",
+            "ernst_kasner.conformal_constant",
+            "ernst_point_source.residue_route",
+            "ernst_point_source.loop_closedness",
+            "ernst_point_source.conformal_constant"} <= pipeline_checks
+
+    def test_failing_pipeline_check_fails_selftest(self, monkeypatch, capsys):
+        monkeypatch.setattr(ernst, "rectangle_loop_integral",
+                            lambda *args, **kwargs: 1.0)
+        assert run_cli(["selftest"]) == cli.EXIT_CHECK_FAILED
+        assert "[FAIL] ernst_point_source.loop_closedness" \
+            in capsys.readouterr().out
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "tauforge", "birkhoff", "--count", "5"],
