@@ -117,7 +117,7 @@ class ExperimentConfig:
     def resolved_tol_path(self) -> float:
         if self.tol_path is not None:
             return self.tol_path
-        return 1e-9 if self.pipeline == "ernst" else 1e-7
+        return ernst.PATH_TOL if self.pipeline == "ernst" else 1e-7
 
     def resolved_preset(self) -> tuple[str, dict]:
         text = self.preset or DEFAULT_PRESETS[self.pipeline]
@@ -168,6 +168,14 @@ class ExperimentConfig:
     def validate(self):
         if self.pipeline not in PIPELINES:
             raise ConfigError(f"unknown pipeline '{self.pipeline}'")
+        if self.pipeline == "selftest":
+            default = ExperimentConfig("selftest")
+            changed = [name for name in _SELFTEST_FIXED
+                       if getattr(self, name) != getattr(default, name)]
+            if changed:
+                raise ConfigError(
+                    f"selftest runs fixed settings; it does not take "
+                    f"{', '.join(changed)}")
         self._check_finite()
         if self.trunc < 1:
             raise ConfigError("truncation order must be >= 1")
@@ -192,14 +200,13 @@ class ExperimentConfig:
                 raise ConfigError("ernst grid must stay in the r > 0 half plane")
         name, params = self.resolved_preset()
         allowed = _PRESET_PARAMS.get((self.pipeline, name))
-        if self.pipeline != "selftest":
-            if allowed is None:
+        if allowed is None:
+            raise ConfigError(
+                f"unknown preset '{name}' for pipeline {self.pipeline}")
+        for key in params:
+            if key not in allowed:
                 raise ConfigError(
-                    f"unknown preset '{name}' for pipeline {self.pipeline}")
-            for key in params:
-                if key not in allowed:
-                    raise ConfigError(
-                        f"preset '{name}' does not take parameter '{key}'")
+                    f"preset '{name}' does not take parameter '{key}'")
         if name == "one_pole" and "pole" in params \
                 and not 0 < abs(params["pole"]) < 1:
             raise ConfigError("one_pole needs a nonzero pole inside the unit disc")
@@ -222,7 +229,11 @@ _PRESET_PARAMS = {
     ("ernst", "non_solution"): (),
     ("birkhoff", "random"): (),
     ("birkhoff", "twist"): (),
+    ("selftest", ""): (),
 }
+# settings selftest would ignore, since SELFTEST_CONFIGS bring their own
+_SELFTEST_FIXED = ("preset", "grid", "trunc", "tol_factor", "tol_path",
+                   "tol_residual", "tol_headline", "count", "strength")
 
 
 def _parse_preset(text: str) -> tuple[str, dict]:
@@ -369,10 +380,10 @@ def _run_ernst(config: ExperimentConfig):
     report = ernst.conformal_factor_check(sol, field)
     gr, gz = np.meshgrid(rs, zs, indexing="ij")
     residuals = np.atleast_1d(ernst.field_residual(sol, gr, gz))
-    residue_worst = max(ernst.residue_check(sol, r, z)
-                        for r in rs[:: max(1, len(rs) // 6)]
-                        for z in zs[:: max(1, len(zs) // 6)])
-    loop = ernst.rectangle_loop_integral(sol, (rs[0], rs[-1]), (zs[0], zs[-1]))
+    z_sample = zs[:: max(1, len(zs) // 6)]
+    residue_worst = max(ernst.residue_check(sol, r, z_sample)
+                        for r in rs[:: max(1, len(rs) // 6)])
+    loop = ernst.rectangle_loop_integral(sol, rs, zs)
     constant_std = min(report.candidate1_std, report.candidate2_std)
 
     checks = [

@@ -16,7 +16,9 @@ rational frame coefficient of the rotational symmetry: the contour
 integral collapses to the residue at the frame pole, and the Lax
 substitution replaces the frame derivative with r J^-1 dJ, so both
 routes must agree to roundoff.  log tau itself is path-integrated from
-the base point (r, z) = (1, 0), first along z = 0, then along z.
+the base point (r, z) = (1, 0), first along z = 0, then along z; every
+path integral here, log tau, the conformal side and the rectangle loop,
+is built from one rule, refine_path_cells, by _leg.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ BASE_POINT = (1.0, 0.0)
 # refinement cap of each path leg: at most 512 Gauss nodes per cell, since
 # computing n nodes costs O(n^3) and deeper levels would stall a failing run
 PATH_MAX_LEVEL = 8
+# default tolerance of every path leg: log tau, the conformal side, the loop
+PATH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -148,7 +152,9 @@ def dlogtau(sol: ErnstSolution, r, z, direction: str = "wbar"):
 
 
 def residue_check(sol: ErnstSolution, r, z) -> float:
-    """Route mismatch between dlogtau and the explicit residue evaluation.
+    """Worst route mismatch between dlogtau and the explicit residue.
+
+    r is a scalar radius and z a scalar or an array of heights.
 
     The contour form of the variation carries the rational frame
     coefficient; its only singularity in the relevant region is the
@@ -163,7 +169,7 @@ def residue_check(sol: ErnstSolution, r, z) -> float:
         res = coeff.residue(pole)
         route = (1j / (4 * np.pi)) * (2j * np.pi) * res \
             * float(r) ** 2 * _trace_square(sol, r, z, direction)
-        worst = max(worst, abs(direct - route))
+        worst = max(worst, float(np.max(np.abs(direct - route))))
     return worst
 
 
@@ -202,29 +208,39 @@ class ErnstTauField:
     final_change: dict
 
 
+def _leg(sol: ErnstSolution, along: str, nodes, anchor: float, fixed,
+         tol: float = PATH_TOL):
+    """Antiderivative of d log tau along r or z from anchor, at the nodes.
+
+    Column j holds the other coordinate at fixed[j]; each interval between
+    nodes is one cell of refine_path_cells.  Returns (values (len(fixed),
+    len(nodes)), achieved level, final change).
+    """
+    fixed = np.asarray(fixed, dtype=float)
+    if along == "r":
+        def integrand(pts, cols):
+            return _d_r_logtau(sol, pts, fixed[cols])
+    else:
+        def integrand(pts, cols):
+            return _d_z_logtau(sol, fixed[cols], pts)
+    breaks = np.union1d(nodes, [anchor])
+    cells = np.column_stack([breaks[:-1], breaks[1:]])
+    vals, level, change = refine_path_cells(
+        integrand, cells, len(fixed), tol, max_level=PATH_MAX_LEVEL)
+    cum = cumulative_from(breaks, vals, anchor)
+    return cum[:, np.searchsorted(breaks, nodes)], level, change
+
+
 def logtau_field(sol: ErnstSolution, rs, zs,
-                 tol_path: float = 1e-9) -> ErnstTauField:
+                 tol_path: float = PATH_TOL) -> ErnstTauField:
     """Path-integrate d log tau from (1, 0): first in r at z = 0, then in z."""
     rs, zs = validated_axes(rs, zs)
     if rs[0] <= 0:
         raise ValueError("grid must stay in the r > 0 half plane")
     r0, z0 = BASE_POINT
-
-    r_breaks = np.union1d(rs, [r0])
-    r_cells = np.column_stack([r_breaks[:-1], r_breaks[1:]])
-    vals_r, level_r, change_r = refine_path_cells(
-        lambda pts, cols: _d_r_logtau(sol, pts, np.zeros_like(pts)),
-        r_cells, 1, tol_path, max_level=PATH_MAX_LEVEL)
-    cum_r = cumulative_from(r_breaks, vals_r, r0)[0]
-    base_r = cum_r[np.searchsorted(r_breaks, rs)]
-
-    z_breaks = np.union1d(zs, [z0])
-    z_cells = np.column_stack([z_breaks[:-1], z_breaks[1:]])
-    vals_z, level_z, change_z = refine_path_cells(
-        lambda pts, cols: _d_z_logtau(sol, rs[cols], pts),
-        z_cells, len(rs), tol_path, max_level=PATH_MAX_LEVEL)
-    cum_z = cumulative_from(z_breaks, vals_z, z0)
-    log_tau = base_r[:, None] + cum_z[:, np.searchsorted(z_breaks, zs)]
+    cum_r, level_r, change_r = _leg(sol, "r", rs, r0, [z0], tol_path)
+    cum_z, level_z, change_z = _leg(sol, "z", zs, z0, rs, tol_path)
+    log_tau = cum_r[0][:, None] + cum_z
 
     gr, gz = np.meshgrid(rs, zs, indexing="ij")
     return ErnstTauField(
@@ -235,31 +251,16 @@ def logtau_field(sol: ErnstSolution, rs, zs,
         final_change={"r": change_r, "z": change_z})
 
 
-def rectangle_loop_integral(sol: ErnstSolution, rspan, zspan,
-                            order: int = 24) -> complex:
-    """Loop integral of d log tau around an axis-aligned rectangle.
+def rectangle_loop_integral(sol: ErnstSolution, rs, zs) -> complex:
+    """Loop integral of d log tau around the rectangle spanned by rs and zs.
 
-    Closed for genuine solutions; an independent Gauss-Legendre rule per
-    edge keeps the check decoupled from the path-refinement machinery.
+    Closed for genuine solutions.  Each edge is integrated cell by cell
+    over the given nodes, so two-node axes give one cell per edge.
     """
-    ra, rb = map(float, rspan)
-    za, zb = map(float, zspan)
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-
-    def edge(fn, a, b, fixed, along_r):
-        pts = 0.5 * (a + b) + 0.5 * (b - a) * nodes
-        fixed_arr = np.full_like(pts, fixed)
-        if along_r:
-            vals = fn(sol, pts, fixed_arr)
-        else:
-            vals = fn(sol, fixed_arr, pts)
-        return 0.5 * (b - a) * np.dot(weights, vals)
-
-    total = edge(_d_r_logtau, ra, rb, za, True)
-    total += edge(_d_z_logtau, za, zb, rb, False)
-    total += edge(_d_r_logtau, rb, ra, zb, True)
-    total += edge(_d_z_logtau, zb, za, ra, False)
-    return complex(total)
+    rs, zs = validated_axes(rs, zs)
+    along_r = _leg(sol, "r", rs, rs[0], zs[[0, -1]])[0][:, -1]
+    along_z = _leg(sol, "z", zs, zs[0], rs[[0, -1]])[0][:, -1]
+    return complex(along_r[0] + along_z[1] - along_r[1] - along_z[0])
 
 
 # -- conformal factor ----------------------------------------------------
@@ -276,21 +277,6 @@ class ConformalFactorReport:
     constant_candidate: str
 
 
-def _gl_cumulative(fn, breaks, anchor, order: int = 16):
-    """Composite Gauss-Legendre antiderivative over the break intervals.
-
-    fn(points) -> (n_cols, len(points)) integrand values.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    a = breaks[:-1]
-    b = breaks[1:]
-    half = 0.5 * (b - a)
-    pts = (0.5 * (a + b)[:, None] + half[:, None] * nodes[None, :]).ravel()
-    vals = np.asarray(fn(pts)).reshape(-1, len(a), order)
-    cells = (vals * weights[None, None, :]).sum(axis=2) * half[None, :]
-    return cumulative_from(breaks, cells, anchor)
-
-
 def conformal_factor_check(sol: ErnstSolution,
                            field: ErnstTauField) -> ConformalFactorReport:
     """Integrate the conformal-factor equation and compare it to log tau.
@@ -299,28 +285,17 @@ def conformal_factor_check(sol: ErnstSolution,
     displayed equation for log(r Omega^2) has the same Wirtinger
     derivatives as log tau, so candidate 1 = log tau - log(r Omega^2)
     should be grid-constant; candidate 2 = log tau + log(r^2 Omega) is
-    reported alongside for comparison.  Both integrations run over the
-    same axis paths but with independent quadrature.
+    reported alongside for comparison.  log(r Omega^2) is integrated along
+    the other path, first in z at r = 1, then in r, so candidate 1 is
+    constant only where the 1-form is closed between the two paths.
     """
     rs, zs = field.rs, field.zs
     r0, z0 = BASE_POINT
 
-    # log(r Omega^2), normalized to 0 at the base point
-    r_breaks = np.union1d(rs, [r0])
-    cum_r = _gl_cumulative(
-        lambda pts: _d_r_logtau(sol, pts, np.zeros_like(pts))[None, :],
-        r_breaks, r0)[0]
-    base_r = cum_r[np.searchsorted(r_breaks, rs)]
-    z_breaks = np.union1d(zs, [z0])
-
-    def zfn(pts):
-        # pts is the flattened (cell x node) line, shared by every column
-        return np.stack([_d_z_logtau(sol, np.full_like(pts, rv), pts)
-                         for rv in rs])
-
-    cum_z = _gl_cumulative(zfn, z_breaks, z0)
-    log_romega2 = (base_r[:, None]
-                   + cum_z[:, np.searchsorted(z_breaks, zs)]).real
+    # log(r Omega^2), normalized to 0 at the base point: z first, then r
+    cum_z = _leg(sol, "z", zs, z0, [r0])[0]
+    cum_r = _leg(sol, "r", rs, r0, zs)[0]
+    log_romega2 = (cum_z + cum_r.T).real
 
     log_r = np.log(rs)[:, None]
     candidate1 = field.log_tau - log_romega2

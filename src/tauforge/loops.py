@@ -18,6 +18,8 @@ DEFAULT_ORDER = 32
 DEFAULT_SAMPLES = 256
 TAIL_THRESHOLD = 1e-8
 TANGENT_BAND = 8
+# largest sample condition number inverse() accepts
+INVERSE_COND_MAX = 1e10
 
 
 class TailMassError(RuntimeError):
@@ -332,26 +334,26 @@ def multiply(a: MatrixLoop, b: MatrixLoop, out_order: int | None = None,
     return result
 
 
-def inverse(a: MatrixLoop, cond_max: float = 1e10) -> MatrixLoop:
+def inverse(a: MatrixLoop) -> MatrixLoop:
     """Pointwise inverse transformed back at the loop's own truncation.
 
     Raises SingularLoopError when any sample matrix has 2-norm condition
-    above cond_max.  The result is the order-N best effort; the round-trip
-    guarantee multiply(a, inverse(a)) ~ identity holds for loops whose
-    inverse has geometrically decaying coefficients.
+    above INVERSE_COND_MAX.  The result is the order-N best effort; the
+    round-trip guarantee multiply(a, inverse(a)) ~ identity holds for loops
+    whose inverse has geometrically decaying coefficients.
     """
     vals = MatrixLoop.samples(a)
     if a.n == 1:
         mags = np.abs(vals[:, 0, 0])
         cond = mags.max() / max(mags.min(), np.finfo(float).tiny)
-        if cond > cond_max:
-            raise SingularLoopError(f"scalar loop condition {cond:.3e} > {cond_max:.1e}")
+        if cond > INVERSE_COND_MAX:
+            raise SingularLoopError(f"scalar loop condition {cond:.3e} > {INVERSE_COND_MAX:.1e}")
         inv_vals = 1.0 / vals
     else:
         svals = np.linalg.svd(vals, compute_uv=False)
         cond = float((svals[:, 0] / np.maximum(svals[:, -1], np.finfo(float).tiny)).max())
-        if cond > cond_max:
-            raise SingularLoopError(f"sample condition {cond:.3e} > {cond_max:.1e}")
+        if cond > INVERSE_COND_MAX:
+            raise SingularLoopError(f"sample condition {cond:.3e} > {INVERSE_COND_MAX:.1e}")
         inv_vals = np.linalg.inv(vals)
     out = type(a).from_samples(inv_vals, a.order)
     out.unimodular = a.unimodular

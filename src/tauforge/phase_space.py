@@ -30,6 +30,8 @@ from .loops import (
 )
 
 _TWO_PI_I = 2j * np.pi
+# largest g_plus contour term vacuum_logderiv_diffeo accepts as vanished
+GPLUS_TOL = 1e-9
 
 
 @dataclass
@@ -182,8 +184,7 @@ def _diffeo_terms(factors, xi10: ScalarLoop) -> tuple:
     return tuple(terms)
 
 
-def vacuum_logderiv_diffeo(gamma_or_factors, xi10: ScalarLoop,
-                           gplus_tol: float = 1e-9) -> complex:
+def vacuum_logderiv_diffeo(gamma_or_factors, xi10: ScalarLoop) -> complex:
     """Reparametrization part of d log tau for the lifted field xi10 d/dlambda.
 
     -(1/4 pi i) contour xi10 [tr((dg g^-1)^2) - tr((dg+ g+^-1)^2)] dlambda.
@@ -194,7 +195,7 @@ def vacuum_logderiv_diffeo(gamma_or_factors, xi10: ScalarLoop,
     factors = _factors_of(gamma_or_factors)
     minus_term, plus_term = _diffeo_terms(factors, xi10)
     ks = np.arange(-xi10.order, xi10.order + 1)
-    if not np.any(np.abs(xi10.coeffs[ks < 0]) > 0) and abs(plus_term) > gplus_tol:
+    if not np.any(np.abs(xi10.coeffs[ks < 0]) > 0) and abs(plus_term) > GPLUS_TOL:
         raise NumericalInvariantError(
             f"g_plus term {abs(plus_term):.3e} should vanish for disc-holomorphic xi10")
     return complex(-(minus_term - plus_term) / (2 * _TWO_PI_I))

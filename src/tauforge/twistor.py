@@ -166,10 +166,12 @@ def _lagrange_quadratic(values):
 
 
 _SAMPLE_NODES = (-1.0, 0.0, 1.0)
+# unit-circle points at which decompose verifies its result
+_CHECK_LAMS = np.exp(1j * (2 * np.pi * np.random.default_rng(8).random(8)))
 
 
-def decompose(y: SymmetryGenerator, x: SymmetryGenerator,
-              check_lams=None) -> DirectionDecomposition:
+def decompose(y: SymmetryGenerator,
+              x: SymmetryGenerator) -> DirectionDecomposition:
     """Split a translation Y against X in the moving frame (V0, V1, X).
 
     Cramer's rule per sampled lambda; numerators and the common denominator
@@ -206,12 +208,7 @@ def decompose(y: SymmetryGenerator, x: SymmetryGenerator,
     # translations lift horizontally, so the vertical coefficient is absent
     result = DirectionDecomposition(f0, f1, h, v_coeff=None)
 
-    lams = check_lams
-    if lams is None:
-        rng = np.random.default_rng(8)
-        angles = 2 * np.pi * rng.random(8)
-        lams = np.exp(1j * angles)
-    residual = result.verify(y, x, lams)
+    residual = result.verify(y, x, _CHECK_LAMS)
     if residual > 1e-12:
         raise DegenerateFrameError(
             f"decomposition residual {residual:.3e} exceeds 1e-12")

@@ -236,6 +236,17 @@ class TestErnstPipeline:
         assert run_cli(["ernst", "--preset", "non_solution"]) == cli.EXIT_CHECK_FAILED
         assert "[FAIL] field_equations" in capsys.readouterr().out
 
+    def test_non_closed_one_form_fails_conformal_constant(self, monkeypatch,
+                                                          capsys):
+        # d_z + 1e-6 r has curl 1e-6: log tau (r first) and the conformal
+        # side (z first) then differ by 1e-6 z (r - 1) across the grid
+        d_z = ernst._d_z_logtau
+        monkeypatch.setattr(ernst, "_d_z_logtau",
+                            lambda sol, r, z: d_z(sol, r, z) + 1e-6 * r)
+        assert run_cli(["ernst", "--preset", "point_source"]) \
+            == cli.EXIT_CHECK_FAILED
+        assert "[FAIL] conformal_constant" in capsys.readouterr().out
+
     def test_path_tolerance_below_roundoff_exits_2(self, capsys):
         assert run_cli(["ernst", "--tol-path", "1e-30"]) == cli.EXIT_CHECK_FAILED
         assert "[FAIL] path_refinement" in capsys.readouterr().out
@@ -377,6 +388,32 @@ class TestSelftest:
             "ernst_point_source.residue_route",
             "ernst_point_source.loop_closedness",
             "ernst_point_source.conformal_constant"} <= pipeline_checks
+
+    @pytest.mark.parametrize("args, name", [
+        (["--preset", "bogus"], "preset"),
+        (["--grid=0:1:3"], "grid"),
+        (["--trunc", "16"], "trunc"),
+        (["--tol-factor", "1e-30"], "tol_factor"),
+        (["--tol-path", "1e-9"], "tol_path"),
+        (["--tol-residual", "1"], "tol_residual"),
+        (["--tol-headline", "1"], "tol_headline"),
+        (["--count", "5"], "count"),
+        (["--strength", "0.2"], "strength"),
+        (["--tol-factor", "1e-30", "--grid=0:1:3", "--preset", "bogus"],
+         "preset, grid, tol_factor"),
+    ])
+    def test_rejects_settings_it_does_not_use(self, args, name, capsys):
+        assert run_cli(["selftest", *args]) == cli.EXIT_CONFIG
+        assert f"does not take {name}" in capsys.readouterr().out
+
+    def test_takes_rng_seed_out_seed_file_and_one_thread(self, tmp_path):
+        seed_file = tmp_path / "exp.cfg"
+        seed_file.write_text("rng_seed = 3\nthreads = 1\n")
+        out = tmp_path / "d"
+        assert run_cli(["selftest", "--rng-seed", "3", "--out", str(out),
+                        "--seed-file", str(seed_file), "--threads", "1"]) == 0
+        manifest = json.loads((out / "selftest_manifest.json").read_text())
+        assert manifest["rng_seed"] == 3
 
     def test_failing_pipeline_check_fails_selftest(self, monkeypatch, capsys):
         monkeypatch.setattr(ernst, "rectangle_loop_integral",

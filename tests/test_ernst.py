@@ -219,6 +219,14 @@ class TestClosedness:
         assert abs(loop - expected) < 1e-9
         assert abs(loop) > 1e-2
 
+    @pytest.mark.parametrize("sol", [ernst.point_source(0.8, -1.5),
+                                     ernst.kasner(0.7), shear_solution()])
+    def test_grid_nodes_sum_to_the_corner_loop(self, sol):
+        rs, zs = np.linspace(0.6, 2.1, 7), np.linspace(-0.8, 0.9, 6)
+        on_grid = ernst.rectangle_loop_integral(sol, rs, zs)
+        corners = ernst.rectangle_loop_integral(sol, rs[[0, -1]], zs[[0, -1]])
+        assert abs(on_grid - corners) < 1e-12
+
     def test_shear_fails_field_equations(self):
         sol = shear_solution()
         assert ernst.field_residual(sol, 1.2, 0.4) > 0.1

@@ -1,5 +1,7 @@
 """The Gauss-Legendre cell rule behind both path integrations."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -73,3 +75,12 @@ def test_tol_below_roundoff_raises():
 
     with pytest.raises(PathRefinementError, match="no convergence to 1.0e-30"):
         refine_path_cells(eval_fn, CELLS, 1, 1e-30)
+
+
+def test_leggauss_only_in_quadrature():
+    # one Gauss-Legendre rule: every other module integrates through
+    # refine_path_cells instead of building its own nodes
+    src = Path(__file__).resolve().parents[1] / "src" / "tauforge"
+    users = sorted(path.name for path in src.glob("*.py")
+                   if "leggauss" in path.read_text())
+    assert users == ["quadrature.py"]
