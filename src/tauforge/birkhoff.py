@@ -20,6 +20,7 @@ from scipy.linalg import lapack
 from .loops import (
     DEFAULT_SAMPLES,
     MatrixLoop,
+    _by_block,
     _fast_len,
     coeffs_to_samples,
     inverse_2x2,
@@ -29,7 +30,6 @@ from .loops import (
 
 FACTOR_TOL = 1e-9
 COND_LIMIT = 1e12
-CHUNK = 512
 
 
 class BigCellError(RuntimeError):
@@ -59,8 +59,8 @@ def _toeplitz_index(order: int, n: int) -> np.ndarray:
     return idx.reshape(n * (order + 1), n * (order + 1))
 
 
-def _lu_chunk(cs: np.ndarray, order: int, n: int):
-    """(X, ok, sign, log|det T_N|) for a (B, 2N+1, n, n) chunk from one
+def _lu_block(cs: np.ndarray, order: int, n: int):
+    """(X, ok, sign, log|det T_N|) for a (B, 2N+1, n, n) block from one
     LAPACK zgesv per loop; X solves T_N X = E_0, the identity top block.
 
     np.take gathers T_N transposed in C order (fancy indexing would put the
@@ -88,14 +88,6 @@ def _lu_chunk(cs: np.ndarray, order: int, n: int):
     return sol, ok, np.where(ok, sign, 0), np.where(ok, logabs, -np.inf)
 
 
-def _by_chunk(fn, coeffs: np.ndarray):
-    """fn's outputs over chunks of CHUNK loops, concatenated; an empty
-    stack still makes one (empty) chunk, which fixes the shapes."""
-    parts = [fn(coeffs[lo:lo + CHUNK])
-             for lo in range(0, max(len(coeffs), 1), CHUNK)]
-    return tuple(np.concatenate(col) for col in zip(*parts))
-
-
 def toeplitz_slogdet(coeffs: np.ndarray):
     """(sign, log|det|) of the system matrix T_N for (B, 2N+1, n, n) loops.
 
@@ -105,7 +97,7 @@ def toeplitz_slogdet(coeffs: np.ndarray):
     singular T_N gives sign 0 and log|det| = -inf.
     """
     _, nmodes, n, _ = coeffs.shape
-    return _by_chunk(lambda cs: _lu_chunk(cs, nmodes // 2, n)[2:], coeffs)
+    return _by_block(lambda cs: _lu_block(cs, nmodes // 2, n)[2:], coeffs)
 
 
 def factorize_slogdet(coeffs: np.ndarray, sample_count: int = DEFAULT_SAMPLES,
@@ -117,8 +109,8 @@ def factorize_slogdet(coeffs: np.ndarray, sample_count: int = DEFAULT_SAMPLES,
         raise ValueError(f"only 2x2 loops are factored, got {n}x{n}")
     order = (nmodes - 1) // 2
 
-    def chunk(cs):
-        sol, good, sign, logabs = _lu_chunk(cs, order, 2)
+    def block(cs):
+        sol, good, sign, logabs = _lu_block(cs, order, 2)
         gm, gp, res = _assemble(cs, sol.reshape(len(cs), order + 1, 2, 2),
                                 order, sample_count)
         res[~np.isfinite(res)] = np.inf
@@ -126,7 +118,7 @@ def factorize_slogdet(coeffs: np.ndarray, sample_count: int = DEFAULT_SAMPLES,
         gm[~good] = gp[~good] = 0
         return gm, gp, res, good, sign, logabs
 
-    return _by_chunk(chunk, coeffs)
+    return _by_block(block, coeffs)
 
 
 def factorize_batch(coeffs: np.ndarray, sample_count: int = DEFAULT_SAMPLES,
@@ -137,11 +129,11 @@ def factorize_batch(coeffs: np.ndarray, sample_count: int = DEFAULT_SAMPLES,
     the first four arrays of factorize_slogdet.  Nodes whose system is
     singular or whose reconstruction residual exceeds tol are flagged
     ok = False instead of raising; the coefficient entries for failed nodes
-    are zero.  The stack is solved serially in chunks of CHUNK loops to
-    bound the memory of the dense matrices; each loop is LU-factored on its
-    own, so a loop's result does not depend on the others in its chunk.  An
-    empty stack gives empty arrays.  Loops of another matrix size raise
-    ValueError.
+    are zero.  The stack is solved serially in blocks of loops sized so
+    that a block's T_N matrices and samples stay in cache, not to bound
+    memory; each loop is LU-factored on its own, so a loop's result does
+    not depend on the others in its block.  An empty stack gives empty
+    arrays.  Loops of another matrix size raise ValueError.
     """
     return factorize_slogdet(coeffs, sample_count, tol)[:4]
 

@@ -18,6 +18,10 @@ DEFAULT_ORDER = 32
 DEFAULT_SAMPLES = 256
 TAIL_THRESHOLD = 1e-8
 TANGENT_BAND = 8
+# loops per block in every batch stage that _by_block runs: a block's
+# 256-point sample stack of 2x2 loops is 1 MB, so each stage works in L2
+# cache; 64 was the pick of a timing sweep over 32..512
+_BLOCK = 64
 # largest sample condition number inverse() accepts
 INVERSE_COND_MAX = 1e10
 
@@ -103,21 +107,50 @@ def samples_to_coeffs(samples, order: int, tail_tol: float | None = None):
     bins is checked loop by loop and the worst loop raises TailMassError
     if it exceeds tail_tol.
     """
+    coeffs, fraction = _coeffs_and_tail(samples, order, tail_tol is not None)
+    if tail_tol is not None:
+        _check_tail(fraction, tail_tol)
+    return coeffs
+
+
+def _coeffs_and_tail(samples, order: int, tail: bool = True):
+    """samples_to_coeffs without the check, and, with tail, each loop's
+    share of mass in the discarded alias bins (else None)."""
     samples = np.asarray(samples, dtype=complex)
     m = samples.shape[-3]
     if 2 * order + 1 > m:
         raise ValueError("sample grid cannot resolve the loop")
     spec = np.fft.fft(np.moveaxis(samples, -3, -1), axis=-1)
     idx = np.arange(-order, order + 1) % m
-    if tail_tol is not None:
+    fraction = None
+    if tail:
         kept = np.zeros(m, dtype=bool)
         kept[idx] = True
-        worst = _tail_fraction(spec, kept, axis=-1).max()
-        if worst > tail_tol:
-            raise TailMassError(
-                f"discarded alias mass {worst:.3e} exceeds {tail_tol:.1e}; "
-                "increase the truncation order")
-    return np.moveaxis(spec[..., idx] / m, -1, -3)
+        fraction = _tail_fraction(spec, kept, axis=-1)
+    return np.moveaxis(spec[..., idx] / m, -1, -3), fraction
+
+
+def _check_tail(fraction, tail_tol: float):
+    """Raise TailMassError when the worst loop's alias fraction exceeds
+    tail_tol; for a stack the message gives that loop's index (flat, in C
+    order over the loop axes)."""
+    fraction = np.asarray(fraction)
+    worst = np.max(fraction, initial=-np.inf)
+    if worst > tail_tol:
+        where = f" in loop {int(fraction.argmax())}" if fraction.ndim else ""
+        raise TailMassError(
+            f"discarded alias mass {worst:.3e}{where} exceeds "
+            f"{tail_tol:.1e}; increase the truncation order")
+
+
+def _by_block(fn, stack):
+    """fn's outputs (a tuple of arrays) over blocks of _BLOCK loops along
+    axis 0, concatenated; an empty stack still makes one (empty) block,
+    which fixes the shapes.  fn must treat every loop on its own, so the
+    result does not depend on where the blocks are cut."""
+    parts = [fn(stack[lo:lo + _BLOCK])
+             for lo in range(0, max(len(stack), 1), _BLOCK)]
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 class MatrixLoop:
@@ -501,27 +534,42 @@ def random_tangent_stack(rng: np.random.Generator, count: int, n: int = 2,
     exp of the result inside the default tail-mass budget at order 32.
     Raises ValueError when the band does not fit the order.
     """
+    normals, tangent = _tangent_draw(rng, count, n, band, amplitude, decay,
+                                     order, antihermitian, traceless)
+    return tangent(normals)
+
+
+def _tangent_draw(rng, count, n=2, band=TANGENT_BAND, amplitude=0.5,
+                  decay=0.25, order=DEFAULT_ORDER, antihermitian=False,
+                  traceless=True):
+    """The normals of random_tangent_stack, drawn in its one call, and the
+    per-block core that turns a block of them into tangent coefficients."""
     if band > order:
         raise ValueError(f"tangent band {band} exceeds truncation order {order}")
     normals = rng.standard_normal((count, 2 * band + 1, 2, n, n))
     weights = np.array([decay ** abs(k) for k in range(-band, band + 1)])
-    coeffs = np.zeros((count, 2 * order + 1, n, n), dtype=complex)
-    coeffs[:, order - band:order + band + 1] = (
-        (normals[:, :, 0] + 1j * normals[:, :, 1]) * weights[:, None, None])
-    if antihermitian:
-        # enforce u(theta)^* = -u(theta): c_{-k} = -c_k^H
-        positive = coeffs[:, order + 1:order + band + 1]
-        coeffs[:, order - band:order] = -positive[:, ::-1].conj().swapaxes(-1, -2)
-        mode0 = coeffs[:, order]
-        coeffs[:, order] = 0.5 * (mode0 - mode0.conj().swapaxes(-1, -2))
-    if traceless:
-        idx = np.arange(n)
-        tr = np.trace(coeffs, axis1=-2, axis2=-1) / n
-        coeffs[..., idx, idx] -= tr[..., None]
-    sup = np.abs(coeffs_to_samples(coeffs, default_sample_count(order))
-                 ).max(axis=(1, 2, 3))
-    scale = amplitude / np.maximum(sup, np.finfo(float).tiny)
-    return coeffs * scale[:, None, None, None]
+    m = default_sample_count(order)
+
+    def tangent(block):
+        coeffs = np.zeros((len(block), 2 * order + 1, n, n), dtype=complex)
+        coeffs[:, order - band:order + band + 1] = (
+            (block[:, :, 0] + 1j * block[:, :, 1]) * weights[:, None, None])
+        if antihermitian:
+            # enforce u(theta)^* = -u(theta): c_{-k} = -c_k^H
+            positive = coeffs[:, order + 1:order + band + 1]
+            coeffs[:, order - band:order] = (
+                -positive[:, ::-1].conj().swapaxes(-1, -2))
+            mode0 = coeffs[:, order]
+            coeffs[:, order] = 0.5 * (mode0 - mode0.conj().swapaxes(-1, -2))
+        if traceless:
+            idx = np.arange(n)
+            tr = np.trace(coeffs, axis1=-2, axis2=-1) / n
+            coeffs[..., idx, idx] -= tr[..., None]
+        sup = np.abs(coeffs_to_samples(coeffs, m)).max(axis=(1, 2, 3))
+        scale = amplitude / np.maximum(sup, np.finfo(float).tiny)
+        return coeffs * scale[:, None, None, None]
+
+    return normals, tangent
 
 
 def random_unimodular_stack(rng: np.random.Generator, count: int,
@@ -529,14 +577,21 @@ def random_unimodular_stack(rng: np.random.Generator, count: int,
     """exp of count random traceless tangents, (count, 2N+1, n, n).
 
     Unimodular by construction; the keywords are random_tangent_stack's
-    except traceless.  The tail mass of exp is checked loop by loop and
-    the worst loop raises TailMassError.
+    except traceless.  The normals are drawn as random_tangent_stack draws
+    them; each block of loops then goes through the tangent, its samples,
+    exp and back to coefficients while its arrays are in cache.  The tail
+    mass of exp is checked loop by loop, and the worst loop of the whole
+    stack raises TailMassError, which names its index.
     """
     order = kw.get("order", DEFAULT_ORDER)
     m = default_sample_count(order)
-    tangent = random_tangent_stack(rng, count, traceless=True, **kw)
-    return samples_to_coeffs(_exp_samples(coeffs_to_samples(tangent, m)),
-                             order, tail_tol=TAIL_THRESHOLD)
+    normals, tangent = _tangent_draw(rng, count, traceless=True, **kw)
+    coeffs, fraction = _by_block(
+        lambda block: _coeffs_and_tail(
+            _exp_samples(coeffs_to_samples(tangent(block), m)), order),
+        normals)
+    _check_tail(fraction, TAIL_THRESHOLD)
+    return coeffs
 
 
 def random_tangent(rng: np.random.Generator, **kw) -> MatrixLoop:

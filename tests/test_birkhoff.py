@@ -1,12 +1,13 @@
 """Birkhoff factorization: residuals, normalization, stratum detection."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import tauforge as tf
-from tauforge import birkhoff, kdv
+from tauforge import birkhoff, kdv, loops
 from tauforge.cli import _twist_loop
 
 
@@ -103,20 +104,62 @@ def test_batch_matches_single(rng):
 
 
 def test_singular_loop_fails_alone(rng):
-    # 515 loops span two chunks; each chunk holds one zero (singular) loop
-    chunk = birkhoff.CHUNK
+    # block + 3 loops span two blocks; each holds one zero (singular) loop
+    block = loops._BLOCK
     stack = np.stack([tf.random_unimodular_loop(rng, order=16).coeffs
-                      for _ in range(chunk + 3)])
-    zeros = [7, chunk + 1]
+                      for _ in range(block + 3)])
+    zeros = [7, block + 1]
     stack[zeros] = 0
     out = birkhoff.factorize_batch(stack)
     assert np.flatnonzero(~out[3]).tolist() == zeros
-    for lo in (0, chunk):
-        span = np.arange(lo, min(lo + chunk, len(stack)))
+    for lo in (0, block):
+        span = np.arange(lo, min(lo + block, len(stack)))
         good = span[~np.isin(span, zeros)]
         alone = birkhoff.factorize_batch(stack[good])
         for got, want in zip(out, alone):
             assert np.array_equal(got[good], want)
+
+
+@pytest.mark.parametrize("cut", [loops._BLOCK, 50, 1])
+def test_three_blocks_equal_calls_on_pieces(cut):
+    # the stack spans three blocks; pieces of `cut` loops, aligned with the
+    # blocks or not, give the same bits
+    stack = tf.random_unimodular_stack(np.random.default_rng(cut),
+                                       3 * loops._BLOCK, order=16)
+    whole = birkhoff.factorize_slogdet(stack)
+    pieces = [birkhoff.factorize_slogdet(stack[lo:lo + cut])
+              for lo in range(0, len(stack), cut)]
+    for got, *want in zip(whole, *pieces):
+        assert np.array_equal(got, np.concatenate(want))
+    for got, want in zip(birkhoff.toeplitz_slogdet(stack), whole[4:]):
+        assert np.array_equal(got, want)
+
+
+def _peak_mb(fn, *args):
+    """fn's result and its peak traced allocation above what was live."""
+    tracemalloc.reset_peak()
+    live = tracemalloc.get_traced_memory()[0]
+    out = fn(*args)
+    return out, (tracemalloc.get_traced_memory()[1] - live) / 2 ** 20
+
+
+def test_batch_peak_memory_stays_in_blocks():
+    # 1000 loops at N = 32 (4.2 MB of coefficients) peaked 9.0 MB above
+    # what was live to generate and 16.0 MB to factor, in blocks, against
+    # 70.5 and 53.1 MB when each stage held the whole stack; the bounds
+    # give the blocked peaks 2x and 1.5x
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        stack, generate = _peak_mb(tf.random_unimodular_stack,
+                                   np.random.default_rng(1), 1000)
+        _, factor = _peak_mb(birkhoff.factorize_batch, stack)
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert generate <= 18.0
+    assert factor <= 24.0
 
 
 def test_empty_stack_gives_empty_arrays():

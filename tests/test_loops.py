@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tauforge as tf
+from tauforge import loops
 from tauforge.loops import MatrixLoop, ScalarLoop
 
 
@@ -245,3 +246,57 @@ class TestExponential:
         assert np.abs(vals + vals.conj().transpose(0, 2, 1)).max() <= 1e-10
         assert np.abs(np.trace(vals, axis1=1, axis2=2)).max() <= 1e-10
         assert tf.exp_pointwise(u).unimodular
+
+
+class TestRandomStacks:
+    def test_unimodular_stack_crosses_blocks_bit_for_bit(self):
+        count = 2 * loops._BLOCK + 5
+        rng_stack, rng_loop = (np.random.default_rng(11) for _ in range(2))
+        stack = tf.random_unimodular_stack(rng_stack, count)
+        sequential = [tf.random_unimodular_loop(rng_loop).coeffs
+                      for _ in range(count)]
+        assert np.array_equal(stack, np.stack(sequential))
+        assert rng_stack.bit_generator.state == rng_loop.bit_generator.state
+
+    @pytest.mark.parametrize("generator", ["random_tangent_stack",
+                                           "random_unimodular_stack"])
+    @pytest.mark.parametrize("n, order", [(2, 32), (3, 16)])
+    def test_empty_stack(self, generator, n, order):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        stack = getattr(tf, generator)(rng, 0, n=n, order=order)
+        assert stack.shape == (0, 2 * order + 1, n, n)
+        assert rng.bit_generator.state == state
+
+    def test_tail_mass_error_names_the_worst_loop_across_blocks(
+            self, monkeypatch):
+        # Nyquist-bin mass added after exp: loop 3 of the first block
+        # fails, loop 5 of the second fails worse and must be the one named
+        count, m = 2 * loops._BLOCK + 5, loops.default_sample_count(32)
+        spoil = {3: 5e-4, loops._BLOCK + 5: 1e-3}
+        nyquist = (-1.0) ** np.arange(m)[:, None, None]
+        exp_samples, seen = loops._exp_samples, []
+
+        def spoiled(vals):
+            out = exp_samples(vals)
+            lo = sum(seen)
+            seen.append(len(vals))
+            for i, size in spoil.items():
+                if lo <= i < lo + len(vals):
+                    out[i - lo] += size * nyquist
+            return out
+
+        # the same samples as one whole stack, checked in one call
+        vals = exp_samples(loops.coeffs_to_samples(tf.random_tangent_stack(
+            np.random.default_rng(4), count), m))
+        for i, size in spoil.items():
+            vals[i] += size * nyquist
+        with pytest.raises(tf.TailMassError) as whole:
+            loops.samples_to_coeffs(vals, 32, tail_tol=loops.TAIL_THRESHOLD)
+
+        monkeypatch.setattr(loops, "_exp_samples", spoiled)
+        with pytest.raises(tf.TailMassError) as blocked:
+            tf.random_unimodular_stack(np.random.default_rng(4), count)
+        assert seen == [loops._BLOCK, loops._BLOCK, 5]
+        assert str(blocked.value) == str(whole.value)
+        assert f" in loop {loops._BLOCK + 5} exceeds" in str(blocked.value)
