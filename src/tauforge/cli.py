@@ -377,13 +377,13 @@ def _run_ernst(config: ExperimentConfig):
     rs, zs = config.axes()
     field = ernst.logtau_field(sol, rs, zs,
                                tol_path=config.resolved_tol_path())
-    report = ernst.conformal_factor_check(sol, field)
+    report = ernst.conformal_factor_check(field)
     gr, gz = np.meshgrid(rs, zs, indexing="ij")
     residuals = np.atleast_1d(ernst.field_residual(sol, gr, gz))
     z_sample = zs[:: max(1, len(zs) // 6)]
     residue_worst = max(ernst.residue_check(sol, r, z_sample)
                         for r in rs[:: max(1, len(rs) // 6)])
-    loop = ernst.rectangle_loop_integral(sol, rs, zs)
+    loop = ernst.rectangle_loop_integral(field)
     constant_std = min(report.candidate1_std, report.candidate2_std)
 
     checks = [

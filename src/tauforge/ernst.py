@@ -11,14 +11,16 @@ derivatives are closed-form expressions in the first derivatives of J:
     d/dwbar log tau = -(i r / 2) tr((J^-1 dJ/dwbar)^2),
     d/dw    log tau = +(i r / 2) tr((J^-1 dJ/dw)^2),
 
-with w = z + i r.  residue_check re-derives these values through the
-rational frame coefficient of the rotational symmetry: the contour
-integral collapses to the residue at the frame pole, and the Lax
-substitution replaces the frame derivative with r J^-1 dJ, so both
-routes must agree to roundoff.  log tau itself is path-integrated from
-the base point (r, z) = (1, 0), first along z = 0, then along z; every
-path integral here, log tau, the conformal side and the rectangle loop,
-is built from one rule, refine_path_cells, by _leg.
+with w = z + i r, summed by hand into the real r and z components
+_d_r_logtau and _d_z_logtau, which dlogtau recombines.  residue_check
+re-derives the trace squares through the rational frame coefficient of
+the rotational symmetry: the contour integral collapses to the residue at
+the frame pole, and the Lax substitution replaces the frame derivative
+with r J^-1 dJ, so both routes must agree to roundoff.  logtau_field
+integrates the 1-form from the base point (r, z) = (1, 0) by one
+refine_path_cells pass along r and one along z, which give both grid
+paths, r first and z first; the conformal side and the rectangle loop
+are arithmetic on the two.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ BASE_POINT = (1.0, 0.0)
 # refinement cap of each path leg: at most 512 Gauss nodes per cell, since
 # computing n nodes costs O(n^3) and deeper levels would stall a failing run
 PATH_MAX_LEVEL = 8
-# default tolerance of every path leg: log tau, the conformal side, the loop
+# default tolerance of both path legs
 PATH_TOL = 1e-9
 
 
@@ -128,6 +130,30 @@ def field_residual(sol: ErnstSolution, r, z) -> float:
         np.linalg.norm(mat, axis=(-2, -1))
 
 
+# the Wirtinger pair summed by hand (its trace squares are
+# (psi_z^2 - psi_r^2 - 1/r^2)/2 -+ i psi_r psi_z): psi_r, psi_z once, real
+def _d_r_logtau(sol, r, z):
+    """i (d/dw - d/dwbar) log tau = (r/2) (psi_r^2 - psi_z^2) + 1/(2 r)."""
+    r = np.asarray(r, dtype=float)
+    pr, pz = sol.psi_r(r, z), sol.psi_z(r, z)
+    return 0.5 * r * (pr * pr - pz * pz) + 0.5 / r
+
+
+def _d_z_logtau(sol, r, z):
+    """(d/dw + d/dwbar) log tau = r psi_r psi_z."""
+    r = np.asarray(r, dtype=float)
+    return r * sol.psi_r(r, z) * sol.psi_z(r, z)
+
+
+def dlogtau(sol: ErnstSolution, r, z, direction: str = "wbar"):
+    """Closed-form d log tau in the w or wbar direction, (d_z -+ i d_r)/2."""
+    if direction not in ("w", "wbar"):
+        raise ValueError("direction must be 'w' or 'wbar'")
+    s = {"wbar": 1j, "w": -1j}[direction]
+    val = 0.5 * (_d_z_logtau(sol, r, z) + s * _d_r_logtau(sol, r, z))
+    return complex(val) if val.ndim == 0 else val
+
+
 def _trace_square(sol: ErnstSolution, r, z, direction: str):
     """tr((J^-1 dJ)^2) for d = d/dw or d/dwbar at (r, z)."""
     r = np.asarray(r, dtype=float)
@@ -139,16 +165,6 @@ def _trace_square(sol: ErnstSolution, r, z, direction: str):
     d_top = 0.5 * (pz + s * (1.0 / r + pr))
     d_bot = 0.5 * (-pz + s * (1.0 / r - pr))
     return d_top ** 2 + d_bot ** 2
-
-
-def dlogtau(sol: ErnstSolution, r, z, direction: str = "wbar"):
-    """Closed-form d log tau in the w or wbar direction."""
-    if direction not in ("w", "wbar"):
-        raise ValueError("direction must be 'w' or 'wbar'")
-    sign = {"wbar": -1.0, "w": 1.0}[direction]
-    val = sign * 0.5j * np.asarray(r, dtype=float) \
-        * _trace_square(sol, r, z, direction)
-    return complex(val) if val.ndim == 0 else val
 
 
 def residue_check(sol: ErnstSolution, r, z) -> float:
@@ -173,21 +189,6 @@ def residue_check(sol: ErnstSolution, r, z) -> float:
     return worst
 
 
-# the Wirtinger pair of dlogtau summed by hand (its trace squares are
-# (psi_z^2 - psi_r^2 - 1/r^2)/2 -+ i psi_r psi_z): psi_r, psi_z once, real
-def _d_r_logtau(sol, r, z):
-    """i (d/dw - d/dwbar) log tau = (r/2) (psi_r^2 - psi_z^2) + 1/(2 r)."""
-    r = np.asarray(r, dtype=float)
-    pr, pz = sol.psi_r(r, z), sol.psi_z(r, z)
-    return 0.5 * r * (pr * pr - pz * pz) + 0.5 / r
-
-
-def _d_z_logtau(sol, r, z):
-    """(d/dw + d/dwbar) log tau = r psi_r psi_z."""
-    r = np.asarray(r, dtype=float)
-    return r * sol.psi_r(r, z) * sol.psi_z(r, z)
-
-
 # -- path-integrated fields ---------------------------------------------
 
 
@@ -195,21 +196,23 @@ def _d_z_logtau(sol, r, z):
 class ErnstTauField:
     """Grid data over (r, z); arrays indexed [ir, iz]; log_tau real.
 
-    levels and final_change hold, per path leg ("r", "z"), the Gauss
-    level reached and the worst per-cell difference of its two rules.
+    log_tau integrates d log tau from the base point first in r at z = 0,
+    then in z; log_tau_z_first first in z at r = 1, then in r.  levels and
+    final_change hold, per path leg ("r", "z"), the Gauss level reached
+    and the worst per-cell difference of its two rules.
     """
 
     rs: np.ndarray
     zs: np.ndarray
     log_tau: np.ndarray
+    log_tau_z_first: np.ndarray
     dlogtau_w: np.ndarray
-    dlogtau_wbar: np.ndarray
     levels: dict
     final_change: dict
 
 
 def _leg(sol: ErnstSolution, along: str, nodes, anchor: float, fixed,
-         tol: float = PATH_TOL):
+         tol: float):
     """Antiderivative of d log tau along r or z from anchor, at the nodes.
 
     Column j holds the other coordinate at fixed[j]; each interval between
@@ -233,34 +236,35 @@ def _leg(sol: ErnstSolution, along: str, nodes, anchor: float, fixed,
 
 def logtau_field(sol: ErnstSolution, rs, zs,
                  tol_path: float = PATH_TOL) -> ErnstTauField:
-    """Path-integrate d log tau from (1, 0): first in r at z = 0, then in z."""
+    """Path-integrate d log tau from (1, 0), r first and z first; the r leg
+    runs at z = 0 and every grid z, the z leg at r = 1 and every grid r."""
     rs, zs = validated_axes(rs, zs)
     if rs[0] <= 0:
         raise ValueError("grid must stay in the r > 0 half plane")
     r0, z0 = BASE_POINT
-    cum_r, level_r, change_r = _leg(sol, "r", rs, r0, [z0], tol_path)
-    cum_z, level_z, change_z = _leg(sol, "z", zs, z0, rs, tol_path)
-    log_tau = cum_r[0][:, None] + cum_z
+    cum_r, level_r, change_r = _leg(sol, "r", rs, r0, np.r_[z0, zs], tol_path)
+    cum_z, level_z, change_z = _leg(sol, "z", zs, z0, np.r_[r0, rs], tol_path)
 
     gr, gz = np.meshgrid(rs, zs, indexing="ij")
     return ErnstTauField(
-        rs=rs, zs=zs, log_tau=log_tau.real,
+        rs=rs, zs=zs,
+        log_tau=(cum_r[0][:, None] + cum_z[1:]).real,
+        log_tau_z_first=(cum_z[0] + cum_r[1:].T).real,
         dlogtau_w=dlogtau(sol, gr, gz, "w"),
-        dlogtau_wbar=dlogtau(sol, gr, gz, "wbar"),
         levels={"r": level_r, "z": level_z},
         final_change={"r": change_r, "z": change_z})
 
 
-def rectangle_loop_integral(sol: ErnstSolution, rs, zs) -> complex:
-    """Loop integral of d log tau around the rectangle spanned by rs and zs.
+def rectangle_loop_integral(field: ErnstTauField) -> complex:
+    """Loop integral of d log tau around the rectangle of field's grid.
 
-    Closed for genuine solutions.  Each edge is integrated cell by cell
-    over the given nodes, so two-node axes give one cell per edge.
+    At each node the two paths of field differ by the loop around the
+    rectangle between that node and the base point, so the loop around
+    the grid is that difference combined over the four corners.  Closed
+    for genuine solutions.
     """
-    rs, zs = validated_axes(rs, zs)
-    along_r = _leg(sol, "r", rs, rs[0], zs[[0, -1]])[0][:, -1]
-    along_z = _leg(sol, "z", zs, zs[0], rs[[0, -1]])[0][:, -1]
-    return complex(along_r[0] + along_z[1] - along_r[1] - along_z[0])
+    diff = field.log_tau - field.log_tau_z_first
+    return complex(diff[-1, -1] - diff[0, -1] - diff[-1, 0] + diff[0, 0])
 
 
 # -- conformal factor ----------------------------------------------------
@@ -277,27 +281,19 @@ class ConformalFactorReport:
     constant_candidate: str
 
 
-def conformal_factor_check(sol: ErnstSolution,
-                           field: ErnstTauField) -> ConformalFactorReport:
-    """Integrate the conformal-factor equation and compare it to log tau.
+def conformal_factor_check(field: ErnstTauField) -> ConformalFactorReport:
+    """Compare log tau with the conformal factor over field's grid.
 
-    field is logtau_field(sol, rs, zs) on the grid to compare over.  The
-    displayed equation for log(r Omega^2) has the same Wirtinger
-    derivatives as log tau, so candidate 1 = log tau - log(r Omega^2)
-    should be grid-constant; candidate 2 = log tau + log(r^2 Omega) is
-    reported alongside for comparison.  log(r Omega^2) is integrated along
-    the other path, first in z at r = 1, then in r, so candidate 1 is
-    constant only where the 1-form is closed between the two paths.
+    field is logtau_field(sol, rs, zs).  The displayed equation for
+    log(r Omega^2) has the same Wirtinger derivatives as log tau, so
+    log(r Omega^2), normalized to 0 at the base point, is the 1-form
+    integrated along the other path, field.log_tau_z_first.  Candidate
+    1 = log tau - log(r Omega^2) is then grid-constant only where the
+    1-form is closed between the two paths; candidate 2 = log tau +
+    log(r^2 Omega) is reported alongside for comparison.
     """
-    rs, zs = field.rs, field.zs
-    r0, z0 = BASE_POINT
-
-    # log(r Omega^2), normalized to 0 at the base point: z first, then r
-    cum_z = _leg(sol, "z", zs, z0, [r0])[0]
-    cum_r = _leg(sol, "r", rs, r0, zs)[0]
-    log_romega2 = (cum_z + cum_r.T).real
-
-    log_r = np.log(rs)[:, None]
+    log_romega2 = field.log_tau_z_first
+    log_r = np.log(field.rs)[:, None]
     candidate1 = field.log_tau - log_romega2
     candidate2 = field.log_tau + 1.5 * log_r + 0.5 * log_romega2
     std1 = float(candidate1.std())

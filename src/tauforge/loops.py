@@ -130,17 +130,19 @@ def _coeffs_and_tail(samples, order: int, tail: bool = True):
     return np.moveaxis(spec[..., idx] / m, -1, -3), fraction
 
 
-def _check_tail(fraction, tail_tol: float):
-    """Raise TailMassError when the worst loop's alias fraction exceeds
-    tail_tol; for a stack the message gives that loop's index (flat, in C
-    order over the loop axes)."""
+def _check_tail(fraction, tail_tol: float, what="discarded alias mass"):
+    """Raise TailMassError when the worst loop's mass fraction exceeds
+    tail_tol or is NaN, as for a loop with NaN or inf entries; for a stack
+    the message gives that loop's index (flat, in C order over the loop
+    axes), the first NaN one if any."""
     fraction = np.asarray(fraction)
     worst = np.max(fraction, initial=-np.inf)
-    if worst > tail_tol:
+    if not worst <= tail_tol:
         where = f" in loop {int(fraction.argmax())}" if fraction.ndim else ""
+        hint = ("increase the truncation order" if np.isfinite(worst)
+                else "the loop is not finite")
         raise TailMassError(
-            f"discarded alias mass {worst:.3e}{where} exceeds "
-            f"{tail_tol:.1e}; increase the truncation order")
+            f"{what} {worst:.3e}{where} exceeds {tail_tol:.1e}; {hint}")
 
 
 def _by_block(fn, stack):
@@ -243,9 +245,8 @@ class MatrixLoop:
         if tail_tol is not None:
             ks = np.arange(-self.order, self.order + 1)
             dropped = _tail_fraction(self.coeffs, np.abs(ks) <= order)
-            if dropped > tail_tol:
-                raise TailMassError(
-                    f"truncation to order {order} drops {dropped:.3e} of the mass")
+            _check_tail(dropped, tail_tol,
+                        f"mass dropped by truncation to order {order}")
         sl = slice(self.order - order, self.order + order + 1)
         return type(self)(self.coeffs[sl].copy(), unimodular=self.unimodular)
 

@@ -207,11 +207,12 @@ def test_criterion_5_dlogtau_closedness(report, one_pole_grid,
 
     spans = [((1.0, 1.5), (0.0, 0.5)), ((0.6, 2.1), (-0.8, 0.9))]
     closed = max(
-        abs(ernst.rectangle_loop_integral(sol, rspan, zspan))
+        abs(ernst.rectangle_loop_integral(
+            ernst.logtau_field(sol, rspan, zspan)))
         for sol in (ernst.kasner(0.7), ernst.point_source(0.8, -1.5))
         for rspan, zspan in spans)
-    broken = abs(ernst.rectangle_loop_integral(
-        shear_solution(), (1.0, 1.5), (0.0, 0.5)))
+    broken = abs(ernst.rectangle_loop_integral(ernst.logtau_field(
+        shear_solution(), (1.0, 1.5), (0.0, 0.5))))
 
     ok = mixed <= 1e-6 and closed <= 1e-8 and broken > 1e-2
     assert report(
@@ -243,7 +244,7 @@ def test_criterion_6_ernst_closed_forms(report):
     constant_std = 0.0
     recorded = set()
     for sol in (ernst.kasner(0.7), source):
-        rep = ernst.conformal_factor_check(sol, ernst.logtau_field(sol, rs, zs))
+        rep = ernst.conformal_factor_check(ernst.logtau_field(sol, rs, zs))
         constant_std = max(constant_std, min(rep.candidate1_std,
                                              rep.candidate2_std))
         recorded.add(rep.constant_candidate)

@@ -204,6 +204,14 @@ class TestKdvPipeline:
         assert code == cli.EXIT_CHECK_FAILED
         assert "[FAIL] tail_mass:" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_pullback_exits_2(self, capsys):
+        # cosh overflows at |x| = 1e6; the NaN loops fail the tail check
+        code = run_cli(["kdv", "--preset", "vacuum", "--grid=-1e6:1e6:7"])
+        assert code == cli.EXIT_CHECK_FAILED
+        assert "[FAIL] tail_mass:" in capsys.readouterr().out
+
     def test_bad_cell_on_path_exits_4(self):
         code = run_cli(["kdv", "--preset", "one_pole:strength=1.0",
                         "--grid", "-0.3:-0.2:7,0.5:1.2:8"])
@@ -245,7 +253,57 @@ class TestErnstPipeline:
                             lambda sol, r, z: d_z(sol, r, z) + 1e-6 * r)
         assert run_cli(["ernst", "--preset", "point_source"]) \
             == cli.EXIT_CHECK_FAILED
-        assert "[FAIL] conformal_constant" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "[FAIL] conformal_constant" in out
+        assert "[FAIL] loop_closedness" in out
+
+    @pytest.mark.parametrize("args", [
+        ["ernst", "--preset", "flat"], ["ernst", "--preset", "kasner:a=0.7"],
+        ["ernst", "--preset", "point_source"], ["selftest"]])
+    def test_closed_perturbation_fails_residue_route(self, args, monkeypatch,
+                                                     capsys):
+        # 2e-6 r dr is closed: both paths and the loop still agree, and
+        # only the trace-square route of residue_check sees it
+        d_r = ernst._d_r_logtau
+        monkeypatch.setattr(ernst, "_d_r_logtau",
+                            lambda sol, r, z: d_r(sol, r, z) + 2e-6 * r)
+        assert run_cli(args) == cli.EXIT_CHECK_FAILED
+        assert any(line.startswith("[FAIL]") and "residue_route" in line
+                   for line in capsys.readouterr().out.splitlines())
+
+    def test_perturbed_trace_square_fails_residue_route(self, monkeypatch,
+                                                        capsys):
+        trace_square = ernst._trace_square
+        monkeypatch.setattr(
+            ernst, "_trace_square",
+            lambda sol, r, z, direction: trace_square(sol, r, z, direction)
+            + 1e-9)
+        assert run_cli(["ernst", "--preset", "point_source"]) \
+            == cli.EXIT_CHECK_FAILED
+        assert "[FAIL] residue_route" in capsys.readouterr().out
+
+    def test_one_run_makes_two_path_passes(self, monkeypatch):
+        # one pass along r, one along z; the conformal side and the loop
+        # are arithmetic on the two antiderivatives
+        calls = []
+        refine = ernst.refine_path_cells
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return refine(*args, **kwargs)
+
+        monkeypatch.setattr(ernst, "refine_path_cells", counted)
+        assert run_cli(["ernst"]) == 0
+        # columns: z = 0 and the 11 grid z, r = 1 and the 16 grid r
+        assert calls == [12, 17]
+
+    def test_trace_square_serves_only_the_residue_route(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("_trace_square called outside residue_check")
+
+        monkeypatch.setattr(ernst, "_trace_square", unused)
+        monkeypatch.setattr(ernst, "residue_check", lambda sol, r, z: 0.0)
+        assert run_cli(["ernst"]) == 0
 
     def test_path_tolerance_below_roundoff_exits_2(self, capsys):
         assert run_cli(["ernst", "--tol-path", "1e-30"]) == cli.EXIT_CHECK_FAILED

@@ -57,6 +57,19 @@ class TestTransforms:
         with pytest.raises(tf.TailMassError):
             MatrixLoop.from_samples(vals, order=8, tail_tol=1e-8)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_tail_mass_error_names_a_non_finite_loop(self, rng, bad):
+        # a NaN fraction compares False with the tolerance, yet must fail
+        vals = np.stack([random_loop(rng).samples(64) for _ in range(4)])
+        vals[2, 5, 0, 1] = bad
+        with pytest.raises(tf.TailMassError, match=" in loop 2 exceeds"):
+            loops.samples_to_coeffs(vals, 8, tail_tol=1e-8)
+        loop = random_loop(rng)
+        loop.coeffs[3, 1, 0] = bad
+        with pytest.raises(tf.TailMassError, match="truncation to order 4"):
+            loop.truncate(4)
+
     def test_unimodular_tag_defect(self, rng):
         loop = tf.random_unimodular_loop(rng)
         assert loop.unimodular
