@@ -172,17 +172,16 @@ def _assemble(coeffs, plus, order, sample_count):
     return gm, gp, res
 
 
-def factorize(gamma: MatrixLoop, tol: float = FACTOR_TOL,
-              cond_limit: float = COND_LIMIT) -> BirkhoffFactors:
+def factorize(gamma: MatrixLoop, tol: float = FACTOR_TOL) -> BirkhoffFactors:
     """Factor a single loop, with a condition estimate of the Toeplitz system.
 
-    Raises BigCellError when the system condition exceeds cond_limit or the
+    Raises BigCellError when the system condition exceeds COND_LIMIT or the
     reconstruction residual exceeds tol.
     """
     t = toeplitz_matrix(gamma)
     condition = float(np.linalg.cond(t))
-    if not np.isfinite(condition) or condition > cond_limit:
-        raise BigCellError(f"Toeplitz condition {condition:.3e} exceeds {cond_limit:.1e}")
+    if not np.isfinite(condition) or condition > COND_LIMIT:
+        raise BigCellError(f"Toeplitz condition {condition:.3e} exceeds {COND_LIMIT:.1e}")
     gm, gp, res, ok = factorize_batch(gamma.coeffs[None], tol=tol)
     if not ok[0]:
         raise BigCellError(f"reconstruction residual {res[0]:.3e} exceeds tol {tol:.1e}")

@@ -307,12 +307,16 @@ def _residual_telemetry(residuals, tol):
     return worst, margin, int(((residuals > tol / 10) & (residuals <= tol)).sum())
 
 
+# preset name -> seed builder, called as builder(order=trunc, **params)
+_KDV_PRESETS = {
+    "vacuum": kdv.seed_vacuum,
+    "one_pole": kdv.seed_one_pole,
+}
+
+
 def _run_kdv(config: ExperimentConfig):
     name, params = config.resolved_preset()
-    if name == "vacuum":
-        seed = kdv.seed_vacuum(order=config.trunc)
-    else:
-        seed = kdv.seed_one_pole(order=config.trunc, **params)
+    seed = _KDV_PRESETS[name](order=config.trunc, **params)
     xs, ts = config.axes()
     grid = kdv.tau_grid(seed, xs, ts, order=config.trunc,
                         factor_tol=config.tol_factor)
@@ -362,18 +366,18 @@ def _run_kdv(config: ExperimentConfig):
     return checks, header, columns, extra
 
 
+# preset name -> solution builder, called as builder(**params)
 _ERNST_PRESETS = {
-    "flat": lambda p: ernst.flat(),
-    "kasner": lambda p: ernst.kasner(p.get("a", 0.7)),
-    "point_source": lambda p: ernst.point_source(
-        p.get("strength", 0.8), p.get("z0", -1.5)),
-    "non_solution": lambda p: ernst.non_solution(),
+    "flat": ernst.flat,
+    "kasner": ernst.kasner,
+    "point_source": ernst.point_source,
+    "non_solution": ernst.non_solution,
 }
 
 
 def _run_ernst(config: ExperimentConfig):
     name, params = config.resolved_preset()
-    sol = _ERNST_PRESETS[name](params)
+    sol = _ERNST_PRESETS[name](**params)
     rs, zs = config.axes()
     field = ernst.logtau_field(sol, rs, zs,
                                tol_path=config.resolved_tol_path())
@@ -424,7 +428,9 @@ def _run_birkhoff(config: ExperimentConfig):
     if name == "twist":
         # diag(lambda, 1/lambda) sits outside the big cell by design
         factorize(_twist_loop(config.trunc), tol=config.tol_factor)
-        raise AssertionError("twist loop unexpectedly factored")
+        raise NumericalInvariantError(
+            "the twist loop diag(lambda, 1/lambda) factored: big-cell "
+            "detection missed it")
 
     stack = random_unimodular_stack(
         np.random.default_rng(config.rng_seed), config.count,

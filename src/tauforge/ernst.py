@@ -72,7 +72,7 @@ def flat() -> ErnstSolution:
                          psi_rr=z0, psi_zz=z0)
 
 
-def kasner(a: float) -> ErnstSolution:
+def kasner(a: float = 0.7) -> ErnstSolution:
     """psi = a log r; harmonic for every a."""
     return ErnstSolution(
         f"kasner({a:g})",
@@ -83,7 +83,7 @@ def kasner(a: float) -> ErnstSolution:
         psi_zz=_zeros_like_pair)
 
 
-def point_source(strength: float = 1.0, z0: float = 0.0) -> ErnstSolution:
+def point_source(strength: float = 0.8, z0: float = -1.5) -> ErnstSolution:
     """psi = strength / sqrt(r^2 + (z - z0)^2), the axis monopole."""
 
     def rad(r, z):

@@ -139,18 +139,21 @@ def _pullback_values(seed: KdVSeed, v, x, t, order: int):
 
     exp(-mu Phi) P0 = C P0 - (mu S) Phi P0, where Phi P0 is P0 with its
     rows swapped and the new top row divided by lambda.  The stack is
-    entry-major, like every sample stack.
+    entry-major, like every sample stack.  Far from the origin cosh
+    overflows and inf * 0 gives NaN; such loops are left non-finite, without
+    a warning, for the tail-mass check to reject.
     """
     m = default_sample_count(order)
     lam = circle_points(m)
     v = np.atleast_1d(np.asarray(v, dtype=complex))[:, None]
     x = np.atleast_1d(np.asarray(x, dtype=complex))[:, None]
     t = np.atleast_1d(np.asarray(t, dtype=complex))[:, None]
-    c, mu_s = _exp_minus_mu_phi(v + lam * x + lam ** 2 * t, lam)
     p0 = np.moveaxis(MatrixLoop.samples(seed.p0, m), -3, -1)  # (2, 2, M)
     phi_p0 = np.stack([p0[1] / lam, p0[0]])
-    vals = c[:, None, None] * p0
-    vals -= mu_s[:, None, None] * phi_p0
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, mu_s = _exp_minus_mu_phi(v + lam * x + lam ** 2 * t, lam)
+        vals = c[:, None, None] * p0
+        vals -= mu_s[:, None, None] * phi_p0
     return np.moveaxis(vals, -1, -3)
 
 
@@ -188,9 +191,10 @@ def _direction_u_samples(direction: str, m: int):
     return u
 
 
-def _multiplier_loop(direction: str, order: int = 2) -> ScalarLoop:
+def _multiplier_loop(direction: str) -> ScalarLoop:
+    # h is a polynomial of degree <= 2, held exactly at order 2
     h = _direction_multiplier(direction)
-    return ScalarLoop.from_scalar_function(h.eval, order=order)
+    return ScalarLoop.from_scalar_function(h.eval, order=2)
 
 
 # -- potential extraction ----------------------------------------------
@@ -238,12 +242,12 @@ def q_contour(seed: KdVSeed, p: SpacetimePoint,
     """q as the contour variation of log tau in the x direction.
 
     Assembled through the generic variation machinery (multiplier h from
-    the direction decomposition, horizontal lift, gauge part only) so the
-    route is independent of the expansion formula.
+    the direction decomposition, horizontal lift) so the route is
+    independent of the expansion formula.
     """
     loop = pullback_patching(seed, p, order)
     variation = TauVariationInput(
-        h=_multiplier_loop("x"), phi=phi_normal_form(order=2), v_coeff=None)
+        h=_multiplier_loop("x"), phi=phi_normal_form(order=2))
     return tau_variation(loop, variation)
 
 

@@ -18,6 +18,9 @@ DEFAULT_ORDER = 32
 DEFAULT_SAMPLES = 256
 TAIL_THRESHOLD = 1e-8
 TANGENT_BAND = 8
+# damping of mode k of a random tangent, TANGENT_DECAY^|k|; it keeps exp of
+# the tangent inside the TAIL_THRESHOLD budget at order 32
+TANGENT_DECAY = 0.25
 # loops per block in every batch stage that _by_block runs: a block's
 # 256-point sample stack of 2x2 loops is 1 MB, so each stage works in L2
 # cache; 64 was the pick of a timing sweep over 32..512
@@ -236,17 +239,17 @@ class MatrixLoop:
 
     # -- structural operations ----------------------------------------
 
-    def truncate(self, order: int, tail_tol: float | None = TAIL_THRESHOLD) -> "MatrixLoop":
-        """Keep modes -order..order; dropped mass is checked, never filtered."""
+    def truncate(self, order: int) -> "MatrixLoop":
+        """Keep modes -order..order; dropped mass is checked against
+        TAIL_THRESHOLD, never filtered."""
         if order >= self.order:
             coeffs = np.zeros((2 * order + 1, self.n, self.n), dtype=complex)
             coeffs[order - self.order:order + self.order + 1] = self.coeffs
             return type(self)(coeffs, unimodular=self.unimodular)
-        if tail_tol is not None:
-            ks = np.arange(-self.order, self.order + 1)
-            dropped = _tail_fraction(self.coeffs, np.abs(ks) <= order)
-            _check_tail(dropped, tail_tol,
-                        f"mass dropped by truncation to order {order}")
+        ks = np.arange(-self.order, self.order + 1)
+        dropped = _tail_fraction(self.coeffs, np.abs(ks) <= order)
+        _check_tail(dropped, TAIL_THRESHOLD,
+                    f"mass dropped by truncation to order {order}")
         sl = slice(self.order - order, self.order + order + 1)
         return type(self)(self.coeffs[sl].copy(), unimodular=self.unimodular)
 
@@ -299,11 +302,10 @@ class MatrixLoop:
 class ScalarLoop(MatrixLoop):
     """Scalar loop (n = 1); eval returns plain numbers, not 1x1 matrices."""
 
-    def __init__(self, coeffs, real_on_circle: bool = False, **kw):
+    def __init__(self, coeffs, **kw):
         super().__init__(coeffs, **kw)
         if self.n != 1:
             raise ValueError("ScalarLoop requires n = 1")
-        self.real_on_circle = bool(real_on_circle)
 
     @classmethod
     def from_modes(cls, modes: dict, n: int = 1, order: int = DEFAULT_ORDER,
@@ -326,11 +328,10 @@ class ScalarLoop(MatrixLoop):
 
     @classmethod
     def from_scalar_function(cls, fn, order: int = DEFAULT_ORDER,
-                             tail_tol: float | None = TAIL_THRESHOLD,
                              **kw) -> "ScalarLoop":
         m = default_sample_count(order)
         vals = np.asarray(fn(circle_points(m)), dtype=complex)[:, None, None]
-        return cls.from_samples(vals, order, tail_tol=tail_tol, **kw)
+        return cls.from_samples(vals, order, tail_tol=TAIL_THRESHOLD, **kw)
 
 
 def monomial(k: int, block, order: int | None = None) -> MatrixLoop:
@@ -343,12 +344,10 @@ def monomial(k: int, block, order: int | None = None) -> MatrixLoop:
 
 # -- pointwise algebra ---------------------------------------------------
 
-def multiply(a: MatrixLoop, b: MatrixLoop, out_order: int | None = None,
-             tail_tol: float | None = TAIL_THRESHOLD) -> MatrixLoop:
+def multiply(a: MatrixLoop, b: MatrixLoop) -> MatrixLoop:
     """Dealiased product; exact at truncation order_a + order_b.
 
-    Scalar factors broadcast against matrix factors.  With out_order the
-    exact result is re-truncated under a tail-mass check.
+    Scalar factors broadcast against matrix factors.
     """
     exact_order = a.order + b.order
     m = _fast_len(4 * exact_order + 2)
@@ -361,11 +360,8 @@ def multiply(a: MatrixLoop, b: MatrixLoop, out_order: int | None = None,
     else:
         prod = sa @ sb
     cls = ScalarLoop if prod.shape[1] == 1 else MatrixLoop
-    result = cls(samples_to_coeffs(prod, exact_order),
-                 unimodular=a.unimodular and b.unimodular and a.n == b.n)
-    if out_order is not None and out_order < exact_order:
-        result = result.truncate(out_order, tail_tol)
-    return result
+    return cls(samples_to_coeffs(prod, exact_order),
+               unimodular=a.unimodular and b.unimodular and a.n == b.n)
 
 
 def inverse(a: MatrixLoop) -> MatrixLoop:
@@ -479,7 +475,7 @@ def _exp_samples(vals):
     return scipy.linalg.expm(vals)
 
 
-def exp_pointwise(a: MatrixLoop, tail_tol: float | None = TAIL_THRESHOLD) -> MatrixLoop:
+def exp_pointwise(a: MatrixLoop) -> MatrixLoop:
     """Pointwise matrix exponential, recovered at the input's truncation.
 
     2x2 samples use the closed form of _expm_2x2, larger ones batched
@@ -487,7 +483,7 @@ def exp_pointwise(a: MatrixLoop, tail_tol: float | None = TAIL_THRESHOLD) -> Mat
     spectrum past what order N can hold.
     """
     exp_vals = _exp_samples(MatrixLoop.samples(a))
-    out = type(a).from_samples(exp_vals, a.order, tail_tol=tail_tol)
+    out = type(a).from_samples(exp_vals, a.order, tail_tol=TAIL_THRESHOLD)
     # det(exp u) = exp(tr u): traceless input gives a unimodular loop
     if a.n > 1 and np.abs(np.trace(a.coeffs, axis1=1, axis2=2)).max() < 1e-13:
         out.unimodular = True
@@ -522,33 +518,32 @@ def commutator(a: MatrixLoop, b: MatrixLoop) -> MatrixLoop:
 
 def random_tangent_stack(rng: np.random.Generator, count: int, n: int = 2,
                          band: int = TANGENT_BAND, amplitude: float = 0.5,
-                         decay: float = 0.25, order: int = DEFAULT_ORDER,
+                         order: int = DEFAULT_ORDER,
                          antihermitian: bool = False,
                          traceless: bool = True) -> np.ndarray:
     """Coefficients (count, 2N+1, n, n) of random smooth loops.
 
-    Modes -band..band are complex Gaussian blocks damped by decay^|k|, and
-    each loop is scaled to sup norm amplitude on its circle grid.  The
-    normals are drawn in one call, loop by loop and mode by mode (the real
-    block, then the imaginary one), so the stack equals count sequential
-    random_tangent calls and leaves rng in the same state.  The decay keeps
-    exp of the result inside the default tail-mass budget at order 32.
+    Modes -band..band are complex Gaussian blocks damped by
+    TANGENT_DECAY^|k|, and each loop is scaled to sup norm amplitude on its
+    circle grid.  The normals are drawn in one call, loop by loop and mode
+    by mode (the real block, then the imaginary one), so the stack equals
+    count sequential random_tangent calls and leaves rng in the same state.
     Raises ValueError when the band does not fit the order.
     """
-    normals, tangent = _tangent_draw(rng, count, n, band, amplitude, decay,
+    normals, tangent = _tangent_draw(rng, count, n, band, amplitude,
                                      order, antihermitian, traceless)
     return tangent(normals)
 
 
 def _tangent_draw(rng, count, n=2, band=TANGENT_BAND, amplitude=0.5,
-                  decay=0.25, order=DEFAULT_ORDER, antihermitian=False,
-                  traceless=True):
+                  order=DEFAULT_ORDER, antihermitian=False, traceless=True):
     """The normals of random_tangent_stack, drawn in its one call, and the
     per-block core that turns a block of them into tangent coefficients."""
     if band > order:
         raise ValueError(f"tangent band {band} exceeds truncation order {order}")
     normals = rng.standard_normal((count, 2 * band + 1, 2, n, n))
-    weights = np.array([decay ** abs(k) for k in range(-band, band + 1)])
+    weights = np.array([TANGENT_DECAY ** abs(k)
+                        for k in range(-band, band + 1)])
     m = default_sample_count(order)
 
     def tangent(block):

@@ -32,6 +32,9 @@ from .loops import (
 _TWO_PI_I = 2j * np.pi
 # largest g_plus contour term vacuum_logderiv_diffeo accepts as vanished
 GPLUS_TOL = 1e-9
+# largest antihermitian or trace defect of a LoopTangent, and largest
+# imaginary part of a value checked to be real
+DEFECT_TOL = 1e-10
 
 
 @dataclass
@@ -52,17 +55,17 @@ class LoopTangent:
         vals = MatrixLoop.samples(self.loop)
         return float(np.abs(np.trace(vals, axis1=1, axis2=2)).max())
 
-    def validate(self, tol: float = 1e-10) -> "LoopTangent":
+    def validate(self) -> "LoopTangent":
         if self.antihermitian:
             bad = self.antihermitian_defect()
-            if bad > tol:
+            if bad > DEFECT_TOL:
                 raise NumericalInvariantError(
-                    f"antihermitian defect {bad:.3e} > {tol:.1e}")
+                    f"antihermitian defect {bad:.3e} > {DEFECT_TOL:.1e}")
         if self.traceless:
             bad = self.trace_defect()
-            if bad > tol:
+            if bad > DEFECT_TOL:
                 raise NumericalInvariantError(
-                    f"trace defect {bad:.3e} > {tol:.1e}")
+                    f"trace defect {bad:.3e} > {DEFECT_TOL:.1e}")
         return self
 
 
@@ -70,15 +73,14 @@ class LoopTangent:
 class TauVariationInput:
     """Symmetry data entering a tau-function variation.
 
-    h is the meromorphic multiplier of the direction, phi the Higgs-field
-    loop it multiplies in the gauge part, and v_coeff the d/dlambda
-    coefficient of the lifted vector field (None for purely horizontal
-    symmetries).
+    h is the meromorphic multiplier of the direction and phi the
+    Higgs-field loop it multiplies in the gauge part.  Only translations
+    are decomposed, and they lift horizontally, so there is no d/dlambda
+    part.
     """
 
     h: ScalarLoop
     phi: MatrixLoop
-    v_coeff: ScalarLoop | None = None
 
 
 def _as_loop(u) -> MatrixLoop:
@@ -129,13 +131,13 @@ def hamiltonian_gauge(gamma: MatrixLoop, u, check_real: bool | None = None):
 
 
 def hamiltonian_diffeo(gamma: MatrixLoop, xi: ScalarLoop,
-                       check_real: bool | None = None):
+                       check_real: bool = False):
     """H_xi(gamma) = (1/4 pi) contour xi tr((gamma' gamma^-1)^2) dtheta."""
     ginv = _loop_inverse(gamma)
     w = multiply(gamma.derivative_theta(), ginv)
     sq = multiply(w, w).trace()
     value = 0.5 * mean_theta(multiply(xi, sq))
-    return _maybe_real(value, check_real, default=getattr(xi, "real_on_circle", False))
+    return _maybe_real(value, check_real, default=False)
 
 
 def cocycle(u, v) -> complex:
@@ -202,13 +204,10 @@ def vacuum_logderiv_diffeo(gamma_or_factors, xi10: ScalarLoop) -> complex:
 
 
 def tau_variation(gamma_or_factors, variation: TauVariationInput) -> complex:
-    """Y-contraction of d log tau assembled from gauge and diffeo parts."""
-    factors = _factors_of(gamma_or_factors)
-    value = vacuum_logderiv_gauge(factors, multiply(variation.h, variation.phi))
-    if variation.v_coeff is not None:
-        xi10 = multiply(variation.h, variation.v_coeff)
-        value += vacuum_logderiv_diffeo(factors, xi10)
-    return value
+    """Y-contraction of d log tau: the gauge part for the multiplied Higgs
+    field h phi, the whole variation of a horizontal symmetry."""
+    return vacuum_logderiv_gauge(gamma_or_factors,
+                                 multiply(variation.h, variation.phi))
 
 
 def curvature_mismatch(gamma: MatrixLoop, u, v, eps: float = 1e-3) -> complex:
@@ -233,13 +232,12 @@ def curvature_mismatch(gamma: MatrixLoop, u, v, eps: float = 1e-3) -> complex:
     return complex(du_fv - dv_fu + bracket)
 
 
-def _maybe_real(value: complex, check_real: bool | None, default: bool,
-                tol: float = 1e-10):
+def _maybe_real(value: complex, check_real: bool | None, default: bool):
     value = complex(value)
     check = default if check_real is None else check_real
     if check:
-        if abs(value.imag) > tol:
+        if abs(value.imag) > DEFECT_TOL:
             raise NumericalInvariantError(
-                f"imaginary part {value.imag:.3e} exceeds {tol:.1e}")
+                f"imaginary part {value.imag:.3e} exceeds {DEFECT_TOL:.1e}")
         return float(value.real)
     return value

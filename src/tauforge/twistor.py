@@ -5,12 +5,12 @@ The correspondence space carries the two Lax fields
 
     V0 = d/dx - lambda d/dv,     V1 = d/dt - lambda d/dx,
 
-and each holomorphic symmetry Y of space-time splits against a reference
-generator X as Y = f0 V0 + f1 V1 + h X with f0, f1, h rational of degree
-at most two in lambda.  The split is computed by Cramer's rule on the
-coefficient basis (d/dv, d/dx, d/dt) and reconstructed exactly by Lagrange
-interpolation at small-integer sample points, so translation symmetries
-come out with exact coefficients.
+and each space-time translation Y splits against a reference translation
+X as Y = f0 V0 + f1 V1 + h X with f0, f1, h rational of degree at most two
+in lambda.  The split is computed by Cramer's rule on the coefficient
+basis (d/dv, d/dx, d/dt) and reconstructed exactly by Lagrange
+interpolation at small-integer sample points, so the coefficients come out
+exact.  Symmetries with a vertical d/dlambda part are not represented.
 
 The stationary-axisymmetric frame lives on the Riemann sphere in a
 coordinate zeta; there the two null directions carry rational d/dzeta
@@ -44,16 +44,11 @@ def incidence(p: SpacetimePoint, lam):
 
 @dataclass(frozen=True)
 class SymmetryGenerator:
-    """a d/dt + b d/dx + c d/dv plus the vertical part (alpha lam^2 +
-    beta lam + gamma) d/dlam and a dilation weight delta."""
+    """The translation a d/dt + b d/dx + c d/dv."""
 
     a: complex = 0.0
     b: complex = 0.0
     c: complex = 0.0
-    alpha: complex = 0.0
-    beta: complex = 0.0
-    gamma: complex = 0.0
-    delta: complex = 0.0
 
     @classmethod
     def d_v(cls) -> "SymmetryGenerator":
@@ -70,10 +65,6 @@ class SymmetryGenerator:
     def translation_components(self):
         """Coefficients on (d/dv, d/dx, d/dt)."""
         return (self.c, self.b, self.a)
-
-    def is_translation(self) -> bool:
-        return all(
-            z == 0 for z in (self.alpha, self.beta, self.gamma, self.delta))
 
 
 class RationalFunction:
@@ -131,7 +122,6 @@ class DirectionDecomposition:
     f0: RationalFunction
     f1: RationalFunction
     h: RationalFunction
-    v_coeff: RationalFunction | None = None
 
     def verify(self, y: SymmetryGenerator, x: SymmetryGenerator,
                lams) -> float:
@@ -178,8 +168,6 @@ def decompose(y: SymmetryGenerator,
     are degree <= 2 polynomials recovered by interpolation.  Raises
     DegenerateFrameError when the frame determinant vanishes identically.
     """
-    if not y.is_translation():
-        raise ValueError("only translation symmetries decompose here")
     yv, yx, yt = y.translation_components()
     xv, xx, xt = x.translation_components()
 
@@ -204,9 +192,7 @@ def decompose(y: SymmetryGenerator,
     den = _lagrange_quadratic(det_vals)
     nums = [_lagrange_quadratic([nv[j] for nv in num_vals])
             for j in range(3)]
-    f0, f1, h = (RationalFunction(n, den) for n in nums)
-    # translations lift horizontally, so the vertical coefficient is absent
-    result = DirectionDecomposition(f0, f1, h, v_coeff=None)
+    result = DirectionDecomposition(*(RationalFunction(n, den) for n in nums))
 
     residual = result.verify(y, x, _CHECK_LAMS)
     if residual > 1e-12:

@@ -1,8 +1,11 @@
 """Batch front-end: config handling, artifacts, determinism, exit codes."""
 
+import inspect
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,17 @@ class TestConfigHandling:
         name, params = cli._parse_preset("one_pole:pole=0.3,strength=0.2")
         assert name == "one_pole"
         assert params == {"pole": 0.3, "strength": 0.2}
+
+    def test_preset_builders_match_preset_params(self):
+        builders = {"kdv": cli._KDV_PRESETS, "ernst": cli._ERNST_PRESETS}
+        for pipeline, table in builders.items():
+            names = {name for pipe, name in cli._PRESET_PARAMS
+                     if pipe == pipeline}
+            assert set(table) == names, pipeline
+            for name, builder in table.items():
+                keywords = set(inspect.signature(builder).parameters) - {"order"}
+                assert keywords == set(cli._PRESET_PARAMS[(pipeline, name)]), \
+                    (pipeline, name)
 
     @pytest.mark.parametrize("args", [
         ["kdv", "--grid", "-1:1:3"],
@@ -204,8 +218,7 @@ class TestKdvPipeline:
         assert code == cli.EXIT_CHECK_FAILED
         assert "[FAIL] tail_mass:" in capsys.readouterr().out
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_pullback_exits_2(self, capsys):
         # cosh overflows at |x| = 1e6; the NaN loops fail the tail check
         code = run_cli(["kdv", "--preset", "vacuum", "--grid=-1e6:1e6:7"])
@@ -337,6 +350,12 @@ class TestBirkhoffPipeline:
     def test_twist_exits_4(self, capsys):
         assert run_cli(["birkhoff", "--preset", "twist"]) == cli.EXIT_BIG_CELL
         assert "big_cell_required_node" in capsys.readouterr().out
+
+    def test_twist_that_factors_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "factorize", lambda *args, **kwargs: None)
+        assert run_cli(["birkhoff", "--preset", "twist"]) \
+            == cli.EXIT_CHECK_FAILED
+        assert "[FAIL] numerical_invariant" in capsys.readouterr().out
 
     def test_telemetry_keys(self, tmp_path):
         assert run_cli(["birkhoff", "--count", "30", "--out", str(tmp_path)]) == 0
@@ -479,6 +498,17 @@ class TestSelftest:
         assert run_cli(["selftest"]) == cli.EXIT_CHECK_FAILED
         assert "[FAIL] ernst_point_source.loop_closedness" \
             in capsys.readouterr().out
+
+    def test_optimized_run_is_free_of_runtime_warnings(self):
+        # -O strips asserts, so every guard must raise on its own
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-W", "error::RuntimeWarning",
+             "-m", "tauforge", "selftest"],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "selftest: 25/25 checks passed" in proc.stdout
 
     def test_module_entry_point(self):
         proc = subprocess.run(

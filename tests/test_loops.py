@@ -75,9 +75,9 @@ class TestTransforms:
         assert loop.unimodular
         assert loop.unimodular_defect() <= 1e-10
 
-    def test_real_on_circle_tag(self):
+    def test_imag_defect_of_real_loop(self):
         xi = ScalarLoop.from_modes({0: 0.5, 1: 0.2 - 0.1j, -1: 0.2 + 0.1j},
-                                   order=4, real_on_circle=True)
+                                   order=4)
         assert xi.imag_defect() <= 1e-12
 
 
@@ -116,7 +116,7 @@ class TestProducts:
         a = tf.monomial(6, np.eye(2), order=6)
         b = tf.monomial(6, np.eye(2), order=6)
         with pytest.raises(tf.TailMassError):
-            tf.multiply(a, b, out_order=8)
+            tf.multiply(a, b).truncate(8)
 
     def test_unimodular_tag_preserved(self, rng):
         a = tf.random_unimodular_loop(rng)

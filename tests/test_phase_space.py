@@ -142,19 +142,20 @@ class TestHamiltonians:
         assert abs(fd - (-ps.cocycle(u, U))) <= 1e-6
 
     def test_diffeo_vanishes_at_identity(self):
-        xi = ScalarLoop.from_modes({0: 1.0}, order=2, real_on_circle=True)
-        assert ps.hamiltonian_diffeo(MatrixLoop.identity(), xi) == 0.0
+        xi = ScalarLoop.from_modes({0: 1.0}, order=2)
+        assert ps.hamiltonian_diffeo(MatrixLoop.identity(), xi,
+                                     check_real=True) == 0.0
 
     def test_diffeo_zero_field(self, rng):
         gamma = unitary_loop(rng)
-        xi = ScalarLoop.from_modes({}, order=2, real_on_circle=True)
-        assert ps.hamiltonian_diffeo(gamma, xi) == 0.0
+        xi = ScalarLoop.from_modes({}, order=2)
+        assert ps.hamiltonian_diffeo(gamma, xi, check_real=True) == 0.0
 
     def test_diffeo_quadrature_oracle(self, rng):
         gamma = unitary_loop(rng)
-        xi = ScalarLoop.from_modes({1: 0.5, -1: 0.5}, order=4,
-                                   real_on_circle=True)  # cos(theta)
-        val = ps.hamiltonian_diffeo(gamma, xi)
+        xi = ScalarLoop.from_modes({1: 0.5, -1: 0.5}, order=4)  # cos(theta)
+        val = ps.hamiltonian_diffeo(gamma, xi, check_real=True)
+        assert isinstance(val, float)
         w = tf.multiply(gamma.derivative_theta(), tf.inverse(gamma))
         wsq = tf.multiply(w, w).trace()
 
@@ -319,7 +320,7 @@ class TestTauVariation:
         gamma = tf.random_unimodular_loop(rng)
         h = ScalarLoop.from_modes({}, order=2)
         phi = tf.monomial(0, np.array([[0.0, 0.0], [1.0, 0.0]]), order=2)
-        variation = ps.TauVariationInput(h=h, phi=phi, v_coeff=None)
+        variation = ps.TauVariationInput(h=h, phi=phi)
         assert ps.tau_variation(gamma, variation) == 0.0
 
     def test_no_vector_part_reduces_to_gauge(self, rng):
@@ -328,7 +329,7 @@ class TestTauVariation:
         phi = MatrixLoop.from_modes(
             {0: np.array([[0.0, 0.0], [1.0, 0.0]]),
              -1: np.array([[0.0, 1.0], [0.0, 0.0]])}, order=2)
-        variation = ps.TauVariationInput(h=h, phi=phi, v_coeff=None)
+        variation = ps.TauVariationInput(h=h, phi=phi)
         fac = birkhoff.factorize(gamma)
         expected = ps.vacuum_logderiv_gauge(fac, tf.multiply(h, phi))
         assert ps.tau_variation(fac, variation) == expected

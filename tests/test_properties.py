@@ -20,6 +20,7 @@ from tauforge import birkhoff, cli, kdv
 from tauforge.loops import (
     DEFAULT_ORDER,
     TANGENT_BAND,
+    TANGENT_DECAY,
     circle_points,
     coeffs_to_samples,
     default_sample_count,
@@ -308,7 +309,7 @@ def test_factorize_batch_is_2x2_only(n):
 
 # -- the stack generators against the per-loop reference ---------------------
 
-def _reference_tangent(rng, n=2, band=TANGENT_BAND, amplitude=0.5, decay=0.25,
+def _reference_tangent(rng, n=2, band=TANGENT_BAND, amplitude=0.5,
                        order=DEFAULT_ORDER, antihermitian=False,
                        traceless=True):
     """One loop, drawn mode by mode: the per-loop generator the stack
@@ -316,7 +317,7 @@ def _reference_tangent(rng, n=2, band=TANGENT_BAND, amplitude=0.5, decay=0.25,
     coeffs = np.zeros((2 * order + 1, n, n), dtype=complex)
     for k in range(-band, band + 1):
         block = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        coeffs[k + order] = block * decay ** abs(k)
+        coeffs[k + order] = block * TANGENT_DECAY ** abs(k)
     if antihermitian:
         for k in range(1, band + 1):
             coeffs[-k + order] = -coeffs[k + order].conj().T
