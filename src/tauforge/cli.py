@@ -11,6 +11,7 @@ node the run requires.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import platform
 import sys
@@ -153,7 +154,8 @@ class ExperimentConfig:
     def _check_finite(self):
         """Every float setting, grid bound and preset parameter is finite:
         NaN passes every comparison below, and inf reaches the numerics."""
-        values = {name: getattr(self, name) for name, kind in _CONFIG_TYPES.items()
+        values = {name: getattr(self, name)
+                  for name, (kind, _, _) in _SETTINGS.items()
                   if kind is float and getattr(self, name) is not None}
         if self.pipeline in ("kdv", "ernst"):
             for axis, (lo, hi, _) in enumerate(self.grid_spec(), 1):
@@ -168,14 +170,13 @@ class ExperimentConfig:
     def validate(self):
         if self.pipeline not in PIPELINES:
             raise ConfigError(f"unknown pipeline '{self.pipeline}'")
-        if self.pipeline == "selftest":
-            default = ExperimentConfig("selftest")
-            changed = [name for name in _SELFTEST_FIXED
-                       if getattr(self, name) != getattr(default, name)]
-            if changed:
-                raise ConfigError(
-                    f"selftest runs fixed settings; it does not take "
-                    f"{', '.join(changed)}")
+        default = ExperimentConfig(self.pipeline)
+        ignored = [name for name, (_, readers, _) in _SETTINGS.items()
+                   if self.pipeline not in readers
+                   and getattr(self, name) != getattr(default, name)]
+        if ignored:
+            raise ConfigError(
+                f"{self.pipeline} does not take {', '.join(ignored)}")
         self._check_finite()
         if self.trunc < 1:
             raise ConfigError("truncation order must be >= 1")
@@ -199,10 +200,12 @@ class ExperimentConfig:
             if self.pipeline == "ernst" and spans[0][0] <= 0:
                 raise ConfigError("ernst grid must stay in the r > 0 half plane")
         name, params = self.resolved_preset()
-        allowed = _PRESET_PARAMS.get((self.pipeline, name))
-        if allowed is None:
+        if (self.pipeline, name) not in _PRESETS:
             raise ConfigError(
                 f"unknown preset '{name}' for pipeline {self.pipeline}")
+        builder = _PRESETS[self.pipeline, name]
+        allowed = (set(inspect.signature(builder).parameters) - {"order"}
+                   if builder else set())
         for key in params:
             if key not in allowed:
                 raise ConfigError(
@@ -220,20 +223,19 @@ class ExperimentConfig:
                     f"trunc >= {bound}: below it their round trip fails")
 
 
-_PRESET_PARAMS = {
-    ("kdv", "vacuum"): (),
-    ("kdv", "one_pole"): ("pole", "strength"),
-    ("ernst", "flat"): (),
-    ("ernst", "kasner"): ("a",),
-    ("ernst", "point_source"): ("strength", "z0"),
-    ("ernst", "non_solution"): (),
-    ("birkhoff", "random"): (),
-    ("birkhoff", "twist"): (),
-    ("selftest", ""): (),
+# (pipeline, preset) -> builder, or None where the runner builds its own
+# input; a preset takes its builder's keywords but order, which is --trunc
+_PRESETS = {
+    ("kdv", "vacuum"): kdv.seed_vacuum,
+    ("kdv", "one_pole"): kdv.seed_one_pole,
+    ("ernst", "flat"): ernst.flat,
+    ("ernst", "kasner"): ernst.kasner,
+    ("ernst", "point_source"): ernst.point_source,
+    ("ernst", "non_solution"): ernst.non_solution,
+    ("birkhoff", "random"): None,
+    ("birkhoff", "twist"): None,
+    ("selftest", ""): None,
 }
-# settings selftest would ignore, since SELFTEST_CONFIGS bring their own
-_SELFTEST_FIXED = ("preset", "grid", "trunc", "tol_factor", "tol_path",
-                   "tol_residual", "tol_headline", "count", "strength")
 
 
 def _parse_preset(text: str) -> tuple[str, dict]:
@@ -252,19 +254,27 @@ def _parse_preset(text: str) -> tuple[str, dict]:
     return name.strip(), params
 
 
-_CONFIG_TYPES = {
-    "preset": str,
-    "grid": str,
-    "trunc": int,
-    "out": str,
-    "threads": int,
-    "tol_factor": float,
-    "tol_path": float,
-    "tol_residual": float,
-    "tol_headline": float,
-    "rng_seed": int,
-    "count": int,
-    "strength": float,
+# setting -> (type, the pipelines that read it, help of its flag); a
+# pipeline rejects any other setting away from its default
+_SETTINGS = {
+    "preset": (str, ("kdv", "ernst", "birkhoff"),
+               "preset name, e.g. kasner:a=0.7"),
+    "grid": (str, ("kdv", "ernst"), "min:max:count[,min:max:count]"),
+    "trunc": (int, ("kdv", "birkhoff"), "Fourier truncation order N"),
+    "out": (str, PIPELINES, "directory for CSV and manifest"),
+    "threads": (int, PIPELINES,
+                "accepted for compatibility; tauforge runs on one thread, "
+                "so only 1 is valid"),
+    "tol_factor": (float, ("kdv", "birkhoff"),
+                   "factorization residual tolerance"),
+    "tol_path": (float, ("kdv", "ernst"),
+                 "path refinement tolerance; for kdv also the bound of the "
+                 "contour cross-check"),
+    "tol_residual": (float, ("kdv",), "PDE residual tolerance"),
+    "tol_headline": (float, ("kdv",), "d log tau vs q mismatch tolerance"),
+    "rng_seed": (int, ("birkhoff", "selftest"), "random generator seed"),
+    "count": (int, ("birkhoff",), "birkhoff batch size"),
+    "strength": (float, ("birkhoff",), "random tangent amplitude"),
 }
 
 
@@ -283,10 +293,10 @@ def load_seed_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
-        if key not in _CONFIG_TYPES:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
         try:
-            values[key] = _CONFIG_TYPES[key](val.strip())
+            values[key] = _SETTINGS[key][0](val.strip())
         except ValueError:
             raise ConfigError(
                 f"{path}:{lineno}: bad value for '{key}'") from None
@@ -307,16 +317,9 @@ def _residual_telemetry(residuals, tol):
     return worst, margin, int(((residuals > tol / 10) & (residuals <= tol)).sum())
 
 
-# preset name -> seed builder, called as builder(order=trunc, **params)
-_KDV_PRESETS = {
-    "vacuum": kdv.seed_vacuum,
-    "one_pole": kdv.seed_one_pole,
-}
-
-
 def _run_kdv(config: ExperimentConfig):
     name, params = config.resolved_preset()
-    seed = _KDV_PRESETS[name](order=config.trunc, **params)
+    seed = _PRESETS["kdv", name](order=config.trunc, **params)
     xs, ts = config.axes()
     grid = kdv.tau_grid(seed, xs, ts, order=config.trunc,
                         factor_tol=config.tol_factor)
@@ -366,18 +369,9 @@ def _run_kdv(config: ExperimentConfig):
     return checks, header, columns, extra
 
 
-# preset name -> solution builder, called as builder(**params)
-_ERNST_PRESETS = {
-    "flat": ernst.flat,
-    "kasner": ernst.kasner,
-    "point_source": ernst.point_source,
-    "non_solution": ernst.non_solution,
-}
-
-
 def _run_ernst(config: ExperimentConfig):
     name, params = config.resolved_preset()
-    sol = _ERNST_PRESETS[name](**params)
+    sol = _PRESETS["ernst", name](**params)
     rs, zs = config.axes()
     field = ernst.logtau_field(sol, rs, zs,
                                tol_path=config.resolved_tol_path())
@@ -687,29 +681,9 @@ def _parser() -> argparse.ArgumentParser:
     }
     for name in PIPELINES:
         p = sub.add_parser(name, help=helps[name])
-        p.add_argument("--preset", help="preset name, e.g. kasner:a=0.7")
-        p.add_argument("--seed-file", dest="seed_file",
-                       help="flat key=value config file")
-        p.add_argument("--grid", help="min:max:count[,min:max:count]")
-        p.add_argument("--trunc", type=int, help="Fourier truncation order N")
-        p.add_argument("--out", help="directory for CSV and manifest")
-        p.add_argument("--threads", type=int,
-                       help="accepted for compatibility; tauforge runs on "
-                            "one thread, so only 1 is valid")
-        p.add_argument("--tol-factor", dest="tol_factor", type=float,
-                       help="factorization residual tolerance")
-        p.add_argument("--tol-path", dest="tol_path", type=float,
-                       help="path refinement tolerance; for kdv also the "
-                            "bound of the contour cross-check")
-        p.add_argument("--tol-residual", dest="tol_residual", type=float,
-                       help="PDE residual tolerance")
-        p.add_argument("--tol-headline", dest="tol_headline", type=float,
-                       help="d log tau vs q mismatch tolerance")
-        p.add_argument("--rng-seed", dest="rng_seed", type=int,
-                       help="random generator seed")
-        p.add_argument("--count", type=int, help="birkhoff batch size")
-        p.add_argument("--strength", type=float,
-                       help="random tangent amplitude")
+        for key, (kind, _, text) in _SETTINGS.items():
+            p.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
+        p.add_argument("--seed-file", help="flat key=value config file")
     return parser
 
 
@@ -717,7 +691,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     values = {}
     if args.seed_file:
         values.update(load_seed_file(args.seed_file))
-    for key in _CONFIG_TYPES:
+    for key in _SETTINGS:
         given = getattr(args, key, None)
         if given is not None:
             values[key] = given

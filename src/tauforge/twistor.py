@@ -6,11 +6,12 @@ The correspondence space carries the two Lax fields
     V0 = d/dx - lambda d/dv,     V1 = d/dt - lambda d/dx,
 
 and each space-time translation Y splits against a reference translation
-X as Y = f0 V0 + f1 V1 + h X with f0, f1, h rational of degree at most two
-in lambda.  The split is computed by Cramer's rule on the coefficient
-basis (d/dv, d/dx, d/dt) and reconstructed exactly by Lagrange
-interpolation at small-integer sample points, so the coefficients come out
-exact.  Symmetries with a vertical d/dlambda part are not represented.
+X as Y = f0 V0 + f1 V1 + h X.  Solved on the basis (d/dv, d/dx, d/dt),
+the multiplier is the ratio of incidence polynomials h = mu_Y / mu_X, and
+f0, f1 are polynomials of degree at most one over the same denominator
+mu_X, with coefficients that are products of the components, so exact
+data stays exact.  Symmetries with a vertical d/dlambda part are not
+represented.
 
 The stationary-axisymmetric frame lives on the Riemann sphere in a
 coordinate zeta; there the two null directions carry rational d/dzeta
@@ -138,67 +139,24 @@ class DirectionDecomposition:
         return worst
 
 
-def _det3(m) -> complex:
-    """Cofactor expansion; exact for exact entries, unlike an LU route."""
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
-def _lagrange_quadratic(values):
-    """Degree <= 2 polynomial through values at nodes (-1, 0, 1), ascending.
-
-    The Lagrange weights at these nodes are halves, so integer data stays
-    exact in floating point.
-    """
-    ym, y0, yp = values
-    return (y0, (yp - ym) / 2, (yp + ym) / 2 - y0)
-
-
-_SAMPLE_NODES = (-1.0, 0.0, 1.0)
-# unit-circle points at which decompose verifies its result
-_CHECK_LAMS = np.exp(1j * (2 * np.pi * np.random.default_rng(8).random(8)))
-
-
 def decompose(y: SymmetryGenerator,
               x: SymmetryGenerator) -> DirectionDecomposition:
     """Split a translation Y against X in the moving frame (V0, V1, X).
 
-    Cramer's rule per sampled lambda; numerators and the common denominator
-    are degree <= 2 polynomials recovered by interpolation.  Raises
-    DegenerateFrameError when the frame determinant vanishes identically.
+    With mu_X = x_v + lambda x_x + lambda^2 x_t, and mu_Y alike,
+    h = mu_Y / mu_X, and f0, f1 are linear over mu_X: the lambda^2 and
+    lambda^3 terms of their numerators cancel.  Raises DegenerateFrameError
+    when every coefficient of mu_X is round-off, at most 1e-13.
     """
     yv, yx, yt = y.translation_components()
     xv, xx, xt = x.translation_components()
-
-    det_vals, num_vals = [], []
-    rhs = (yv, yx, yt)
-    for lam in _SAMPLE_NODES:
-        frame = [[-lam, 0.0, xv],
-                 [1.0, -lam, xx],
-                 [0.0, 1.0, xt]]
-        det_vals.append(_det3(frame))
-        cols = []
-        for j in range(3):
-            m = [row[:] for row in frame]
-            for i in range(3):
-                m[i][j] = rhs[i]
-            cols.append(_det3(m))
-        num_vals.append(cols)
-
-    if max(abs(d) for d in det_vals) <= 1e-13:
+    den = (xv, xx, xt)
+    if max(abs(c) for c in den) <= 1e-13:
         raise DegenerateFrameError("frame (V0, V1, X) is singular in lambda")
-
-    den = _lagrange_quadratic(det_vals)
-    nums = [_lagrange_quadratic([nv[j] for nv in num_vals])
-            for j in range(3)]
-    result = DirectionDecomposition(*(RationalFunction(n, den) for n in nums))
-
-    residual = result.verify(y, x, _CHECK_LAMS)
-    if residual > 1e-12:
-        raise DegenerateFrameError(
-            f"decomposition residual {residual:.3e} exceeds 1e-12")
-    return result
+    return DirectionDecomposition(
+        f0=RationalFunction((yx * xv - xx * yv, yt * xv - xt * yv), den),
+        f1=RationalFunction((yt * xv - xt * yv, yt * xx - xt * yx), den),
+        h=RationalFunction((yv, yx, yt), den))
 
 
 def ernst_frame(r: float, direction: str) -> tuple[RationalFunction, complex]:

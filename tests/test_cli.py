@@ -1,6 +1,5 @@
 """Batch front-end: config handling, artifacts, determinism, exit codes."""
 
-import inspect
 import json
 import os
 import subprocess
@@ -31,17 +30,6 @@ class TestConfigHandling:
         assert name == "one_pole"
         assert params == {"pole": 0.3, "strength": 0.2}
 
-    def test_preset_builders_match_preset_params(self):
-        builders = {"kdv": cli._KDV_PRESETS, "ernst": cli._ERNST_PRESETS}
-        for pipeline, table in builders.items():
-            names = {name for pipe, name in cli._PRESET_PARAMS
-                     if pipe == pipeline}
-            assert set(table) == names, pipeline
-            for name, builder in table.items():
-                keywords = set(inspect.signature(builder).parameters) - {"order"}
-                assert keywords == set(cli._PRESET_PARAMS[(pipeline, name)]), \
-                    (pipeline, name)
-
     @pytest.mark.parametrize("args", [
         ["kdv", "--grid", "-1:1:3"],
         ["kdv", "--samples", "50"],
@@ -58,6 +46,7 @@ class TestConfigHandling:
         ["birkhoff", "--trunc", "3"],
         ["kdv", "--trunc", "abc"],
         ["kdv", "--no-such-flag", "1"],
+        ["kdv", "--preset", "one_pole:order=3"],
     ])
     def test_bad_configs_exit_3(self, args):
         assert run_cli(args) == cli.EXIT_CONFIG
@@ -72,12 +61,32 @@ class TestConfigHandling:
         (["ernst", "--preset", "kasner:a=inf"], "preset a"),
         (["kdv", "--tol-factor", "nan"], "tol_factor"),
         (["kdv", "--tol-path", "inf"], "tol_path"),
-        (["ernst", "--tol-residual", "nan"], "tol_residual"),
+        (["kdv", "--tol-residual", "nan"], "tol_residual"),
         (["kdv", "--tol-headline", "inf"], "tol_headline"),
     ])
     def test_non_finite_values_exit_3(self, args, name, capsys):
         assert run_cli(args) == cli.EXIT_CONFIG
         assert name in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args, names", [
+        (["ernst", "--tol-headline", "1e-30", "--tol-residual", "1e-30",
+          "--tol-factor", "1e-30", "--trunc", "3"],
+         "trunc, tol_factor, tol_residual, tol_headline"),
+        (["ernst", "--count", "5"], "count"),
+        (["ernst", "--rng-seed", "1"], "rng_seed"),
+        (["birkhoff", "--grid=0:1:3", "--tol-path", "1e-30", "--count", "5"],
+         "grid, tol_path"),
+        (["birkhoff", "--tol-residual", "1"], "tol_residual"),
+        (["birkhoff", "--tol-headline", "1"], "tol_headline"),
+        (["kdv", "--count", "0"], "count"),
+        (["kdv", "--strength", "0.2"], "strength"),
+        (["kdv", "--rng-seed", "1"], "rng_seed"),
+        (["ernst", "--strength", "nan"], "strength"),
+    ])
+    def test_settings_the_pipeline_does_not_read_exit_3(self, args, names,
+                                                          capsys):
+        assert run_cli(args) == cli.EXIT_CONFIG
+        assert f"{args[0]} does not take {names}" in capsys.readouterr().out
 
     def test_non_finite_seed_file_value_exits_3(self, tmp_path):
         seed_file = tmp_path / "exp.cfg"
@@ -93,7 +102,7 @@ class TestConfigHandling:
     def test_every_flag_has_a_seed_file_key(self, pipeline):
         args = cli._parser().parse_args([pipeline])
         assert set(vars(args)) - {"pipeline", "seed_file"} \
-            == set(cli._CONFIG_TYPES)
+            == set(cli._SETTINGS)
 
     @pytest.mark.parametrize("trunc, samples", [(32, 256), (64, 512)])
     def test_manifest_samples_follow_trunc(self, tmp_path, trunc, samples):
