@@ -157,7 +157,7 @@ class ExperimentConfig:
         values = {name: getattr(self, name)
                   for name, (kind, _, _) in _SETTINGS.items()
                   if kind is float and getattr(self, name) is not None}
-        if self.pipeline in ("kdv", "ernst"):
+        if self.pipeline in _SETTINGS["grid"][1]:
             for axis, (lo, hi, _) in enumerate(self.grid_spec(), 1):
                 values[f"grid axis {axis} min"] = lo
                 values[f"grid axis {axis} max"] = hi
@@ -191,12 +191,14 @@ class ExperimentConfig:
                 "so only threads = 1 is accepted")
         if self.count < 1:
             raise ConfigError("loop count must be >= 1")
-        if self.pipeline in ("kdv", "ernst"):
+        if self.pipeline in _SETTINGS["grid"][1]:
             spans = self.grid_spec()
             for lo, hi, n in spans:
                 if n < 7:
                     raise ConfigError(
                         "residual pipelines need grid counts >= 7")
+            if self.pipeline == "kdv" and spans[0][2] < 11:
+                raise ConfigError("kdv grids need x counts >= 11")
             if self.pipeline == "ernst" and spans[0][0] <= 0:
                 raise ConfigError("ernst grid must stay in the r > 0 half plane")
         name, params = self.resolved_preset()
@@ -341,9 +343,8 @@ def _run_kdv(config: ExperimentConfig):
     if name == "vacuum":
         checks.append(Check("vacuum_max_q",
                             float(np.abs(grid.q).max()), VACUUM_Q_TOL))
-    if len(xs) >= 11 and len(ts) >= 7:
-        checks.append(Check("pde_residual",
-                            kdv.kdv_residual(grid), config.tol_residual))
+    checks.append(Check("pde_residual",
+                        kdv.kdv_residual(grid), config.tol_residual))
 
     worst, margin, near_misses = _residual_telemetry(grid.factor_residuals,
                                                      config.tol_factor)
@@ -529,7 +530,7 @@ def _manifest(config: ExperimentConfig, checks, extra, csv_name, elapsed,
               exit_code) -> dict:
     name, params = config.resolved_preset()
     grid = [list(span) for span in config.grid_spec()] \
-        if config.pipeline in DEFAULT_GRIDS else None
+        if config.pipeline in _SETTINGS["grid"][1] else None
     return {
         "pipeline": config.pipeline,
         "preset": name,
@@ -681,8 +682,10 @@ def _parser() -> argparse.ArgumentParser:
     }
     for name in PIPELINES:
         p = sub.add_parser(name, help=helps[name])
-        for key, (kind, _, text) in _SETTINGS.items():
-            p.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
+        # unread flags still parse, for validate to name, but stay hidden
+        for key, (kind, readers, text) in _SETTINGS.items():
+            p.add_argument("--" + key.replace("_", "-"), type=kind,
+                           help=text if name in readers else argparse.SUPPRESS)
         p.add_argument("--seed-file", help="flat key=value config file")
     return parser
 

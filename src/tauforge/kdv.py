@@ -43,19 +43,15 @@ from .loops import (
     TAIL_THRESHOLD,
     MatrixLoop,
     ScalarLoop,
-    adjugate_2x2,
     circle_points,
-    coeffs_to_samples,
     default_sample_count,
-    det_2x2,
-    matmul_2x2,
+    multiply,
     samples_to_coeffs,
 )
-from .phase_space import TauVariationInput, tau_variation
+from .phase_space import gauge_variation, vacuum_logderiv_gauge
 from .quadrature import cumulative_from, refine_path_cells, validated_axes
 from .twistor import SpacetimePoint, SymmetryGenerator, decompose
 
-PHI0 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 # largest |arg| change of det T_N between neighbouring path points; a real
 # det changing sign is a step of pi
 MAX_PHASE_STEP = np.pi / 2
@@ -173,82 +169,37 @@ def pullback_patching(seed: KdVSeed, p: SpacetimePoint,
                                    unimodular=True)
 
 
-# -- direction data -----------------------------------------------------
+# -- direction data and the potential ------------------------------------
 
 
-def _direction_multiplier(direction: str):
+def _direction_u(direction: str) -> MatrixLoop:
+    """u = h(lambda) Phi(lambda), h the multiplier of the x or t direction."""
     y = {"x": SymmetryGenerator.d_x, "t": SymmetryGenerator.d_t}[direction]()
-    return decompose(y, SymmetryGenerator.d_v()).h
-
-
-def _direction_u_samples(direction: str, m: int):
-    """Samples of u = h(lambda) Phi(lambda) on the circle."""
-    lam = circle_points(m)
-    h = _direction_multiplier(direction).eval(lam)
-    u = np.zeros((m, 2, 2), dtype=complex)
-    u[:, 0, 1] = h / lam
-    u[:, 1, 0] = h
-    return u
-
-
-def _multiplier_loop(direction: str) -> ScalarLoop:
+    h = decompose(y, SymmetryGenerator.d_v()).h
     # h is a polynomial of degree <= 2, held exactly at order 2
-    h = _direction_multiplier(direction)
-    return ScalarLoop.from_scalar_function(h.eval, order=2)
+    return multiply(ScalarLoop.from_scalar_function(h.eval, order=2),
+                    phi_normal_form(order=2))
 
 
-# -- potential extraction ----------------------------------------------
-
-
-def _batch_minus_factors(seed: KdVSeed, x, t, order, tol):
-    coeffs = pullback_coeff_batch(seed, x, t, order)
-    minus, _, residuals, ok = factorize_batch(coeffs, tol=tol)
-    return minus, residuals, ok
-
-
-def _gauge_variation_batch(minus, u_samples, m: int):
-    """-(1/2 pi i) contour tr(dg g^-1 u) dlambda for stacked minus factors.
-
-    minus: (B, 2N+1, 2, 2) coefficients with modes <= 0; u_samples: (m, 2, 2).
-    The integrand has mode span well inside m, so the Fourier pick of the
-    residue coefficient is exact.
-    """
-    order = (minus.shape[1] - 1) // 2
-    ks = np.arange(-order, order + 1)
-    g_vals = coeffs_to_samples(minus, m)
-    # d/dlambda moves mode k to k - 1
-    dg_vals = coeffs_to_samples(ks[:, None, None] * minus, m,
-                                first_mode=-order - 1)
-
-    # tr(dg g^-1 u) = tr(a u) / det g, a = dg adj(g), from the entry planes
-    a = matmul_2x2(dg_vals, adjugate_2x2(g_vals))
-    tr = sum(a[..., i, j] * u_samples[:, j, i]
-             for i in range(2) for j in range(2))
-    c_minus_one = (tr / det_2x2(g_vals)) @ circle_points(m) / m
-    return -c_minus_one
+def _q_of(minus):
+    """q = tr(P1 Phi0) = entry (0, 1) of P1, Phi0 = [[0, 0], [1, 0]], where
+    P1 is mode -1 of minus factors (..., 2N+1, 2, 2)."""
+    return minus[..., (minus.shape[-3] - 3) // 2, 0, 1]
 
 
 def q_expansion(seed: KdVSeed, p: SpacetimePoint,
                 order: int = DEFAULT_ORDER) -> complex:
     """q from the expansion of the negative factor: tr(P1 P0^-1 Phi0)."""
-    loop = pullback_patching(seed, p, order)
-    factors = factorize(loop)
-    p1 = factors.g_minus.coeff(-1)
-    return complex(np.trace(p1 @ PHI0))
+    factors = factorize(pullback_patching(seed, p, order))
+    return complex(_q_of(factors.g_minus.coeffs))
 
 
 def q_contour(seed: KdVSeed, p: SpacetimePoint,
               order: int = DEFAULT_ORDER) -> complex:
-    """q as the contour variation of log tau in the x direction.
-
-    Assembled through the generic variation machinery (multiplier h from
-    the direction decomposition, horizontal lift) so the route is
-    independent of the expansion formula.
-    """
-    loop = pullback_patching(seed, p, order)
-    variation = TauVariationInput(
-        h=_multiplier_loop("x"), phi=phi_normal_form(order=2))
-    return tau_variation(loop, variation)
+    """q as the gauge variation of log tau along u = h Phi, the x direction:
+    a route independent of the expansion formula."""
+    return vacuum_logderiv_gauge(pullback_patching(seed, p, order),
+                                 _direction_u("x"))
 
 
 # -- finite differences -------------------------------------------------
@@ -401,7 +352,7 @@ def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
     logabs = np.zeros(gx.shape)
     q = np.zeros(gx.shape, dtype=complex)
     sign[need], logabs[need] = sign_n, logabs_n
-    q[need] = minus[:, order - 1, 0, 1]
+    q[need] = _q_of(minus)
 
     it0 = np.searchsorted(t_breaks, 0.0)
     cols = np.searchsorted(x_breaks, xs)
@@ -437,17 +388,17 @@ def path_crosscheck(seed: KdVSeed, grid: TauGrid, order: int = DEFAULT_ORDER,
     """
     xs, ts = grid.xs, grid.ts
     m = default_sample_count(order)
-    u_dir = {d: _direction_u_samples(d, m) for d in ("x", "t")}
+    u_dir = {d: _direction_u(d).samples(m) for d in ("x", "t")}
 
     def variation(direction, xpts, tpts):
-        mn, _, good = _batch_minus_factors(
-            seed, xpts, tpts, order, factor_tol)
+        minus, _, _, good = factorize_batch(
+            pullback_coeff_batch(seed, xpts, tpts, order), tol=factor_tol)
         if not good.all():
             bad = np.argwhere(~good)[0, 0]
             raise PathCrossesBadCellError(
                 f"integration path left the big cell near "
                 f"(x, t) = ({xpts[bad]:.4f}, {tpts[bad]:.4f})")
-        return _gauge_variation_batch(mn, u_dir[direction], m)
+        return gauge_variation(minus, u_dir[direction])
 
     ix0 = int(np.argmin(np.abs(xs)))
     it0 = int(np.argmin(np.abs(ts)))

@@ -20,16 +20,21 @@ from .loops import (
     MatrixLoop,
     NumericalInvariantError,
     ScalarLoop,
+    adjugate_2x2,
     adjugate_inverse,
+    circle_points,
+    coeffs_to_samples,
     commutator,
     contour_integral_dlambda,
+    default_sample_count,
+    det_2x2,
     exp_pointwise,
     inverse,
+    matmul_2x2,
     mean_theta,
     multiply,
 )
 
-_TWO_PI_I = 2j * np.pi
 # largest g_plus contour term vacuum_logderiv_diffeo accepts as vanished
 GPLUS_TOL = 1e-9
 # largest antihermitian or trace defect of a LoopTangent, and largest
@@ -67,20 +72,6 @@ class LoopTangent:
                 raise NumericalInvariantError(
                     f"trace defect {bad:.3e} > {DEFECT_TOL:.1e}")
         return self
-
-
-@dataclass
-class TauVariationInput:
-    """Symmetry data entering a tau-function variation.
-
-    h is the meromorphic multiplier of the direction and phi the
-    Higgs-field loop it multiplies in the gauge part.  Only translations
-    are decomposed, and they lift horizontally, so there is no d/dlambda
-    part.
-    """
-
-    h: ScalarLoop
-    phi: MatrixLoop
 
 
 def _as_loop(u) -> MatrixLoop:
@@ -163,17 +154,42 @@ def poisson_anomaly(gamma: MatrixLoop, u, v, eps: float = 1e-4) -> complex:
     return complex(diff - bracket_term - cocycle(u, v))
 
 
+def gauge_variation(minus, u_samples):
+    """-(1/2 pi i) contour tr(dg g^-1 u) dlambda for stacked minus factors.
+
+    minus: (..., 2N+1, 2, 2) coefficients of g = g_minus (modes <= 0);
+    u_samples: (M, 2, 2) values of u, of order K, on the M-point circle
+    grid.  tr(dg g^-1 u) = tr(dg adj(g) u) / det g from the entry planes;
+    with det g constant (a unimodular loop) the residue pick is exact for
+    M >= 2N + K + 1, the integrand having modes -2N-K-1..K-1.
+    """
+    m = len(u_samples)
+    order = (minus.shape[-3] - 1) // 2
+    ks = np.arange(-order, order + 1)
+    g_vals = coeffs_to_samples(minus, m)
+    # d/dlambda moves mode k to k - 1
+    dg_vals = coeffs_to_samples(ks[:, None, None] * minus, m,
+                                first_mode=-order - 1)
+    a = matmul_2x2(dg_vals, adjugate_2x2(g_vals))
+    tr = sum(a[..., i, j] * u_samples[:, j, i]
+             for i in range(2) for j in range(2))
+    # a row sum, not @: BLAS rounds a dot and a gemv row differently, and
+    # the sum gives each loop the same bits in a stack of any size
+    return -(tr / det_2x2(g_vals) * circle_points(m)).sum(axis=-1) / m
+
+
 def vacuum_logderiv_gauge(gamma_or_factors, u) -> complex:
     """Gauge part of d log tau: -(1/2 pi i) contour tr(dg g^-1 u), g = g_minus.
 
-    Invariant under the factorization normalization (a constant right twist
-    of both factors cancels in dg g^-1).
+    gauge_variation of one loop, on the circle grid of the larger order of
+    g and u, which meets its exactness bound.  Invariant under the
+    factorization normalization (a constant right twist of both factors
+    cancels in dg g^-1).
     """
-    factors = _factors_of(gamma_or_factors)
-    g = factors.g_minus
-    dg = g.derivative_lambda()
-    integrand = multiply(multiply(dg, _loop_inverse(g)), _as_loop(u)).trace()
-    return complex(-contour_integral_dlambda(integrand) / _TWO_PI_I)
+    g = _factors_of(gamma_or_factors).g_minus
+    u = _as_loop(u)
+    m = default_sample_count(max(g.order, u.order))
+    return complex(gauge_variation(g.coeffs, u.samples(m)))
 
 
 def _diffeo_terms(factors, xi10: ScalarLoop) -> tuple:
@@ -200,14 +216,7 @@ def vacuum_logderiv_diffeo(gamma_or_factors, xi10: ScalarLoop) -> complex:
     if not np.any(np.abs(xi10.coeffs[ks < 0]) > 0) and abs(plus_term) > GPLUS_TOL:
         raise NumericalInvariantError(
             f"g_plus term {abs(plus_term):.3e} should vanish for disc-holomorphic xi10")
-    return complex(-(minus_term - plus_term) / (2 * _TWO_PI_I))
-
-
-def tau_variation(gamma_or_factors, variation: TauVariationInput) -> complex:
-    """Y-contraction of d log tau: the gauge part for the multiplied Higgs
-    field h phi, the whole variation of a horizontal symmetry."""
-    return vacuum_logderiv_gauge(gamma_or_factors,
-                                 multiply(variation.h, variation.phi))
+    return complex(-(minus_term - plus_term) / (4j * np.pi))
 
 
 def curvature_mismatch(gamma: MatrixLoop, u, v, eps: float = 1e-3) -> complex:

@@ -18,13 +18,7 @@ from tauforge.birkhoff import (
     factorize,
     factorize_batch,
 )
-from tauforge.kdv import (
-    _batch_minus_factors,
-    _derivative_on_grid,
-    _direction_u_samples,
-    _gauge_variation_batch,
-    _multiplier_loop,
-)
+from tauforge.kdv import _derivative_on_grid, _direction_u
 from tauforge.loops import (
     MatrixLoop,
     monomial,
@@ -33,10 +27,10 @@ from tauforge.loops import (
     random_unimodular_loop,
 )
 from tauforge.phase_space import (
-    TauVariationInput,
     cocycle,
+    gauge_variation,
     poisson_anomaly,
-    tau_variation,
+    vacuum_logderiv_gauge,
 )
 from tauforge.twistor import SpacetimePoint
 
@@ -56,6 +50,12 @@ def report(capsys):
         return ok
 
     return _line
+
+
+def minus_factors(seed, x, t):
+    """Minus factors and big-cell flags of the translated loops at (x, t)."""
+    minus, _, _, ok = factorize_batch(kdv.pullback_coeff_batch(seed, x, t))
+    return minus, ok
 
 
 def twist_loop() -> MatrixLoop:
@@ -102,9 +102,7 @@ def vacuum_grid():
 @pytest.fixture(scope="module")
 def one_pole_minus(one_pole_seed):
     gx, gt = np.meshgrid(AXIS_51, AXIS_51, indexing="ij")
-    minus, _, ok = _batch_minus_factors(
-        one_pole_seed, gx.ravel(), gt.ravel(), 32, 1e-9)
-    return minus, ok
+    return minus_factors(one_pole_seed, gx.ravel(), gt.ravel())
 
 
 def test_criterion_1_birkhoff_round_trip(report):
@@ -154,7 +152,7 @@ def test_criterion_2_cocycle_arithmetic(report):
 
 def test_criterion_3_kdv_headline_identity(report):
     start = time.perf_counter()
-    u_x = _direction_u_samples("x", SAMPLES)
+    u_x = _direction_u("x").samples(SAMPLES)
     worst_fd = 0.0
     worst_two = 0.0
     gx, gt = np.meshgrid(AXIS_51, AXIS_51, indexing="ij")
@@ -164,9 +162,8 @@ def test_criterion_3_kdv_headline_identity(report):
         fd = _derivative_on_grid(grid.log_tau, dx, 1, axis=0)
         worst_fd = max(worst_fd,
                        float(np.abs(fd - grid.q)[grid.bigcell].max()))
-        minus, _, flags = _batch_minus_factors(
-            seed, gx.ravel(), gt.ravel(), 32, 1e-9)
-        q_contour = _gauge_variation_batch(minus, u_x, SAMPLES)
+        minus, flags = minus_factors(seed, gx.ravel(), gt.ravel())
+        q_contour = gauge_variation(minus, u_x)
         worst_two = max(worst_two,
                         float(np.abs(grid.q.ravel() - q_contour)[flags].max()))
     elapsed = time.perf_counter() - start
@@ -198,8 +195,8 @@ def test_criterion_5_dlogtau_closedness(report, one_pole_grid,
                                         one_pole_minus):
     minus, _ = one_pole_minus
     shape = (len(AXIS_51), len(AXIS_51))
-    v_t = _gauge_variation_batch(
-        minus, _direction_u_samples("t", SAMPLES), SAMPLES).reshape(shape)
+    v_t = gauge_variation(
+        minus, _direction_u("t").samples(SAMPLES)).reshape(shape)
     dx = float(AXIS_51[1] - AXIS_51[0])
     dq_dt = _derivative_on_grid(one_pole_grid.q, dx, 1, axis=1)
     dvt_dx = _derivative_on_grid(v_t, dx, 1, axis=0)
@@ -263,12 +260,7 @@ def test_criterion_7_normalization_invariance(report, one_pole_seed):
     const = np.array([[1.2, 0.3], [0.5, (1.0 + 0.15) / 1.2]])  # det 1
     const_loop = monomial(0, const, order=32)
     points = [SpacetimePoint(x=0.2, t=-0.3), SpacetimePoint(x=-0.1, t=0.25)]
-    variations = [
-        TauVariationInput(h=_multiplier_loop("x"),
-                          phi=kdv.phi_normal_form(order=2)),
-        TauVariationInput(h=_multiplier_loop("t"),
-                          phi=kdv.phi_normal_form(order=2)),
-    ]
+    directions = [_direction_u("x"), _direction_u("t")]
 
     worst = 0.0
     twisted_seed = kdv.KdVSeed(
@@ -285,9 +277,9 @@ def test_criterion_7_normalization_invariance(report, one_pole_seed):
             g_minus=multiply(factors.g_minus, const_loop),
             g_plus=multiply(factors.g_plus, const_loop),
             residual=factors.residual, condition=factors.condition)
-        for variation in variations:
-            worst = max(worst, abs(tau_variation(factors, variation)
-                                   - tau_variation(refactored, variation)))
+        for u in directions:
+            worst = max(worst, abs(vacuum_logderiv_gauge(factors, u)
+                                   - vacuum_logderiv_gauge(refactored, u)))
 
     ok = worst <= 1e-9
     assert report(

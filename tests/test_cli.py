@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("args", [
         ["kdv", "--grid", "-1:1:3"],
+        ["kdv", "--grid=-0.4:0.4:9,-0.2:0.2:7"],
         ["kdv", "--samples", "50"],
         ["kdv", "--preset", "wrong_name"],
         ["kdv", "--preset", "one_pole:radius=2"],
@@ -99,6 +101,16 @@ class TestConfigHandling:
         assert "--trunc" in capsys.readouterr().out
 
     @pytest.mark.parametrize("pipeline", cli.PIPELINES)
+    def test_help_lists_only_the_flags_the_pipeline_reads(self, pipeline,
+                                                          capsys):
+        assert run_cli([pipeline, "--help"]) == cli.EXIT_PASS
+        listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        reads = {"--" + key.replace("_", "-")
+                 for key, (_, readers, _) in cli._SETTINGS.items()
+                 if pipeline in readers}
+        assert listed == reads | {"--seed-file", "--help"}
+
+    @pytest.mark.parametrize("pipeline", cli.PIPELINES)
     def test_every_flag_has_a_seed_file_key(self, pipeline):
         args = cli._parser().parse_args([pipeline])
         assert set(vars(args)) - {"pipeline", "seed_file"} \
@@ -130,17 +142,17 @@ class TestConfigHandling:
         seed_file.write_text(
             "# comment line\n"
             "preset = one_pole:pole=0.3,strength=0.2\n"
-            "grid = -0.4:0.4:9\n"
+            "grid = -0.4:0.4:11\n"
             "tol-residual = 0.5   # spacing is coarse here\n")
         out = tmp_path / "run"
         code = run_cli(["kdv", "--seed-file", str(seed_file),
-                        "--grid", "-0.3:0.3:9", "--out", str(out)])
+                        "--grid", "-0.3:0.3:11", "--out", str(out)])
         assert code == 0
         manifest = json.loads((out / "kdv_manifest.json").read_text())
         assert manifest["preset"] == "one_pole"
         assert manifest["preset_params"] == {"pole": 0.3, "strength": 0.2}
         # CLI flag wins over the seed-file grid
-        assert manifest["grid"] == [[-0.3, 0.3, 9], [-0.3, 0.3, 9]]
+        assert manifest["grid"] == [[-0.3, 0.3, 11], [-0.3, 0.3, 11]]
         assert manifest["tolerances"]["residual"] == 0.5
 
     def test_seed_file_threads_other_than_one_rejected(self, tmp_path, capsys):
@@ -230,19 +242,19 @@ class TestKdvPipeline:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_pullback_exits_2(self, capsys):
         # cosh overflows at |x| = 1e6; the NaN loops fail the tail check
-        code = run_cli(["kdv", "--preset", "vacuum", "--grid=-1e6:1e6:7"])
+        code = run_cli(["kdv", "--preset", "vacuum", "--grid=-1e6:1e6:11"])
         assert code == cli.EXIT_CHECK_FAILED
         assert "[FAIL] tail_mass:" in capsys.readouterr().out
 
     def test_bad_cell_on_path_exits_4(self):
         code = run_cli(["kdv", "--preset", "one_pole:strength=1.0",
-                        "--grid", "-0.3:-0.2:7,0.5:1.2:8"])
+                        "--grid", "-0.3:-0.2:11,0.5:1.2:8"])
         assert code == cli.EXIT_BIG_CELL
 
     def test_det_zero_between_nodes_exits_4(self, capsys):
         # every node factors; the t legs cross det T_N = 0 near t = 1.0
         code = run_cli(["kdv", "--preset", "one_pole:strength=1.0",
-                        "--grid", "-0.3:-0.2:7,1.2:2.0:8"])
+                        "--grid", "-0.3:-0.2:11,1.2:2.0:8"])
         assert code == cli.EXIT_BIG_CELL
         assert "big_cell_required_node" in capsys.readouterr().out
 

@@ -6,11 +6,26 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from tauforge import kdv
-from tauforge.birkhoff import factorize
+from tauforge import cli, kdv
+from tauforge import phase_space as ps
+from tauforge.birkhoff import factorize, factorize_batch
 from tauforge.loops import MatrixLoop, TailMassError, multiply
 from tauforge.quadrature import cumulative_from, refine_path_cells
 from tauforge.twistor import SpacetimePoint
+
+
+def minus_factors(seed, x, t):
+    """Minus factors and big-cell flags of the translated loops at (x, t)."""
+    minus, _, _, ok = factorize_batch(kdv.pullback_coeff_batch(seed, x, t))
+    return minus, ok
+
+
+def t_variation(seed, x, t):
+    """The contour variation of log tau in the t direction at (x, t)."""
+    minus, ok = minus_factors(seed, x.ravel(), t.ravel())
+    assert ok.all()
+    u_t = kdv._direction_u("t").samples(256)
+    return ps.gauge_variation(minus, u_t).reshape(x.shape)
 
 
 @pytest.fixture(scope="module")
@@ -186,12 +201,8 @@ class TestTauGrid:
                                                 one_pole_grid):
         g = one_pole_grid
         dt = float(g.ts[1] - g.ts[0])
-        gx, gt = np.meshgrid(g.xs, g.ts, indexing="ij")
-        mn, _, ok = kdv._batch_minus_factors(
-            one_pole_seed, gx.ravel(), gt.ravel(), 32, 1e-9)
-        assert ok.all()
-        vt = kdv._gauge_variation_batch(
-            mn, kdv._direction_u_samples("t", 256), 256).reshape(gx.shape)
+        vt = t_variation(one_pole_seed,
+                         *np.meshgrid(g.xs, g.ts, indexing="ij"))
         fd = kdv._derivative_on_grid(g.log_tau, dt, 1, axis=1)
         assert np.abs(fd - vt).max() < 1e-5
 
@@ -199,11 +210,8 @@ class TestTauGrid:
         g = one_pole_grid
         dx = float(g.xs[1] - g.xs[0])
         dt = float(g.ts[1] - g.ts[0])
-        gx, gt = np.meshgrid(g.xs, g.ts, indexing="ij")
-        mn, _, ok = kdv._batch_minus_factors(
-            one_pole_seed, gx.ravel(), gt.ravel(), 32, 1e-9)
-        vt = kdv._gauge_variation_batch(
-            mn, kdv._direction_u_samples("t", 256), 256).reshape(gx.shape)
+        vt = t_variation(one_pole_seed,
+                         *np.meshgrid(g.xs, g.ts, indexing="ij"))
         mix_tq = kdv._derivative_on_grid(g.q, dt, 1, axis=1)
         mix_xt = kdv._derivative_on_grid(vt, dx, 1, axis=0)
         assert np.abs(mix_tq - mix_xt).max() < 1e-6
@@ -281,16 +289,45 @@ class TestResidual:
             kdv.kdv_residual(small)
 
 
+class TestOneContourKernel:
+    """q_contour and the path cross-check both evaluate the contour
+    formula through phase_space.gauge_variation."""
+
+    @pytest.fixture
+    def bumped_kernel(self, monkeypatch):
+        real = ps.gauge_variation
+
+        def bumped(minus, u_samples):
+            return real(minus, u_samples) + 1e-5
+
+        # vacuum_logderiv_gauge looks the kernel up in phase_space, the
+        # cross-check in kdv
+        monkeypatch.setattr(ps, "gauge_variation", bumped)
+        monkeypatch.setattr(kdv, "gauge_variation", bumped)
+
+    def test_q_contour_moves_with_the_kernel(self, one_pole_seed,
+                                             bumped_kernel):
+        p = SpacetimePoint(x=0.3, t=0.1)
+        assert abs(kdv.q_contour(one_pole_seed, p)
+                   - kdv.q_expansion(one_pole_seed, p)) > 1e-8
+
+    def test_crosscheck_fails_with_the_kernel(self, bumped_kernel, capsys):
+        # the bump integrates to 8e-7 over a 0.08-long cell, above the
+        # default 1e-7 cross-check bound
+        assert cli.main(["kdv", "--grid", "-0.4:0.4:11"]) \
+            == cli.EXIT_CHECK_FAILED
+        assert "[FAIL] logtau_path_crosscheck" in capsys.readouterr().out
+
+
 def path_route_log_tau(seed, xs, ts, cols, tol_path=1e-7):
     """log tau at columns xs[cols] by the contour formula, path-integrated
     with Gauss-Legendre cells along (0, 0) -> (x, 0) -> (x, t)."""
-    m = 256
-    u_dir = {d: kdv._direction_u_samples(d, m) for d in ("x", "t")}
+    u_dir = {d: kdv._direction_u(d).samples(256) for d in ("x", "t")}
 
     def variation(direction, x, t):
-        minus, _, ok = kdv._batch_minus_factors(seed, x, t, 32, 1e-9)
+        minus, ok = minus_factors(seed, x, t)
         assert ok.all()
-        return kdv._gauge_variation_batch(minus, u_dir[direction], m)
+        return ps.gauge_variation(minus, u_dir[direction])
 
     x_breaks = np.union1d(xs, [0.0])
     t_breaks = np.union1d(ts, [0.0])

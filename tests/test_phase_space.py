@@ -11,7 +11,12 @@ import pytest
 import tauforge as tf
 from tauforge import birkhoff
 from tauforge import phase_space as ps
-from tauforge.loops import MatrixLoop, ScalarLoop, circle_points
+from tauforge.loops import (
+    MatrixLoop,
+    ScalarLoop,
+    circle_points,
+    default_sample_count,
+)
 
 
 def unitary_loop(rng, amplitude=0.5):
@@ -240,6 +245,16 @@ class TestVacuumLogderivGauge:
         fac = birkhoff.factorize(gamma)
         assert ps.vacuum_logderiv_gauge(fac, u) == ps.vacuum_logderiv_gauge(gamma, u)
 
+    def test_stack_kernel_matches_single_loops_bitwise(self, rng):
+        factors = [birkhoff.factorize(tf.random_unimodular_loop(rng))
+                   for _ in range(5)]
+        u = tf.random_tangent(rng)
+        m = default_sample_count(max(factors[0].g_minus.order, u.order))
+        stack = ps.gauge_variation(
+            np.stack([f.g_minus.coeffs for f in factors]), u.samples(m))
+        single = [ps.vacuum_logderiv_gauge(f, u) for f in factors]
+        assert np.array_equal(stack, single)
+
 
 class TestNonUnimodularLoop:
     """Factors of a loop with det != 1 are inverted pointwise: their
@@ -313,26 +328,6 @@ class TestVacuumLogderivDiffeo:
         w = w.project("strictly_negative")
         g_of_z = tf.multiply(w, w).trace().project("strictly_negative")
         assert abs(val - 0.5 * g_of_z.eval_point(z0)) <= 1e-8
-
-
-class TestTauVariation:
-    def test_zero_multiplier(self, rng):
-        gamma = tf.random_unimodular_loop(rng)
-        h = ScalarLoop.from_modes({}, order=2)
-        phi = tf.monomial(0, np.array([[0.0, 0.0], [1.0, 0.0]]), order=2)
-        variation = ps.TauVariationInput(h=h, phi=phi)
-        assert ps.tau_variation(gamma, variation) == 0.0
-
-    def test_no_vector_part_reduces_to_gauge(self, rng):
-        gamma = tf.random_unimodular_loop(rng)
-        h = ScalarLoop.from_modes({1: 1.0}, order=2)
-        phi = MatrixLoop.from_modes(
-            {0: np.array([[0.0, 0.0], [1.0, 0.0]]),
-             -1: np.array([[0.0, 1.0], [0.0, 0.0]])}, order=2)
-        variation = ps.TauVariationInput(h=h, phi=phi)
-        fac = birkhoff.factorize(gamma)
-        expected = ps.vacuum_logderiv_gauge(fac, tf.multiply(h, phi))
-        assert ps.tau_variation(fac, variation) == expected
 
 
 class TestCurvature:
