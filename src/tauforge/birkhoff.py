@@ -185,7 +185,6 @@ def factorize(gamma: MatrixLoop, tol: float = FACTOR_TOL) -> BirkhoffFactors:
     gm, gp, res, ok = factorize_batch(gamma.coeffs[None], tol=tol)
     if not ok[0]:
         raise BigCellError(f"reconstruction residual {res[0]:.3e} exceeds tol {tol:.1e}")
-    g_minus = MatrixLoop(gm[0], unimodular=gamma.unimodular)
-    g_plus = MatrixLoop(gp[0], unimodular=gamma.unimodular)
-    return BirkhoffFactors(g_minus, g_plus, float(res[0]), condition)
+    return BirkhoffFactors(MatrixLoop(gm[0]), MatrixLoop(gp[0]),
+                           float(res[0]), condition)
 

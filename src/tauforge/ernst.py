@@ -52,15 +52,6 @@ class ErnstSolution:
     psi_rr: Callable
     psi_zz: Callable
 
-    def metric_block(self, r, z):
-        """J(r, z) as a stacked 2x2 diagonal matrix."""
-        r = np.asarray(r, dtype=float)
-        p = self.psi(r, np.asarray(z, dtype=float))
-        out = np.zeros(np.broadcast(r, p).shape + (2, 2))
-        out[..., 0, 0] = r * np.exp(p)
-        out[..., 1, 1] = -r * np.exp(-p)
-        return out
-
 
 def _zeros_like_pair(r, z):
     return np.zeros(np.broadcast(np.asarray(r), np.asarray(z)).shape)

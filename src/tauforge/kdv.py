@@ -103,7 +103,7 @@ def seed_one_pole(pole: float = 0.25, strength: float = 0.3,
     # 1/(lambda - a) = sum_{k >= 1} a^{k-1} lambda^{-k} for |lambda| > |a|
     for k in ks:
         modes[-int(k)] = strength * pole ** (k - 1) * n
-    loop = MatrixLoop.from_modes(modes, order=order, unimodular=True)
+    loop = MatrixLoop.from_modes(modes, order=order)
     return KdVSeed(loop, "one-pole", pole=pole, strength=strength)
 
 
@@ -165,8 +165,7 @@ def pullback_patching(seed: KdVSeed, p: SpacetimePoint,
                       order: int = DEFAULT_ORDER) -> MatrixLoop:
     """Translated patching loop at one space-time point."""
     vals = _pullback_values(seed, p.v, p.x, p.t, order)[0]
-    return MatrixLoop.from_samples(vals, order, tail_tol=TAIL_THRESHOLD,
-                                   unimodular=True)
+    return MatrixLoop.from_samples(vals, order, tail_tol=TAIL_THRESHOLD)
 
 
 # -- direction data and the potential ------------------------------------

@@ -162,7 +162,7 @@ class MatrixLoop:
     """Matrix-valued loop with modes -order..order; its circle grid has
     default_sample_count(order) points."""
 
-    def __init__(self, coeffs, unimodular: bool = False):
+    def __init__(self, coeffs):
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.ndim == 1:
             coeffs = coeffs[:, None, None]
@@ -173,7 +173,6 @@ class MatrixLoop:
         self.coeffs = coeffs
         self.order = (coeffs.shape[0] - 1) // 2
         self.n = coeffs.shape[1]
-        self.unimodular = bool(unimodular)
 
     # -- constructors -------------------------------------------------
 
@@ -181,29 +180,29 @@ class MatrixLoop:
     def identity(cls, n: int = 2, order: int = DEFAULT_ORDER) -> "MatrixLoop":
         coeffs = np.zeros((2 * order + 1, n, n), dtype=complex)
         coeffs[order] = np.eye(n)
-        return cls(coeffs, unimodular=True)
+        return cls(coeffs)
 
     @classmethod
-    def from_modes(cls, modes: dict, n: int = 2, order: int = DEFAULT_ORDER,
-                   **kw) -> "MatrixLoop":
+    def from_modes(cls, modes: dict, n: int = 2,
+                   order: int = DEFAULT_ORDER) -> "MatrixLoop":
         """Build a loop from a {mode: matrix} dict; unspecified modes are zero."""
         coeffs = np.zeros((2 * order + 1, n, n), dtype=complex)
         for k, block in modes.items():
             if abs(k) > order:
                 raise ValueError(f"mode {k} outside -{order}..{order}")
             coeffs[k + order] = np.asarray(block, dtype=complex)
-        return cls(coeffs, **kw)
+        return cls(coeffs)
 
     @classmethod
-    def from_samples(cls, samples, order: int, tail_tol: float | None = None,
-                     **kw) -> "MatrixLoop":
+    def from_samples(cls, samples, order: int,
+                     tail_tol: float | None = None) -> "MatrixLoop":
         """Recover coefficients from values on the equispaced grid.
 
         The grid must resolve the requested order (M >= 2N+1); mass in the
         discarded alias bins beyond +-order is checked against tail_tol when
         given and raises TailMassError if exceeded.
         """
-        return cls(samples_to_coeffs(samples, order, tail_tol), **kw)
+        return cls(samples_to_coeffs(samples, order, tail_tol))
 
     # -- basic access -------------------------------------------------
 
@@ -231,12 +230,6 @@ class MatrixLoop:
         return coeffs_to_samples(self.coeffs,
                                  m or default_sample_count(self.order))
 
-    def sup_norm(self) -> float:
-        return float(np.abs(self.samples()).max())
-
-    def unimodular_defect(self) -> float:
-        return float(np.abs(np.linalg.det(self.samples()) - 1.0).max())
-
     # -- structural operations ----------------------------------------
 
     def truncate(self, order: int) -> "MatrixLoop":
@@ -245,13 +238,13 @@ class MatrixLoop:
         if order >= self.order:
             coeffs = np.zeros((2 * order + 1, self.n, self.n), dtype=complex)
             coeffs[order - self.order:order + self.order + 1] = self.coeffs
-            return type(self)(coeffs, unimodular=self.unimodular)
+            return type(self)(coeffs)
         ks = np.arange(-self.order, self.order + 1)
         dropped = _tail_fraction(self.coeffs, np.abs(ks) <= order)
         _check_tail(dropped, TAIL_THRESHOLD,
                     f"mass dropped by truncation to order {order}")
         sl = slice(self.order - order, self.order + order + 1)
-        return type(self)(self.coeffs[sl].copy(), unimodular=self.unimodular)
+        return type(self)(self.coeffs[sl].copy())
 
     def project(self, part: str) -> "MatrixLoop":
         """Keep one mode range; complementary parts sum to the original."""
@@ -270,14 +263,6 @@ class MatrixLoop:
     def derivative_theta(self) -> "MatrixLoop":
         ks = np.arange(-self.order, self.order + 1)
         return type(self)(1j * ks[:, None, None] * self.coeffs)
-
-    def derivative_lambda(self) -> "MatrixLoop":
-        """d/dlambda; mode k goes to k c_k at mode k-1 (range grows by one)."""
-        new_order = self.order + 1
-        coeffs = np.zeros((2 * new_order + 1, self.n, self.n), dtype=complex)
-        ks = np.arange(-self.order, self.order + 1)
-        coeffs[ks - 1 + new_order] = ks[:, None, None] * self.coeffs
-        return type(self)(coeffs)
 
     def trace(self) -> "ScalarLoop":
         return ScalarLoop(np.trace(self.coeffs, axis1=1, axis2=2))
@@ -302,17 +287,17 @@ class MatrixLoop:
 class ScalarLoop(MatrixLoop):
     """Scalar loop (n = 1); eval returns plain numbers, not 1x1 matrices."""
 
-    def __init__(self, coeffs, **kw):
-        super().__init__(coeffs, **kw)
+    def __init__(self, coeffs):
+        super().__init__(coeffs)
         if self.n != 1:
             raise ValueError("ScalarLoop requires n = 1")
 
     @classmethod
-    def from_modes(cls, modes: dict, n: int = 1, order: int = DEFAULT_ORDER,
-                   **kw) -> "ScalarLoop":
+    def from_modes(cls, modes: dict, n: int = 1,
+                   order: int = DEFAULT_ORDER) -> "ScalarLoop":
         wrapped = {k: np.atleast_2d(np.asarray(v, dtype=complex))
                    for k, v in modes.items()}
-        return super().from_modes(wrapped, n=1, order=order, **kw)
+        return super().from_modes(wrapped, n=1, order=order)
 
     def eval(self, theta):
         return super().eval(theta)[..., 0, 0]
@@ -323,15 +308,12 @@ class ScalarLoop(MatrixLoop):
     def samples(self, m: int | None = None):
         return super().samples(m)[..., 0, 0]
 
-    def imag_defect(self) -> float:
-        return float(np.abs(self.samples().imag).max())
-
     @classmethod
-    def from_scalar_function(cls, fn, order: int = DEFAULT_ORDER,
-                             **kw) -> "ScalarLoop":
+    def from_scalar_function(cls, fn,
+                             order: int = DEFAULT_ORDER) -> "ScalarLoop":
         m = default_sample_count(order)
         vals = np.asarray(fn(circle_points(m)), dtype=complex)[:, None, None]
-        return cls.from_samples(vals, order, tail_tol=TAIL_THRESHOLD, **kw)
+        return cls.from_samples(vals, order, tail_tol=TAIL_THRESHOLD)
 
 
 def monomial(k: int, block, order: int | None = None) -> MatrixLoop:
@@ -360,8 +342,7 @@ def multiply(a: MatrixLoop, b: MatrixLoop) -> MatrixLoop:
     else:
         prod = sa @ sb
     cls = ScalarLoop if prod.shape[1] == 1 else MatrixLoop
-    return cls(samples_to_coeffs(prod, exact_order),
-               unimodular=a.unimodular and b.unimodular and a.n == b.n)
+    return cls(samples_to_coeffs(prod, exact_order))
 
 
 def inverse(a: MatrixLoop) -> MatrixLoop:
@@ -380,14 +361,18 @@ def inverse(a: MatrixLoop) -> MatrixLoop:
             raise SingularLoopError(f"scalar loop condition {cond:.3e} > {INVERSE_COND_MAX:.1e}")
         inv_vals = 1.0 / vals
     else:
-        svals = np.linalg.svd(vals, compute_uv=False)
-        cond = float((svals[:, 0] / np.maximum(svals[:, -1], np.finfo(float).tiny)).max())
-        if cond > INVERSE_COND_MAX:
-            raise SingularLoopError(f"sample condition {cond:.3e} > {INVERSE_COND_MAX:.1e}")
+        check_sample_condition(vals)
         inv_vals = np.linalg.inv(vals)
-    out = type(a).from_samples(inv_vals, a.order)
-    out.unimodular = a.unimodular
-    return out
+    return type(a).from_samples(inv_vals, a.order)
+
+
+def check_sample_condition(vals):
+    """Raise SingularLoopError when a matrix of the (M, n, n) sample stack
+    has 2-norm condition above INVERSE_COND_MAX."""
+    svals = np.linalg.svd(vals, compute_uv=False)
+    cond = float((svals[:, 0] / np.maximum(svals[:, -1], np.finfo(float).tiny)).max())
+    if cond > INVERSE_COND_MAX:
+        raise SingularLoopError(f"sample condition {cond:.3e} > {INVERSE_COND_MAX:.1e}")
 
 
 def det_2x2(m):
@@ -422,18 +407,6 @@ def matmul_2x2(a, b):
     out[..., 1, 0] = a10 * b00 + a11 * b10
     out[..., 1, 1] = a10 * b01 + a11 * b11
     return out
-
-
-def adjugate_inverse(a: MatrixLoop) -> MatrixLoop:
-    """Exact coefficient-level inverse for 2x2 loops with det = 1.
-
-    The adjugate of a unimodular 2x2 matrix is its inverse, and taking the
-    adjugate only permutes and negates coefficients, so no sampling or
-    truncation enters.
-    """
-    if a.n != 2:
-        raise ValueError("adjugate inverse is a 2x2 shortcut")
-    return MatrixLoop(adjugate_2x2(a.coeffs), unimodular=a.unimodular)
 
 
 def _expm_2x2(vals):
@@ -483,23 +456,7 @@ def exp_pointwise(a: MatrixLoop) -> MatrixLoop:
     spectrum past what order N can hold.
     """
     exp_vals = _exp_samples(MatrixLoop.samples(a))
-    out = type(a).from_samples(exp_vals, a.order, tail_tol=TAIL_THRESHOLD)
-    # det(exp u) = exp(tr u): traceless input gives a unimodular loop
-    if a.n > 1 and np.abs(np.trace(a.coeffs, axis1=1, axis2=2)).max() < 1e-13:
-        out.unimodular = True
-    return out
-
-
-def contour_integral_dlambda(f: MatrixLoop):
-    """Counterclockwise integral over |lambda| = 1 of f dlambda.
-
-    Equals 2 pi i times the mode -1 coefficient; the orientation is frozen
-    by the tau-function identity tests.
-    """
-    value = 2j * np.pi * f.coeff(-1)
-    if f.n == 1:
-        return complex(value[0, 0])
-    return value
+    return type(a).from_samples(exp_vals, a.order, tail_tol=TAIL_THRESHOLD)
 
 
 def mean_theta(f: MatrixLoop):
@@ -597,5 +554,4 @@ def random_tangent(rng: np.random.Generator, **kw) -> MatrixLoop:
 
 def random_unimodular_loop(rng: np.random.Generator, **kw) -> MatrixLoop:
     """One random unimodular loop: random_unimodular_stack with count = 1."""
-    return MatrixLoop(random_unimodular_stack(rng, 1, **kw)[0],
-                      unimodular=True)
+    return MatrixLoop(random_unimodular_stack(rng, 1, **kw)[0])

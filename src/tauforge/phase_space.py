@@ -1,11 +1,13 @@
 """Reduced loop-group phase space: symplectic form, Hamiltonians, cocycle,
 and the vacuum-vector log-derivatives that feed the tau-function pipelines.
 
-Everything is evaluated through Fourier coefficients of loop products; no
-raw quadrature enters.  Conventions frozen here (and validated by the KdV
-identity tests downstream): the circle integral in dlambda is
-counterclockwise, the group acts on the reduced space by left
-multiplication gamma -> exp(eps u) gamma, and consequently the action
+Every contour formula of the current dg g^-1 is one call of one of two
+sample-stack kernels: gauge_variation, linear in the direction u, and
+quadratic_variation, quadratic in dg g^-1.  Only the cocycle c(u, v) is
+read from Fourier coefficients of a loop product.  Conventions frozen here
+(and validated by the KdV identity tests downstream): the circle integral
+in dlambda is counterclockwise, the group acts on the reduced space by
+left multiplication gamma -> exp(eps u) gamma, and consequently the action
 vector fields compose with the reversed matrix bracket.
 """
 
@@ -21,15 +23,13 @@ from .loops import (
     NumericalInvariantError,
     ScalarLoop,
     adjugate_2x2,
-    adjugate_inverse,
+    check_sample_condition,
     circle_points,
     coeffs_to_samples,
     commutator,
-    contour_integral_dlambda,
     default_sample_count,
     det_2x2,
     exp_pointwise,
-    inverse,
     matmul_2x2,
     mean_theta,
     multiply,
@@ -37,6 +37,8 @@ from .loops import (
 
 # largest g_plus contour term vacuum_logderiv_diffeo accepts as vanished
 GPLUS_TOL = 1e-9
+# central-difference step of curvature_mismatch
+CURVATURE_EPS = 1e-3
 # largest antihermitian or trace defect of a LoopTangent, and largest
 # imaginary part of a value checked to be real
 DEFECT_TOL = 1e-10
@@ -78,56 +80,54 @@ def _as_loop(u) -> MatrixLoop:
     return u.loop if isinstance(u, LoopTangent) else u
 
 
-def _loop_inverse(g: MatrixLoop) -> MatrixLoop:
-    # adj(g) = g^-1 only when det g = 1: then the 2x2 inverse is exact at
-    # coefficient level; any other loop is inverted pointwise
-    if g.n == 2 and g.unimodular:
-        return adjugate_inverse(g)
-    return inverse(g)
-
-
 def _factors_of(gamma_or_factors) -> BirkhoffFactors:
     if isinstance(gamma_or_factors, BirkhoffFactors):
         return gamma_or_factors
     return factorize(gamma_or_factors)
 
 
+def _checked_grid(gamma: MatrixLoop, order: int) -> int:
+    """The circle grid of default_sample_count(order), once every sample of
+    gamma on it passes inverse's condition check (SingularLoopError)."""
+    m = default_sample_count(order)
+    check_sample_condition(gamma.samples(m))
+    return m
+
+
 def reduced_symplectic(gamma: MatrixLoop, u, v, check_real: bool | None = None) -> float:
     """Omega(u gamma, v gamma) = (1/2 pi) contour tr(ubar d vbar), ubar = gamma^-1 u gamma.
 
-    Evaluated in the antisymmetrized form
-    (1/2) [(1/2 pi) contour tr(ubar d vbar) - (1/2 pi) contour tr(vbar d ubar)],
-    equal to the above by integration by parts on the circle.  A difference
-    of the same two floats flips sign exactly and halving is exact, so
-    omega(u, v) == -omega(v, u) holds bitwise and omega(u, u) == 0.0.
+    Expanding d vbar gives the Kirillov-Kostant form c(u, v) - H_[u,v](gamma),
+    evaluated as (1/2) [c(u, v) - c(v, u)] - H_[u,v](gamma).  [v, u] is
+    exactly -[u, v] and H is linear in it, so omega(u, v) == -omega(v, u)
+    holds bitwise and omega(u, u) == 0.0.
     """
     u, v = _as_loop(u), _as_loop(v)
-    ginv = _loop_inverse(gamma)
-    ubar = multiply(multiply(ginv, u), gamma)
-    vbar = multiply(multiply(ginv, v), gamma)
-    omega_uv = mean_theta(multiply(ubar, vbar.derivative_theta()).trace())
-    omega_vu = mean_theta(multiply(vbar, ubar.derivative_theta()).trace())
-    return _maybe_real(0.5 * (omega_uv - omega_vu), check_real, default=True)
+    value = (0.5 * (cocycle(u, v) - cocycle(v, u))
+             - hamiltonian_gauge(gamma, commutator(u, v), check_real=False))
+    return _maybe_real(value, check_real, default=True)
 
 
 def hamiltonian_gauge(gamma: MatrixLoop, u, check_real: bool | None = None):
-    """H_u(gamma) = -(1/2 pi) contour tr(dgamma gamma^-1 u)."""
+    """H_u(gamma) = -(1/2 pi) contour tr(dgamma gamma^-1 u) = i gauge_variation."""
     tangent = u
     u = _as_loop(u)
-    ginv = _loop_inverse(gamma)
-    w = multiply(gamma.derivative_theta(), ginv)
-    value = -mean_theta(multiply(w, u).trace())
+    m = _checked_grid(gamma, max(gamma.order, u.order))
+    value = 1j * gauge_variation(gamma.coeffs, u.samples(m))
     default = isinstance(tangent, LoopTangent)
     return _maybe_real(value, check_real, default=default)
 
 
 def hamiltonian_diffeo(gamma: MatrixLoop, xi: ScalarLoop,
                        check_real: bool = False):
-    """H_xi(gamma) = (1/4 pi) contour xi tr((gamma' gamma^-1)^2) dtheta."""
-    ginv = _loop_inverse(gamma)
-    w = multiply(gamma.derivative_theta(), ginv)
-    sq = multiply(w, w).trace()
-    value = 0.5 * mean_theta(multiply(xi, sq))
+    """H_xi(gamma) = (1/4 pi) contour xi tr((gamma' gamma^-1)^2) dtheta.
+
+    With gamma' = i lambda dgamma/dlambda this is -(1/2) quadratic_variation
+    of gamma against lambda xi, which is formed on the samples.
+    """
+    m = _checked_grid(gamma, gamma.order + xi.order)
+    value = -0.5 * quadratic_variation(gamma.coeffs,
+                                       circle_points(m) * xi.samples(m))
     return _maybe_real(value, check_real, default=False)
 
 
@@ -154,28 +154,64 @@ def poisson_anomaly(gamma: MatrixLoop, u, v, eps: float = 1e-4) -> complex:
     return complex(diff - bracket_term - cocycle(u, v))
 
 
-def gauge_variation(minus, u_samples):
-    """-(1/2 pi i) contour tr(dg g^-1 u) dlambda for stacked minus factors.
+def _log_derivative_planes(g, m: int):
+    """dg adj(g) and det g of stacked 2x2 loops on the M-point circle grid,
+    so that dg g^-1 = dg adj(g) / det g.
 
-    minus: (..., 2N+1, 2, 2) coefficients of g = g_minus (modes <= 0);
-    u_samples: (M, 2, 2) values of u, of order K, on the M-point circle
-    grid.  tr(dg g^-1 u) = tr(dg adj(g) u) / det g from the entry planes;
-    with det g constant (a unimodular loop) the residue pick is exact for
-    M >= 2N + K + 1, the integrand having modes -2N-K-1..K-1.
+    g: (..., 2N+1, 2, 2) coefficients with modes -N..N; any other matrix
+    size raises ValueError.
+    """
+    if g.shape[-2:] != (2, 2):
+        raise ValueError(
+            f"the phase-space kernels take 2x2 loops, got {g.shape[-2:]}")
+    order = (g.shape[-3] - 1) // 2
+    ks = np.arange(-order, order + 1)
+    g_vals = coeffs_to_samples(g, m)
+    # d/dlambda moves mode k to k - 1
+    dg_vals = coeffs_to_samples(ks[:, None, None] * g, m,
+                                first_mode=-order - 1)
+    return matmul_2x2(dg_vals, adjugate_2x2(g_vals)), det_2x2(g_vals)
+
+
+def _residue(values, m: int):
+    """(1/2 pi i) contour f dlambda from f on the M-point grid (last axis).
+
+    A row sum, not @: BLAS rounds a dot and a gemv row differently, and the
+    sum gives each loop the same bits in a stack of any size.
+    """
+    return (values * circle_points(m)).sum(axis=-1) / m
+
+
+def gauge_variation(g, u_samples):
+    """-(1/2 pi i) contour tr(dg g^-1 u) dlambda for stacked 2x2 loops g.
+
+    g: (..., 2N+1, 2, 2) coefficients with modes -N..N; u_samples: (M, 2, 2)
+    values of u, of order K, on the M-point circle grid.  With det g
+    constant (a unimodular loop) the residue pick is exact for
+    M >= 2N + K + 2, the integrand having modes -2N-K-1..2N+K-1, and for
+    M >= 2N + K + 1 when g = g_minus (modes <= 0).
     """
     m = len(u_samples)
-    order = (minus.shape[-3] - 1) // 2
-    ks = np.arange(-order, order + 1)
-    g_vals = coeffs_to_samples(minus, m)
-    # d/dlambda moves mode k to k - 1
-    dg_vals = coeffs_to_samples(ks[:, None, None] * minus, m,
-                                first_mode=-order - 1)
-    a = matmul_2x2(dg_vals, adjugate_2x2(g_vals))
+    a, det = _log_derivative_planes(g, m)
     tr = sum(a[..., i, j] * u_samples[:, j, i]
              for i in range(2) for j in range(2))
-    # a row sum, not @: BLAS rounds a dot and a gemv row differently, and
-    # the sum gives each loop the same bits in a stack of any size
-    return -(tr / det_2x2(g_vals) * circle_points(m)).sum(axis=-1) / m
+    return -_residue(tr / det, m)
+
+
+def quadratic_variation(g, xi_samples):
+    """(1/2 pi i) contour xi tr((dg g^-1)^2) dlambda for stacked 2x2 loops g.
+
+    g: (..., 2N+1, 2, 2) coefficients with modes -N..N; xi_samples: (M,)
+    values of xi, of modes -K..K, on the M-point circle grid.  With det g
+    constant the residue pick is exact for M >= 4N + K + 2, the integrand
+    having modes -4N-K-2..4N+K-2; lambda xi (modes -K+1..K+1) needs
+    M >= 4N + K + 1.
+    """
+    m = len(xi_samples)
+    a, det = _log_derivative_planes(g, m)
+    tr = (a[..., 0, 0] * a[..., 0, 0] + 2 * a[..., 0, 1] * a[..., 1, 0]
+          + a[..., 1, 1] * a[..., 1, 1])
+    return _residue(xi_samples * tr / (det * det), m)
 
 
 def vacuum_logderiv_gauge(gamma_or_factors, u) -> complex:
@@ -192,42 +228,39 @@ def vacuum_logderiv_gauge(gamma_or_factors, u) -> complex:
     return complex(gauge_variation(g.coeffs, u.samples(m)))
 
 
-def _diffeo_terms(factors, xi10: ScalarLoop) -> tuple:
-    """Contour values of xi10 tr((dg g^-1)^2) for both factors, minus first."""
-    terms = []
-    for g in (factors.g_minus, factors.g_plus):
-        w = multiply(g.derivative_lambda(), _loop_inverse(g))
-        sq = multiply(w, w).trace()
-        terms.append(contour_integral_dlambda(multiply(xi10, sq)))
-    return tuple(terms)
-
-
 def vacuum_logderiv_diffeo(gamma_or_factors, xi10: ScalarLoop) -> complex:
     """Reparametrization part of d log tau for the lifted field xi10 d/dlambda.
 
-    -(1/4 pi i) contour xi10 [tr((dg g^-1)^2) - tr((dg+ g+^-1)^2)] dlambda.
+    -(1/4 pi i) contour xi10 [tr((dg g^-1)^2) - tr((dg+ g+^-1)^2)] dlambda,
+    that is -(1/2) [quadratic_variation(g_minus) - quadratic_variation(g_plus)].
     When xi10 extends over the unit disc (only nonnegative modes) the
     g_plus term vanishes by Cauchy's theorem; that cancellation is checked
     rather than assumed, and a violation raises NumericalInvariantError.
     """
     factors = _factors_of(gamma_or_factors)
-    minus_term, plus_term = _diffeo_terms(factors, xi10)
+    g_minus, g_plus = factors.g_minus, factors.g_plus
+    m = default_sample_count(g_minus.order + xi10.order)
+    minus_term, plus_term = quadratic_variation(
+        np.stack([g_minus.coeffs, g_plus.coeffs]), xi10.samples(m))
+    # the contour integral of the g_plus term is 2 pi i plus_term
+    plus_contour = 2 * np.pi * abs(plus_term)
     ks = np.arange(-xi10.order, xi10.order + 1)
-    if not np.any(np.abs(xi10.coeffs[ks < 0]) > 0) and abs(plus_term) > GPLUS_TOL:
+    if not np.any(np.abs(xi10.coeffs[ks < 0]) > 0) and plus_contour > GPLUS_TOL:
         raise NumericalInvariantError(
-            f"g_plus term {abs(plus_term):.3e} should vanish for disc-holomorphic xi10")
-    return complex(-(minus_term - plus_term) / (4j * np.pi))
+            f"g_plus term {plus_contour:.3e} should vanish for disc-holomorphic xi10")
+    return complex(-0.5 * (minus_term - plus_term))
 
 
-def curvature_mismatch(gamma: MatrixLoop, u, v, eps: float = 1e-3) -> complex:
+def curvature_mismatch(gamma: MatrixLoop, u, v) -> complex:
     """Exterior derivative of the tau 1-form on two action directions.
 
-    Central-difference measurement of du Fv - dv Fu + F_[u,v] with
-    F_w = vacuum_logderiv_gauge(., w); equals -i c(u, v) under the frozen
-    conventions (the prequantum phase between the 1-form and the
-    Hamiltonians), and 0 for commuting directions.
+    Central-difference measurement, step CURVATURE_EPS, of
+    du Fv - dv Fu + F_[u,v] with F_w = vacuum_logderiv_gauge(., w); equals
+    -i c(u, v) under the frozen conventions (the prequantum phase between
+    the 1-form and the Hamiltonians), and 0 for commuting directions.
     """
     u, v = _as_loop(u), _as_loop(v)
+    eps = CURVATURE_EPS
 
     def flow(direction, sign):
         return multiply(exp_pointwise(direction.scaled(sign * eps)), gamma)

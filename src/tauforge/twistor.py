@@ -110,10 +110,6 @@ class RationalFunction:
             raise ZeroDivisionError(f"pole at {z0} is not simple")
         return complex(self._horner(self.num, z0) / dp)
 
-    def is_polynomial(self) -> bool:
-        den = np.trim_zeros(np.asarray(self.den, dtype=complex), "b")
-        return len(den) <= 1
-
     def __repr__(self):
         return f"RationalFunction(num={self.num}, den={self.den})"
 

@@ -42,7 +42,6 @@ def test_uniqueness_under_normalization(rng):
     gamma = tf.random_unimodular_loop(rng)
     fac = birkhoff.factorize(gamma)
     recon = tf.multiply(fac.g_minus, tf.inverse(fac.g_plus))
-    recon.unimodular = True
     again = birkhoff.factorize(recon)
     grid = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
     assert np.abs(again.g_minus.eval(grid) - fac.g_minus.eval(grid)).max() <= 1e-8
@@ -60,16 +59,14 @@ def test_determinant_splitting(rng):
 
 def test_off_big_cell_raises():
     gamma = tf.MatrixLoop.from_modes(
-        {1: np.diag([1.0, 0.0]), -1: np.diag([0.0, 1.0])},
-        order=4, unimodular=True)
+        {1: np.diag([1.0, 0.0]), -1: np.diag([0.0, 1.0])}, order=4)
     with pytest.raises(birkhoff.BigCellError):
         birkhoff.factorize(gamma)
 
 
 def test_off_big_cell_toeplitz_rank_deficiency():
     gamma = tf.MatrixLoop.from_modes(
-        {1: np.diag([1.0, 0.0]), -1: np.diag([0.0, 1.0])},
-        order=4, unimodular=True)
+        {1: np.diag([1.0, 0.0]), -1: np.diag([0.0, 1.0])}, order=4)
     system = birkhoff.toeplitz_matrix(gamma)
     assert np.linalg.matrix_rank(system) < system.shape[0]
 
@@ -80,7 +77,6 @@ def test_smooth_dependence_on_parameter(rng):
 
     def minus_factor(eps):
         bumped = tf.multiply(tf.exp_pointwise(u.scaled(eps)), base)
-        bumped.unimodular = True
         return birkhoff.factorize(bumped).g_minus.coeffs
 
     def central(eps):

@@ -36,13 +36,6 @@ def shear_solution():
 
 
 class TestSolutions:
-    def test_metric_block_diagonal_and_determinant(self, source):
-        for sol in (ernst.kasner(0.7), source):
-            for r, z in POINTS:
-                j = sol.metric_block(r, z)
-                assert j[0, 1] == 0.0 and j[1, 0] == 0.0
-                assert abs(np.linalg.det(j) + r ** 2) < 1e-12 * r ** 2
-
     def test_flat_residual_is_exactly_zero(self):
         sol = ernst.flat()
         for r, z in POINTS:

@@ -9,7 +9,14 @@ from scipy.linalg import lapack
 from tauforge import cli, kdv
 from tauforge import phase_space as ps
 from tauforge.birkhoff import factorize, factorize_batch
-from tauforge.loops import MatrixLoop, TailMassError, multiply
+from tauforge.loops import (
+    MatrixLoop,
+    ScalarLoop,
+    TailMassError,
+    multiply,
+    random_tangent,
+    random_unimodular_loop,
+)
 from tauforge.quadrature import cumulative_from, refine_path_cells
 from tauforge.twistor import SpacetimePoint
 
@@ -290,8 +297,10 @@ class TestResidual:
 
 
 class TestOneContourKernel:
-    """q_contour and the path cross-check both evaluate the contour
-    formula through phase_space.gauge_variation."""
+    """q_contour, the path cross-check and the phase-space formulas linear
+    in the direction evaluate the contour formula through
+    phase_space.gauge_variation; the quadratic ones go through
+    phase_space.quadratic_variation."""
 
     @pytest.fixture
     def bumped_kernel(self, monkeypatch):
@@ -317,6 +326,39 @@ class TestOneContourKernel:
         assert cli.main(["kdv", "--grid", "-0.4:0.4:11"]) \
             == cli.EXIT_CHECK_FAILED
         assert "[FAIL] logtau_path_crosscheck" in capsys.readouterr().out
+
+    def test_phase_space_moves_with_the_kernel(self, bumped_kernel,
+                                               monkeypatch, rng):
+        gamma = random_unimodular_loop(rng)
+        u, v = (random_tangent(rng, band=4) for _ in range(2))
+
+        def values():
+            return np.array([
+                ps.hamiltonian_gauge(gamma, u),
+                ps.reduced_symplectic(gamma, u, v, check_real=False),
+                ps.poisson_anomaly(gamma, u, v),
+                ps.vacuum_logderiv_gauge(gamma, u),
+                ps.curvature_mismatch(gamma, u, v)])
+
+        bumped = values()
+        monkeypatch.undo()  # lift the fixture's bump, then read the same calls
+        assert (np.abs(bumped - values()) > 1e-8).all()
+
+    def test_diffeo_formulas_move_with_the_quadratic_kernel(self,
+                                                            monkeypatch, rng):
+        gamma = random_unimodular_loop(rng)
+        xi = ScalarLoop.from_modes({2: 1.0}, order=2)  # lambda^2
+
+        def values():
+            return np.array([ps.hamiltonian_diffeo(gamma, xi),
+                             ps.vacuum_logderiv_diffeo(gamma, xi)])
+
+        plain = values()
+        real = ps.quadratic_variation
+        # a relative bump: a constant one cancels between g_minus and g_plus
+        monkeypatch.setattr(ps, "quadratic_variation",
+                            lambda g, xi_samples: real(g, xi_samples) * 1.001)
+        assert (np.abs(values() - plain) > 1e-3 * np.abs(plain) / 2).all()
 
 
 def path_route_log_tau(seed, xs, ts, cols, tol_path=1e-7):

@@ -7,6 +7,8 @@ import tauforge as tf
 from tauforge import loops
 from tauforge.loops import MatrixLoop, ScalarLoop
 
+from oracles import adjugate_inverse, derivative_lambda, unimodular_defect
+
 
 def random_loop(rng, order=8, n=2, scale=0.5):
     """Dense random loop with geometrically decaying modes."""
@@ -71,14 +73,12 @@ class TestTransforms:
             loop.truncate(4)
 
     def test_unimodular_tag_defect(self, rng):
-        loop = tf.random_unimodular_loop(rng)
-        assert loop.unimodular
-        assert loop.unimodular_defect() <= 1e-10
+        assert unimodular_defect(tf.random_unimodular_loop(rng)) <= 1e-10
 
     def test_imag_defect_of_real_loop(self):
         xi = ScalarLoop.from_modes({0: 0.5, 1: 0.2 - 0.1j, -1: 0.2 + 0.1j},
                                    order=4)
-        assert xi.imag_defect() <= 1e-12
+        assert np.abs(xi.samples().imag).max() <= 1e-12
 
 
 class TestProducts:
@@ -121,8 +121,8 @@ class TestProducts:
     def test_unimodular_tag_preserved(self, rng):
         a = tf.random_unimodular_loop(rng)
         b = tf.random_unimodular_loop(rng)
-        assert tf.multiply(a, b).unimodular
-        assert tf.inverse(a).unimodular
+        assert unimodular_defect(tf.multiply(a, b)) <= 1e-10
+        assert unimodular_defect(tf.inverse(a)) <= 1e-10
 
 
 class TestInverse:
@@ -151,7 +151,7 @@ class TestInverse:
 
     def test_adjugate_matches_inverse_for_det_one(self, rng):
         a = tf.random_unimodular_loop(rng)
-        adj = tf.adjugate_inverse(a)
+        adj = adjugate_inverse(a)
         inv = tf.inverse(a)
         assert np.abs(adj.samples() - inv.samples()).max() <= 1e-9
 
@@ -182,19 +182,10 @@ class TestProjections:
 
 
 class TestContourAndDerivatives:
-    def test_cauchy_residue(self):
-        f = tf.monomial(-1, np.eye(1))
-        val = tf.contour_integral_dlambda(f)
-        assert abs(val - 2j * np.pi) <= 1e-14
-
-    def test_no_residue_for_positive_power(self):
-        f = tf.monomial(2, np.eye(1))
-        assert abs(tf.contour_integral_dlambda(f)) == 0.0
-
     def test_exactness_of_lambda_derivative(self, rng):
+        # the contour integral of da dlambda is 2 pi i times its mode -1
         a = random_loop(rng)
-        val = tf.contour_integral_dlambda(a.derivative_lambda())
-        assert np.abs(val).max() == 0.0
+        assert np.abs(derivative_lambda(a).coeff(-1)).max() == 0.0
 
     def test_theta_derivative_single_mode(self, rng):
         A = rng.standard_normal((2, 2))
@@ -206,11 +197,11 @@ class TestContourAndDerivatives:
     def test_constant_loop_derivatives_vanish(self, rng):
         a = tf.monomial(0, rng.standard_normal((2, 2)))
         assert np.abs(a.derivative_theta().coeffs).max() == 0.0
-        assert np.abs(a.derivative_lambda().coeffs).max() == 0.0
+        assert np.abs(derivative_lambda(a).coeffs).max() == 0.0
 
     def test_chain_rule_lambda_vs_theta(self, rng):
         a = random_loop(rng)
-        dlam = a.derivative_lambda()
+        dlam = derivative_lambda(a)
         dth = a.derivative_theta()
         theta = 2 * np.pi * np.arange(32) / 32
         lam = np.exp(1j * theta)
@@ -258,7 +249,7 @@ class TestExponential:
         vals = u.samples()
         assert np.abs(vals + vals.conj().transpose(0, 2, 1)).max() <= 1e-10
         assert np.abs(np.trace(vals, axis1=1, axis2=2)).max() <= 1e-10
-        assert tf.exp_pointwise(u).unimodular
+        assert unimodular_defect(tf.exp_pointwise(u)) <= 1e-10
 
 
 class TestRandomStacks:

@@ -162,7 +162,7 @@ def seed_k_poles(poles, strengths, order=64):
     modes = {0: np.eye(2)}
     for k in range(1, order + 1):
         modes[-k] = sum(s * a ** (k - 1) for a, s in zip(poles, strengths)) * n
-    loop = MatrixLoop.from_modes(modes, order=order, unimodular=True)
+    loop = MatrixLoop.from_modes(modes, order=order)
     return kdv.KdVSeed(loop, "k-pole")
 
 

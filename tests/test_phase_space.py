@@ -18,6 +18,8 @@ from tauforge.loops import (
     default_sample_count,
 )
 
+from oracles import adjugate_inverse, derivative_lambda, unimodular_defect
+
 
 def unitary_loop(rng, amplitude=0.5):
     gamma = tf.exp_pointwise(tf.random_tangent(rng, antihermitian=True,
@@ -99,6 +101,32 @@ class TestSymplecticForm:
         oracle = quadrature_mean(integrand)
         assert abs(val - oracle) <= 1e-10
 
+    @pytest.mark.parametrize("unitary", [True, False],
+                             ids=["unitary", "non_unimodular"])
+    def test_fine_grid_oracle_away_from_identity(self, rng, unitary):
+        # (1/2 pi) contour tr(ubar d vbar) with ubar = gamma^-1 u gamma,
+        # gamma^-1 by np.linalg.inv of the samples on a fine grid
+        m = 1024
+        if unitary:
+            gamma = unitary_loop(rng)
+            u, v = (tf.random_tangent(rng, antihermitian=True, band=4)
+                    for _ in range(2))
+        else:
+            gamma = tf.exp_pointwise(tf.random_tangent(
+                rng, traceless=False, amplitude=0.4))
+            u, v = (tf.random_tangent(rng, band=4, traceless=False)
+                    for _ in range(2))
+            assert unimodular_defect(gamma) > 1e-3
+        g, dg = gamma.samples(m), gamma.derivative_theta().samples(m)
+        ginv = np.linalg.inv(g)
+        uv, vv, dv = u.samples(m), v.samples(m), v.derivative_theta().samples(m)
+        ubar = ginv @ uv @ g
+        dvbar = (-ginv @ dg @ ginv @ vv @ g + ginv @ dv @ g
+                 + ginv @ vv @ dg)
+        oracle = np.trace(ubar @ dvbar, axis1=1, axis2=2).mean()
+        val = ps.reduced_symplectic(gamma, u, v, check_real=False)
+        assert abs(val - oracle) <= 1e-12
+
     @pytest.mark.parametrize("unimodular", [True, False],
                              ids=["adjugate", "generic_inverse"])
     def test_antisymmetry_exact_over_seeds(self, unimodular):
@@ -117,7 +145,7 @@ class TestSymplecticForm:
                 u = tf.random_tangent(rng, band=4, traceless=False)
                 v = tf.random_tangent(rng, band=4, traceless=False)
                 check_real = False
-            assert gamma.unimodular is unimodular
+            assert (unimodular_defect(gamma) <= 1e-10) is unimodular
             a = ps.reduced_symplectic(gamma, u, v, check_real=check_real)
             b = ps.reduced_symplectic(gamma, v, u, check_real=check_real)
             assert a == -b, f"seed {seed}"
@@ -145,6 +173,16 @@ class TestHamiltonians:
         eps = 1e-3
         fd = (ham(eps) - ham(-eps)) / (2 * eps)
         assert abs(fd - (-ps.cocycle(u, U))) <= 1e-6
+
+    def test_larger_loops_rejected(self, rng):
+        # the kernels read 2x2 entry planes; a 3x3 loop must not pass
+        gamma = tf.exp_pointwise(tf.random_tangent(rng, n=3))
+        u = tf.random_tangent(rng, n=3)
+        xi = ScalarLoop.from_modes({0: 1.0}, order=2)
+        with pytest.raises(ValueError, match="2x2"):
+            ps.hamiltonian_gauge(gamma, u)
+        with pytest.raises(ValueError, match="2x2"):
+            ps.hamiltonian_diffeo(gamma, xi)
 
     def test_diffeo_vanishes_at_identity(self):
         xi = ScalarLoop.from_modes({0: 1.0}, order=2)
@@ -236,7 +274,6 @@ class TestVacuumLogderivGauge:
         c = np.array([[1.1, 0.3], [0.2, 1.0]])
         c = c / np.sqrt(np.linalg.det(c))
         twisted = tf.multiply(gamma, tf.monomial(0, c, order=0))
-        twisted.unimodular = True
         assert abs(ps.vacuum_logderiv_gauge(twisted, u) - base) <= 1e-10
 
     def test_precomputed_factors_agree(self, rng):
@@ -257,10 +294,10 @@ class TestVacuumLogderivGauge:
 
 
 class TestNonUnimodularLoop:
-    """Factors of a loop with det != 1 are inverted pointwise: their
-    adjugate is det times the inverse, not the inverse."""
+    """Factors of a loop with det != 1: their adjugate is det times the
+    inverse, so the kernels divide by a det that varies on the circle."""
 
-    M = 1024  # fine grid for the sample route, far above the factor orders
+    M = 1024  # fine grid for the sample route, far above the loop orders
 
     def _residue(self, vals):
         # (1/2 pi i) contour f dlambda = mode -1 of f
@@ -268,13 +305,13 @@ class TestNonUnimodularLoop:
 
     def _log_derivative(self, g):
         # dg g^-1 on the fine grid, g^-1 by np.linalg.inv of its samples
-        return (g.derivative_lambda().samples(self.M)
+        return (derivative_lambda(g).samples(self.M)
                 @ np.linalg.inv(g.samples(self.M)))
 
     def test_logderivs_match_sample_inverse(self):
         rng = np.random.default_rng(3)
         gamma = tf.exp_pointwise(tf.random_tangent(rng, traceless=False))
-        assert not gamma.unimodular
+        assert unimodular_defect(gamma) > 1e-3
         u = tf.random_tangent(rng)
         # tr((dg g^-1)^2) of the minus factor has modes <= -4, so xi needs
         # a mode >= 3 for the residue to see it
@@ -292,6 +329,19 @@ class TestNonUnimodularLoop:
         assert abs(ps.vacuum_logderiv_gauge(fac, u) - gauge) <= 1e-12
         assert abs(ps.vacuum_logderiv_diffeo(fac, xi) - diffeo) <= 1e-12
 
+    def test_singular_sample_raises(self, rng):
+        # det gamma = 1 + lambda vanishes at lambda = -1, a grid point
+        gamma = MatrixLoop.from_modes({0: np.eye(2), 1: np.diag([1.0, 0.0])},
+                                      order=4)
+        u = tf.random_tangent(rng, band=4)
+        xi = ScalarLoop.from_modes({1: 0.5, -1: 0.5}, order=4)
+        with pytest.raises(tf.SingularLoopError):
+            ps.hamiltonian_gauge(gamma, u)
+        with pytest.raises(tf.SingularLoopError):
+            ps.hamiltonian_diffeo(gamma, xi)
+        with pytest.raises(tf.SingularLoopError):
+            ps.reduced_symplectic(gamma, u, u, check_real=False)
+
 
 class TestVacuumLogderivDiffeo:
     def test_zero_field(self, rng):
@@ -307,10 +357,12 @@ class TestVacuumLogderivDiffeo:
         gamma = tf.random_unimodular_loop(rng)
         fac = birkhoff.factorize(gamma)
         xi = ScalarLoop.from_modes({2: 1.0}, order=2)  # lambda^2
-        minus_term, plus_term = ps._diffeo_terms(fac, xi)
-        assert abs(plus_term) <= 1e-9
+        m = default_sample_count(fac.g_minus.order + xi.order)
+        minus_term, plus_term = ps.quadratic_variation(
+            np.stack([fac.g_minus.coeffs, fac.g_plus.coeffs]), xi.samples(m))
+        assert abs(2 * np.pi * plus_term) <= 1e-9
         total = ps.vacuum_logderiv_diffeo(fac, xi)
-        assert abs(total - (-minus_term / (4j * np.pi))) <= 1e-12
+        assert abs(total - (-0.5 * minus_term)) <= 1e-12
 
     def test_rational_field_residue_oracle(self, rng):
         # xi(lambda) = 1/(lambda - z0) with the pole z0 outside the circle;
@@ -324,7 +376,7 @@ class TestVacuumLogderivDiffeo:
         xi = ScalarLoop.from_modes(modes, order=order)
         val = ps.vacuum_logderiv_diffeo(fac, xi)
         gm = fac.g_minus
-        w = tf.multiply(gm.derivative_lambda(), tf.adjugate_inverse(gm))
+        w = tf.multiply(derivative_lambda(gm), adjugate_inverse(gm))
         w = w.project("strictly_negative")
         g_of_z = tf.multiply(w, w).trace().project("strictly_negative")
         assert abs(val - 0.5 * g_of_z.eval_point(z0)) <= 1e-8
@@ -335,7 +387,7 @@ class TestCurvature:
         gamma = tf.exp_pointwise(tf.random_tangent(rng, amplitude=0.3))
         u = tf.monomial(1, rng.standard_normal((2, 2)), order=4)
         v = tf.monomial(-1, rng.standard_normal((2, 2)), order=4)
-        mismatch = ps.curvature_mismatch(gamma, u, v, eps=1e-3)
+        mismatch = ps.curvature_mismatch(gamma, u, v)
         assert abs(mismatch - (-1j) * ps.cocycle(u, v)) <= 1e-5
 
     def test_commuting_directions_flat(self, rng):
@@ -343,4 +395,4 @@ class TestCurvature:
         A = rng.standard_normal((2, 2))
         u = tf.monomial(1, A, order=4)
         v = tf.monomial(2, A, order=4)
-        assert abs(ps.curvature_mismatch(gamma, u, v, eps=1e-3)) <= 1e-5
+        assert abs(ps.curvature_mismatch(gamma, u, v)) <= 1e-5

@@ -74,7 +74,7 @@ class TestDecompose:
     def test_multiplier_smooth_on_circle(self):
         # translations against d/dv give polynomial h: no circle poles
         dec = tw.decompose(tw.SymmetryGenerator.d_t(), tw.SymmetryGenerator.d_v())
-        assert dec.h.is_polynomial()
+        assert len(np.trim_zeros(np.asarray(dec.h.den), "b")) <= 1
         theta = np.linspace(0, 2 * np.pi, 64)
         vals = dec.h.eval(np.exp(1j * theta))
         assert np.isfinite(vals).all()
