@@ -270,8 +270,8 @@ _SETTINGS = {
     "tol_factor": (float, ("kdv", "birkhoff"),
                    "factorization residual tolerance"),
     "tol_path": (float, ("kdv", "ernst"),
-                 "path refinement tolerance; for kdv also the bound of the "
-                 "contour cross-check"),
+                 "ernst: path refinement tolerance; kdv: per-cell bound of "
+                 "the contour cross-check"),
     "tol_residual": (float, ("kdv",), "PDE residual tolerance"),
     "tol_headline": (float, ("kdv",), "d log tau vs q mismatch tolerance"),
     "rng_seed": (int, ("birkhoff", "selftest"), "random generator seed"),
@@ -326,9 +326,7 @@ def _run_kdv(config: ExperimentConfig):
     grid = kdv.tau_grid(seed, xs, ts, order=config.trunc,
                         factor_tol=config.tol_factor)
     tol_path = config.resolved_tol_path()
-    crosscheck, levels = kdv.path_crosscheck(
-        seed, grid, order=config.trunc, tol_path=tol_path,
-        factor_tol=config.tol_factor)
+    crosscheck, points = kdv.path_crosscheck(grid)
 
     dx = float(xs[1] - xs[0])
     fd = kdv._derivative_on_grid(grid.log_tau, dx, 1, axis=0)
@@ -361,7 +359,7 @@ def _run_kdv(config: ExperimentConfig):
             "points_factored": grid.points_factored,
             "min_abs_det_on_path": grid.min_abs_det,
             "crosscheck_worst_cell": crosscheck,
-            "crosscheck_levels": {"x": levels[0], "t": levels[1]},
+            "crosscheck_points": {"x": points[0], "t": points[1]},
             "worst_factor_residual": worst,
             "factor_residual_margin": margin,
             "near_misses": near_misses,

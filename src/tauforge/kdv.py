@@ -24,11 +24,12 @@ points (0, 0), (x, 0) of the path (0,0) -> (x,0) -> (x,t).  The branch of
 the logarithm is continued along that path; a path point off the big cell,
 or a sign change or large phase jump of det T_N between neighbouring path
 points, means the path crosses det T_N = 0 and raises
-PathCrossesBadCellError.  The paper's contour formula, integrated with
-Gauss-Legendre cells, is kept as a cross-check on a few cells
-(path_crosscheck).  The solution field is u = -2 dq/dx by 4th-order finite
-differences, the scaling in which the family satisfies
-4 u_t = u_xxx + 6 u u_x.  All loop-valued work is batched over points.
+PathCrossesBadCellError.  The paper's contour formula, evaluated on the
+nodes' minus factors and integrated with an interpolatory cell rule, is
+kept as a cross-check on a few cells (path_crosscheck).  The solution
+field is u = -2 dq/dx by 4th-order finite differences, the scaling in
+which the family satisfies 4 u_t = u_xxx + 6 u u_x.  All loop-valued work
+is batched over points.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# unused factorize_batch, refine_path_cells: benchmark/tracing.py patches them
 from .birkhoff import factorize, factorize_batch, factorize_slogdet
 from .loops import (
     DEFAULT_ORDER,
@@ -44,13 +46,22 @@ from .loops import (
     MatrixLoop,
     ScalarLoop,
     circle_points,
+    cosh_sinhc,
     default_sample_count,
     multiply,
     samples_to_coeffs,
 )
 from .phase_space import gauge_variation, vacuum_logderiv_gauge
-from .quadrature import cumulative_from, refine_path_cells, validated_axes
+from .quadrature import (
+    cumulative_from,
+    interpolatory_cell_weights,
+    refine_path_cells,
+    validated_axes,
+)
 from .twistor import SpacetimePoint, SymmetryGenerator, decompose
+
+# nodes of the polynomial behind each cell integral of path_crosscheck
+CELL_RULE_POINTS = 8
 
 # largest |arg| change of det T_N between neighbouring path points; a real
 # det changing sign is a step of pi
@@ -113,21 +124,13 @@ def seed_one_pole(pole: float = 0.25, strength: float = 0.3,
 def _exp_minus_mu_phi(mu, lam, branch: float = 1.0):
     """(C, mu S) with exp(-mu Phi) = C I - (mu S) Phi at circle points lam.
 
-    C = cosh(sqrt(z)) and S = sinh(sqrt(z))/sqrt(z), z = mu^2 / lam; both
-    are even in sqrt(z), and branch flips the square root for testing.
-    With sqrt(z) = a + ib, cosh and sinh share cosh a, sinh a, cos b, sin b.
+    (C, S) = cosh_sinhc(z), z = mu^2 / lam; branch flips the square root
+    for testing.  mu S is written over S: the bits of mu * S, without a
+    fresh array in the pullback's peak.
     """
     mu = np.asarray(mu, dtype=complex)
-    z = mu * mu / np.asarray(lam, dtype=complex)
-    sq = branch * np.sqrt(z)
-    ch, sh = np.cosh(sq.real), np.sinh(sq.real)
-    cb, sb = np.cos(sq.imag), np.sin(sq.imag)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s = (sh * cb + 1j * (ch * sb)) / sq
-    small = np.abs(z) < 1e-8
-    zs = z[small]
-    s[small] = 1.0 + zs / 6.0 + zs * zs / 120.0
-    return ch * cb + 1j * (sh * sb), mu * s
+    c, s = cosh_sinhc(mu * mu / np.asarray(lam, dtype=complex), branch)
+    return c, np.multiply(mu, s, out=s)
 
 
 def _pullback_values(seed: KdVSeed, v, x, t, order: int):
@@ -274,7 +277,8 @@ class TauGrid:
     """Node data on an (x, t) grid at v = 0; arrays indexed [ix, it].
 
     u carries the solution-field scaling u = -2 dq/dx (see the module
-    docstring); q is the log tau derivative itself.  points_factored
+    docstring); q is the log tau derivative itself, read from minus, the
+    nodes' minus factors (nx, nt, 2N+1, 2, 2).  points_factored
     counts the distinct points pulled back and factored, and
     factor_residuals holds their reconstruction residuals; min_abs_det is
     the smallest |det T_N| among them, the margin of the path to the
@@ -286,6 +290,7 @@ class TauGrid:
     log_tau: np.ndarray
     q: np.ndarray
     u: np.ndarray
+    minus: np.ndarray
     bigcell: np.ndarray
     points_factored: int
     factor_residuals: np.ndarray
@@ -349,9 +354,7 @@ def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
             f"is off the big cell")
     sign = np.ones(gx.shape, dtype=complex)
     logabs = np.zeros(gx.shape)
-    q = np.zeros(gx.shape, dtype=complex)
     sign[need], logabs[need] = sign_n, logabs_n
-    q[need] = _q_of(minus)
 
     it0 = np.searchsorted(t_breaks, 0.0)
     cols = np.searchsorted(x_breaks, xs)
@@ -363,61 +366,61 @@ def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
     log_tau = (log_tau_x[cols, None]
                + cumulative_from(t_breaks, leg_t, 0.0))[:, rows]
 
-    q = q[np.ix_(cols, rows)]
+    node = np.zeros(gx.shape, dtype=int)
+    node[need] = np.arange(len(minus))
+    minus = minus[node[np.ix_(cols, rows)]]
+    q = _q_of(minus)
     u = -2.0 * _derivative_on_grid(q, dx, 1, axis=0)
     # every node is a path point, and a path point off the big cell raised
     bigcell = np.ones(q.shape, dtype=bool)
-    return TauGrid(xs=xs, ts=ts, log_tau=log_tau, q=q, u=u, bigcell=bigcell,
-                   points_factored=int(need.sum()), factor_residuals=residuals,
+    return TauGrid(xs=xs, ts=ts, log_tau=log_tau, q=q, u=u, minus=minus,
+                   bigcell=bigcell, points_factored=int(need.sum()),
+                   factor_residuals=residuals,
                    min_abs_det=float(np.exp(logabs_n.min())))
 
 
-def path_crosscheck(seed: KdVSeed, grid: TauGrid, order: int = DEFAULT_ORDER,
-                    tol_path: float = 1e-7, factor_tol: float = 1e-9):
+def path_crosscheck(grid: TauGrid):
     """Delta log tau of the grid against the paper's contour formula.
 
     On a fixed sub-sample of cells, the change of grid.log_tau across a
     cell is compared with the integral of -(1/2 pi i) contour
-    tr(dg_minus g_minus^-1 u) dlambda along it, refined to tol_path: the
-    cells between neighbouring t nodes on the x columns at both ends and
-    nearest 0, and for each of these columns the x cell next to it, on the
-    side of x = 0, in the row nearest t = 0 (the x leg itself when t = 0
-    is a node).  Returns the worst per-cell difference and the Gauss
-    levels of the (x, t) cells.
+    tr(dg_minus g_minus^-1 u) dlambda along it: the cells between
+    neighbouring t nodes on the x columns at both ends and nearest 0, and
+    for each of these columns the x cell next to it, on the side of x = 0,
+    in the row nearest t = 0 (the x leg itself when t = 0 is a node).  The
+    integrand is evaluated on grid.minus at the nodes, and a cell's
+    integral is that of the polynomial through the CELL_RULE_POINTS
+    nearest nodes on its axis, so no point between nodes is factored.
+    Returns the worst per-cell difference and the (x, t) stencil sizes.
     """
     xs, ts = grid.xs, grid.ts
-    m = default_sample_count(order)
-    u_dir = {d: _direction_u(d).samples(m) for d in ("x", "t")}
-
-    def variation(direction, xpts, tpts):
-        minus, _, _, good = factorize_batch(
-            pullback_coeff_batch(seed, xpts, tpts, order), tol=factor_tol)
-        if not good.all():
-            bad = np.argwhere(~good)[0, 0]
-            raise PathCrossesBadCellError(
-                f"integration path left the big cell near "
-                f"(x, t) = ({xpts[bad]:.4f}, {tpts[bad]:.4f})")
-        return gauge_variation(minus, u_dir[direction])
-
+    m = default_sample_count((grid.minus.shape[-3] - 1) // 2)
     ix0 = int(np.argmin(np.abs(xs)))
     it0 = int(np.argmin(np.abs(ts)))
     cols = np.unique([0, ix0, len(xs) - 1])
     lefts = np.unique(np.where(cols > ix0, cols - 1,
                                np.minimum(cols, len(xs) - 2)))
 
-    t_cells = np.column_stack([ts[:-1], ts[1:]])
-    vals_t, level_t, _ = refine_path_cells(
-        lambda pts, c: variation("t", xs[cols][c], pts),
-        t_cells, len(cols), tol_path)
-    x_cells = np.column_stack([xs[lefts], xs[lefts + 1]])
-    vals_x, level_x, _ = refine_path_cells(
-        lambda pts, c: variation("x", pts, np.full_like(pts, ts[it0])),
-        x_cells, 1, tol_path)
+    def rule(axis, cells):
+        """The nodes the cells' polynomials read, and h times the weights
+        on them."""
+        weights = interpolatory_cell_weights(len(axis), cells,
+                                             CELL_RULE_POINTS)
+        used = np.flatnonzero(weights.any(axis=0))
+        return used, weights[:, used] * (axis[-1] - axis[0]) / (len(axis) - 1)
+
+    used, w_t = rule(ts, np.arange(len(ts) - 1))
+    vals_t = gauge_variation(grid.minus[np.ix_(cols, used)],
+                             _direction_u("t").samples(m)) @ w_t.T
+    used, w_x = rule(xs, lefts)
+    vals_x = w_x @ gauge_variation(grid.minus[used, it0],
+                                   _direction_u("x").samples(m))
 
     det_t = np.diff(grid.log_tau[cols], axis=1)
     det_x = grid.log_tau[lefts + 1, it0] - grid.log_tau[lefts, it0]
-    worst = max(np.abs(det_t - vals_t).max(), np.abs(det_x - vals_x[0]).max())
-    return float(worst), (level_x, level_t)
+    worst = max(np.abs(det_t - vals_t).max(), np.abs(det_x - vals_x).max())
+    return float(worst), tuple(min(CELL_RULE_POINTS, len(axis))
+                               for axis in (xs, ts))
 
 
 def kdv_residual(grid: TauGrid) -> float:

@@ -86,9 +86,13 @@ def coeffs_to_samples(coeffs, m: int, first_mode: int | None = None):
     if first_mode is None:
         first_mode = -((k - 1) // 2)
     spec = np.zeros(coeffs.shape[:-3] + coeffs.shape[-2:] + (m,), dtype=complex)
-    spec[..., (first_mode + np.arange(k)) % m] = np.moveaxis(coeffs, -3, -1)
-    np.fft.ifft(spec, axis=-1, out=spec)
-    spec *= m
+    src = np.moveaxis(coeffs, -3, -1)
+    # the modes fill a cyclic run of bins: up to the top, then from bin 0
+    start = first_mode % m
+    split = min(k, m - start)
+    spec[..., start:start + split] = src[..., :split]
+    spec[..., :k - split] = src[..., split:]
+    np.fft.ifft(spec, axis=-1, norm="forward", out=spec)
     return np.moveaxis(spec, -1, -3)
 
 
@@ -391,9 +395,12 @@ def adjugate_2x2(m):
 
 
 def inverse_2x2(m):
-    """Inverses of a (..., 2, 2) stack, adjugate over determinant; a
-    singular matrix gives non-finite entries instead of raising."""
-    return adjugate_2x2(m) / det_2x2(m)[..., None, None]
+    """Inverses of a (..., 2, 2) stack, adjugate over determinant, divided
+    in place so the result stays entry-major; a singular matrix gives
+    non-finite entries instead of raising."""
+    out = adjugate_2x2(m)
+    np.divide(out, det_2x2(m)[..., None, None], out=out)
+    return out
 
 
 def matmul_2x2(a, b):
@@ -409,24 +416,38 @@ def matmul_2x2(a, b):
     return out
 
 
+def cosh_sinhc(z, branch: float = 1.0):
+    """(cosh sqrt(z), sinh(sqrt(z)) / sqrt(z)) on an array z, both entire.
+
+    Both are even in sqrt(z), so the square-root branch drops out; branch
+    flips it for testing.  With sqrt(z) = a + ib, both share the real
+    cosh a, sinh a, cos b and sin b, and the second switches to its series
+    near z = 0.
+    """
+    z = np.asarray(z, dtype=complex)
+    sq = branch * np.sqrt(z)
+    ch, sh = np.cosh(sq.real), np.sinh(sq.real)
+    cb, sb = np.cos(sq.imag), np.sin(sq.imag)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = (sh * cb + 1j * (ch * sb)) / sq
+    small = np.abs(z) < 1e-8
+    zs = z[small]
+    s[small] = 1.0 + zs / 6.0 + zs * zs / 120.0
+    return ch * cb + 1j * (sh * sb), s
+
+
 def _expm_2x2(vals):
     """exp of stacked 2x2 matrices: e^{tr/2} (cosh s I + sinh(s)/s u0).
 
-    u0 = u - (tr/2) I is traceless, so u0^2 = s^2 I with s^2 = -det u0;
-    cosh s and sinh(s)/s are even in s, so the square-root branch drops
-    out, and sinh(s)/s switches to its series near s = 0.  The result is
+    u0 = u - (tr/2) I is traceless, so u0^2 = s^2 I with s^2 = -det u0,
+    and cosh_sinhc gives cosh s and sinh(s)/s from s^2.  The result is
     built entry by entry, in the entry-major order of matmul_2x2.
     """
     half_tr = 0.5 * (vals[..., 0, 0] + vals[..., 1, 1])
     u00 = vals[..., 0, 0] - half_tr
     u11 = vals[..., 1, 1] - half_tr
-    s2 = -(u00 * u11 - vals[..., 0, 1] * vals[..., 1, 0])
-    s = np.sqrt(s2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sinhc = np.where(np.abs(s2) < 1e-8,
-                         1.0 + s2 / 6.0 + s2 * s2 / 120.0, np.sinh(s) / s)
+    cosh, sinhc = cosh_sinhc(-(u00 * u11 - vals[..., 0, 1] * vals[..., 1, 0]))
     scale = np.exp(half_tr)
-    cosh = np.cosh(s)
     out = _entry_major_empty(vals.shape, complex)
     # multiply into out: numpy rounds a complex product written over its
     # first operand differently, and `scale * (...)` can elide into that

@@ -10,9 +10,15 @@ analytic on their cells, where Gauss rules converge geometrically, so the
 difference of the two rules, about the coarse rule's error, bounds the
 finer rule's; iteration stops when the worst per-cell difference drops
 below the tolerance.
+
+Where the integrand is known only at evenly spaced nodes,
+interpolatory_cell_weights gives each cell the integral of the
+polynomial through the nearest nodes instead.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,3 +85,37 @@ def refine_path_cells(eval_fn, cells, n_cols: int, tol: float,
     raise PathRefinementError(
         f"no convergence to {tol:.1e} within {max_level} levels "
         f"(last change {change:.3e})")
+
+
+def interpolatory_cell_weights(n: int, cells, points: int):
+    """Weights (len(cells), n) for cells [i, i+1] of an n-node even axis.
+
+    Row r integrates, over cell cells[r], the polynomial through the
+    p = min(points, n) nodes nearest it, one-sided at the axis ends; the
+    weights are in units of the node spacing h, so a cell's integral is
+    h * (weights @ nodal values).
+    """
+    p = min(points, n)
+    cells = np.asarray(cells, dtype=int)
+    starts = np.clip(cells - (p // 2 - 1), 0, n - p)
+    weights = np.zeros((len(cells), n))
+    for row, (cell, start) in enumerate(zip(cells, starts)):
+        weights[row, start:start + p] = _lagrange_cell_weights(
+            p, int(cell - start))
+    return weights
+
+
+@lru_cache(maxsize=None)
+def _lagrange_cell_weights(p: int, offset: int):
+    """Integrals over [offset, offset + 1] of the Lagrange basis
+    polynomials on the nodes 0..p-1, by p-point Gauss-Legendre (exact:
+    the basis has degree p - 1)."""
+    s, w = np.polynomial.legendre.leggauss(p)
+    s = offset + 0.5 * (s + 1.0)
+    nodes = np.arange(p)
+    basis = np.array([np.prod((s[:, None] - nodes[nodes != k])
+                              / (k - nodes[nodes != k]), axis=1)
+                      for k in range(p)])
+    weights = basis @ (0.5 * w)
+    weights.flags.writeable = False
+    return weights

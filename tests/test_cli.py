@@ -224,10 +224,10 @@ class TestKdvPipeline:
         manifest = json.loads((tmp_path / "kdv_manifest.json").read_text())
         telemetry = manifest["extra"]["telemetry"]
         assert sorted(telemetry) == [
-            "crosscheck_levels", "crosscheck_worst_cell",
+            "crosscheck_points", "crosscheck_worst_cell",
             "factor_residual_margin", "min_abs_det_on_path", "near_misses",
             "points_factored", "worst_factor_residual"]
-        assert sorted(telemetry["crosscheck_levels"]) == ["t", "x"]
+        assert telemetry["crosscheck_points"] == {"x": 8, "t": 8}
         worst = telemetry["worst_factor_residual"]
         assert 0 < worst <= manifest["tolerances"]["factor"]
         assert telemetry["factor_residual_margin"] \

@@ -405,32 +405,31 @@ class TestDeterminantRoute:
 
     def test_crosscheck_detects_perturbed_cell(self, one_pole_seed,
                                                one_pole_grid):
-        worst, levels = kdv.path_crosscheck(one_pole_seed, one_pole_grid)
+        worst, _ = kdv.path_crosscheck(one_pole_grid)
         assert worst <= 1e-10
-        assert min(levels) >= 1
         log_tau = one_pole_grid.log_tau.copy()
         log_tau[-1, 10] += 1e-6
         bad = dataclasses.replace(one_pole_grid, log_tau=log_tau)
-        worst, _ = kdv.path_crosscheck(one_pole_seed, bad)
+        worst, _ = kdv.path_crosscheck(bad)
         assert worst > 1e-7
 
-    def test_crosscheck_evaluation_budget(self, monkeypatch):
-        # the benchmark's kdv_wide grid, at the middle of its preset range
+    def test_crosscheck_factors_nothing(self, monkeypatch):
+        # the benchmark's kdv_wide grid, at the middle of its preset range:
+        # the cross-check reads the minus factors tau_grid kept, so no
+        # pullback, factorization or refinement may run after tau_grid
         seed = kdv.seed_one_pole(pole=0.25, strength=0.33)
         grid = kdv.tau_grid(seed, np.linspace(-1, 1, 41),
                             np.linspace(-0.15, 0.15, 7))
-        points = []
 
-        def counted(eval_fn, *args, **kwargs):
-            def eval_counted(pts, cols):
-                points.append(len(pts))
-                return eval_fn(pts, cols)
-            return refine_path_cells(eval_counted, *args, **kwargs)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("path_crosscheck factored a loop")
 
-        monkeypatch.setattr(kdv, "refine_path_cells", counted)
-        worst, _ = kdv.path_crosscheck(seed, grid)
-        assert worst <= 5.2e-14
-        assert sum(points) <= 150
+        for name in ("pullback_coeff_batch", "factorize_batch",
+                     "factorize_slogdet", "refine_path_cells"):
+            monkeypatch.setattr(kdv, name, forbidden)
+        worst, points = kdv.path_crosscheck(grid)
+        assert worst <= 1e-9
+        assert points == (8, 7)
 
     def test_tau_grid_factors_each_point_once(self, monkeypatch):
         # one LU per point gives both g_plus and det T_N; a second

@@ -158,7 +158,7 @@ def test_coeffs_to_samples_matches_fft_on_c_order(p):
         first = -((k - 1) // 2)
     spec = np.zeros(p["lead"] + (m, p["n"], p["n"]), dtype=complex)
     spec[..., (first + np.arange(k)) % m, :, :] = coeffs
-    want = np.fft.ifft(spec, axis=-3) * m
+    want = np.fft.ifft(spec, axis=-3, norm="forward")
     assert got.shape == want.shape
     assert np.array_equal(_bits(got), _bits(want))
     assert _grid_axis_is_fastest(got)

@@ -1,13 +1,19 @@
-"""The Gauss-Legendre cell rule behind both path integrations."""
+"""The Gauss-Legendre cell rule behind both path integrations, and the
+interpolatory cell rule of the KdV contour cross-check."""
 
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tauforge import kdv
+from tauforge.birkhoff import factorize_batch
+from tauforge.phase_space import gauge_variation
 from tauforge.quadrature import (
     BASE_NODES,
     PathRefinementError,
+    interpolatory_cell_weights,
     refine_path_cells,
 )
 
@@ -84,3 +90,75 @@ def test_leggauss_only_in_quadrature():
     users = sorted(path.name for path in src.glob("*.py")
                    if "leggauss" in path.read_text())
     assert users == ["quadrature.py"]
+
+
+def _exact_cell_weights(p, offset):
+    """Integrals over [offset, offset + 1] of the Lagrange basis
+    polynomials on the nodes 0..p-1, in rationals."""
+    weights = []
+    for j in range(p):
+        poly = [Fraction(1)]  # coefficients, lowest degree first
+        for i in range(p):
+            if i != j:  # times (s - i) / (j - i)
+                poly = [(lo - i * hi) / (j - i)
+                        for lo, hi in zip([0] + poly, poly + [0])]
+        weights.append(sum(c * ((offset + 1) ** (k + 1) - offset ** (k + 1))
+                           / (k + 1) for k, c in enumerate(poly)))
+    return np.array([float(w) for w in weights])
+
+
+@pytest.mark.parametrize("p", [7, 8])
+def test_cell_weights_exact_below_degree_p(p):
+    # the weights are the integrals of the Lagrange basis, which spans the
+    # polynomials of degree < p; every offset of the cell in its stencil,
+    # the one-sided ones included
+    for offset in range(p - 1):
+        weights = interpolatory_cell_weights(p, [offset], p)[0]
+        exact = _exact_cell_weights(p, offset)
+        assert (np.abs(weights - exact) <= 1e-13 * np.abs(exact)).all()
+
+
+def test_cell_weights_place_the_stencil_on_the_axis():
+    # on a 20-node axis of spacing h every cell's rule reads 8 nodes and
+    # integrates a degree-7 polynomial exactly
+    axis = np.linspace(-1.0, 0.9, 20)
+    h = axis[1] - axis[0]
+    coeffs = np.array([0.3, -1.2, 0.5, 2.0, -0.7, 0.1, 1.1, -0.4])
+    antiderivative = np.polynomial.polynomial.polyint(coeffs)
+    weights = interpolatory_cell_weights(len(axis), np.arange(19), 8)
+    assert ((weights != 0).sum(axis=1) == 8).all()
+    got = h * weights @ np.polynomial.polynomial.polyval(axis, coeffs)
+    exact = np.diff(np.polynomial.polynomial.polyval(axis, antiderivative))
+    assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
+
+
+def test_cell_rule_matches_gauss_on_default_kdv_cells():
+    # the cross-check's cells on the default kdv grid: every t cell of the
+    # columns x = -1, 0, 1 and the x cells next to them on the row t = 0;
+    # the Gauss reference factors fresh loops between the nodes
+    seed = kdv.seed_one_pole()
+    axis = np.linspace(-1.0, 1.0, 51)
+    h = axis[1] - axis[0]
+    cols, x_cells, it0 = np.array([0, 25, 50]), np.array([0, 25, 49]), 25
+    m = 256
+    u = {d: kdv._direction_u(d).samples(m) for d in ("x", "t")}
+
+    def variation(direction, x, t):
+        minus, _, _, ok = factorize_batch(kdv.pullback_coeff_batch(seed, x, t))
+        assert ok.all()
+        return gauge_variation(minus, u[direction])
+
+    gx, gt = np.meshgrid(axis[cols], axis, indexing="ij")
+    rule_t = h * (variation("t", gx.ravel(), gt.ravel()).reshape(gx.shape)
+                  @ interpolatory_cell_weights(51, np.arange(50), 8).T)
+    rule_x = h * (interpolatory_cell_weights(51, x_cells, 8)
+                  @ variation("x", axis, np.full(51, axis[it0])))
+
+    gauss_t, _, _ = refine_path_cells(
+        lambda pts, c: variation("t", axis[cols][c], pts),
+        np.column_stack([axis[:-1], axis[1:]]), len(cols), 1e-12)
+    gauss_x, _, _ = refine_path_cells(
+        lambda pts, c: variation("x", pts, np.full_like(pts, axis[it0])),
+        np.column_stack([axis[x_cells], axis[x_cells + 1]]), 1, 1e-12)
+    assert np.abs(rule_t - gauss_t).max() <= 1e-9
+    assert np.abs(rule_x - gauss_x[0]).max() <= 1e-9
