@@ -6,8 +6,9 @@ Requiring modes 1..N of gamma g_plus to vanish and mode 0 to equal the
 identity gives a square block-Toeplitz system T_N of size n(N+1) in the
 g_plus coefficients; g_minus is the nonpositive part of gamma g_plus.  One
 LU factorization of T_N per loop gives both that solve and det T_N, the
-Segal-Wilson tau-function.  Loops off the big cell (nontrivial partial
-indices) make T_N singular and are reported as BigCellError.
+Segal-Wilson tau-function; a real coefficient stack is factored in real
+arithmetic on the upper half circle.  Loops off the big cell (nontrivial
+partial indices) make T_N singular and are reported as BigCellError.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from .loops import (
     MatrixLoop,
     _by_block,
     _fast_len,
+    coeffs_to_half_samples,
     coeffs_to_samples,
+    half_samples_to_coeffs,
     inverse_2x2,
     matmul_2x2,
     samples_to_coeffs,
@@ -61,23 +64,26 @@ def _toeplitz_index(order: int, n: int) -> np.ndarray:
 
 def _lu_block(cs: np.ndarray, order: int, n: int):
     """(X, ok, sign, log|det T_N|) for a (B, 2N+1, n, n) block from one
-    LAPACK zgesv per loop; X solves T_N X = E_0, the identity top block.
+    LAPACK gesv per loop, dgesv for a real block and zgesv otherwise; X
+    solves T_N X = E_0, the identity top block.
 
     np.take gathers T_N transposed in C order (fancy indexing would put the
-    loop axis innermost), so tt[i].T is T_N in Fortran order and zgesv
+    loop axis innermost), so tt[i].T is T_N in Fortran order and gesv
     overwrites it with its LU factors, whose diagonal and pivot parity give
     the determinant.  A singular T_N gives X = 0, ok False, sign 0 and
     log|det| = -inf, without raising.
     """
     b, size = len(cs), n * (order + 1)
-    flat = np.asarray(cs, dtype=complex).reshape(b, (2 * order + 1) * n * n)
+    dtype, gesv = ((complex, lapack.zgesv) if np.iscomplexobj(cs)
+                   else (float, lapack.dgesv))
+    flat = np.asarray(cs, dtype=dtype).reshape(b, (2 * order + 1) * n * n)
     tt = np.take(flat, _toeplitz_index(order, n).T, axis=1)
-    rhs = np.eye(size, n, dtype=complex)
-    sol = np.empty((b, size, n), dtype=complex)
+    rhs = np.eye(size, n, dtype=dtype)
+    sol = np.empty((b, size, n), dtype=dtype)
     piv = np.empty((b, size), dtype=np.int32)
     info = np.empty(b, dtype=int)
     for i in range(b):
-        _, piv[i], sol[i], info[i] = lapack.zgesv(tt[i].T, rhs, overwrite_a=1)
+        _, piv[i], sol[i], info[i] = gesv(tt[i].T, rhs, overwrite_a=1)
     ok = info == 0
     sol[~ok] = 0
     diag = np.diagonal(tt, axis1=1, axis2=2)
@@ -103,7 +109,8 @@ def toeplitz_slogdet(coeffs: np.ndarray):
 def factorize_slogdet(coeffs: np.ndarray, sample_count: int = DEFAULT_SAMPLES,
                       tol: float = FACTOR_TOL):
     """factorize_batch's four arrays, then toeplitz_slogdet's (sign,
-    log|det T_N|), both from one LU factorization per loop."""
+    log|det T_N|), both from one LU factorization per loop; a real stack
+    has real factors, from real arithmetic (see _assemble)."""
     _, nmodes, n, _ = coeffs.shape
     if n != 2:
         raise ValueError(f"only 2x2 loops are factored, got {n}x{n}")
@@ -143,12 +150,17 @@ def _assemble(coeffs, plus, order, sample_count):
 
     All sample algebra is the closed 2x2 form; a singular g_plus sample or
     twist makes the residual non-finite, which fails that loop alone.
+    Real loops are sampled on the upper half circle, as the lower half
+    holds the conjugates, residual included.
     """
     m = _fast_len(max(sample_count, 4 * order + 2))
-    gamma_vals = coeffs_to_samples(coeffs, m)
-    plus_vals = coeffs_to_samples(plus, m, first_mode=0)
-    minus = samples_to_coeffs(matmul_2x2(gamma_vals, plus_vals),
-                              order)[:, :order + 1]  # modes -N..0
+    to_samples, to_coeffs = (
+        (coeffs_to_samples, samples_to_coeffs) if np.iscomplexobj(coeffs)
+        else (coeffs_to_half_samples, half_samples_to_coeffs))
+    gamma_vals = to_samples(coeffs, m)
+    plus_vals = to_samples(plus, m, first_mode=0)
+    minus = to_coeffs(matmul_2x2(gamma_vals, plus_vals),
+                      order)[:, :order + 1]  # modes -N..0
 
     # normalize: right-multiply both factors so that g_minus mode 0 is
     # exactly the identity; the twist constant is itself mode 0, so it
@@ -160,12 +172,12 @@ def _assemble(coeffs, plus, order, sample_count):
         plus_vals = matmul_2x2(plus_vals, twist)
     minus[:, -1] = np.eye(2)
 
-    gm = np.zeros(coeffs.shape, dtype=complex)
+    gm = np.zeros(coeffs.shape, dtype=minus.dtype)
     gm[:, :order + 1] = minus
     gp = np.zeros_like(gm)
     gp[:, order:] = plus
 
-    minus_vals = coeffs_to_samples(minus, m, first_mode=-order)
+    minus_vals = to_samples(minus, m, first_mode=-order)
     with np.errstate(all="ignore"):
         recon = matmul_2x2(minus_vals, inverse_2x2(plus_vals))
     res = np.abs(recon - gamma_vals).max(axis=(1, 2, 3))

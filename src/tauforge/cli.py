@@ -11,6 +11,7 @@ node the run requires.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import platform
@@ -667,6 +668,7 @@ def _preprocess(argv):
     return out
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tauforge",

@@ -20,7 +20,10 @@ Grids are swept at v = 0.  log tau is the Segal-Wilson determinant
 
 T_N the block-Toeplitz system matrix of the factorization, so every point
 is pulled back and factored once: the grid nodes, which carry q, and the
-points (0, 0), (x, 0) of the path (0,0) -> (x,0) -> (x,t).  The branch of
+points (0, 0), (x, 0) of the path (0,0) -> (x,0) -> (x,t).  A real P0
+gives loops with real coefficients: they are sampled on the upper half
+circle and factored in real arithmetic, so log tau is real; complex seeds,
+pullback_patching and factorize stay complex.  The branch of
 the logarithm is continued along that path; a path point off the big cell,
 or a sign change or large phase jump of det T_N between neighbouring path
 points, means the path crosses det T_N = 0 and raises
@@ -45,9 +48,11 @@ from .loops import (
     TAIL_THRESHOLD,
     MatrixLoop,
     ScalarLoop,
+    TailMassError,
     circle_points,
     cosh_sinhc,
     default_sample_count,
+    half_samples_to_coeffs,
     multiply,
     samples_to_coeffs,
 )
@@ -133,8 +138,9 @@ def _exp_minus_mu_phi(mu, lam, branch: float = 1.0):
     return c, np.multiply(mu, s, out=s)
 
 
-def _pullback_values(seed: KdVSeed, v, x, t, order: int):
-    """Translated loops on the circle grid of their order, (B, M, 2, 2).
+def _pullback_values(seed: KdVSeed, v, x, t, order: int, half=False):
+    """Translated loops on the circle grid of their order, (B, M, 2, 2),
+    or with half only at its M/2 + 1 points on the upper half circle.
 
     exp(-mu Phi) P0 = C P0 - (mu S) Phi P0, where Phi P0 is P0 with its
     rows swapped and the new top row divided by lambda.  The stack is
@@ -143,11 +149,12 @@ def _pullback_values(seed: KdVSeed, v, x, t, order: int):
     a warning, for the tail-mass check to reject.
     """
     m = default_sample_count(order)
-    lam = circle_points(m)
+    keep = m // 2 + 1 if half else m
+    lam = circle_points(m)[:keep]
     v = np.atleast_1d(np.asarray(v, dtype=complex))[:, None]
     x = np.atleast_1d(np.asarray(x, dtype=complex))[:, None]
     t = np.atleast_1d(np.asarray(t, dtype=complex))[:, None]
-    p0 = np.moveaxis(MatrixLoop.samples(seed.p0, m), -3, -1)  # (2, 2, M)
+    p0 = np.moveaxis(MatrixLoop.samples(seed.p0, m), -3, -1)[..., :keep]
     phi_p0 = np.stack([p0[1] / lam, p0[0]])
     with np.errstate(over="ignore", invalid="ignore"):
         c, mu_s = _exp_minus_mu_phi(v + lam * x + lam ** 2 * t, lam)
@@ -158,10 +165,14 @@ def _pullback_values(seed: KdVSeed, v, x, t, order: int):
 
 def pullback_coeff_batch(seed: KdVSeed, x, t, order: int = DEFAULT_ORDER,
                          tail_tol: float | None = TAIL_THRESHOLD):
-    """Coefficients (B, 2N+1, 2, 2) of the translated loops at v = 0."""
+    """Coefficients (B, 2N+1, 2, 2) of the translated loops at v = 0; real
+    P0, x and t give real loops, sampled on the upper half circle only."""
+    real = (np.isrealobj(x) and np.isrealobj(t)
+            and not seed.p0.coeffs.imag.any())
     vals = _pullback_values(seed, np.zeros_like(np.atleast_1d(x)), x, t,
-                            order)
-    return samples_to_coeffs(vals, order, tail_tol)
+                            order, half=real)
+    to_coeffs = half_samples_to_coeffs if real else samples_to_coeffs
+    return to_coeffs(vals, order, tail_tol)
 
 
 def pullback_patching(seed: KdVSeed, p: SpacetimePoint,
@@ -307,9 +318,16 @@ def _uniform_spacing(axis, name: str) -> float:
 
 def _node_sweep(seed: KdVSeed, x, t, order, factor_tol):
     """Minus factors, big-cell flags, reconstruction residuals and
-    (sign, log|det T_N|) at points, from one LU factorization per point."""
+    (sign, log|det T_N|) at points, from one LU factorization per point.
+    A pullback's TailMassError is raised again naming its point (x, t)."""
+    try:
+        coeffs = pullback_coeff_batch(seed, x, t, order)
+    except TailMassError as err:
+        where = f"at (x, t) = ({x[err.loop]:.4f}, {t[err.loop]:.4f})"
+        raise TailMassError(err.what, err.mass, err.tol, err.loop,
+                            where) from None
     minus, _, residuals, ok, sign, logabs = factorize_slogdet(
-        pullback_coeff_batch(seed, x, t, order), tol=factor_tol)
+        coeffs, tol=factor_tol)
     return minus, ok, residuals, sign, logabs
 
 

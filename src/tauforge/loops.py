@@ -4,6 +4,8 @@ A loop is the trigonometric polynomial f(lambda) = sum_{k=-N}^{N} c_k lambda^k
 with lambda = exp(i theta), stored by its coefficient stack c_k (each an n x n
 complex matrix); its sample grid theta_j = 2 pi j / M has the M that
 default_sample_count derives from N.
+A loop with real coefficients is fixed by its samples on the upper half
+circle, which coeffs_to_half_samples and half_samples_to_coeffs carry.
 Products are dealiased by zero-padding to an exact grid; nothing is ever
 smoothed or filtered, so every operation is exact up to rounding except where
 an explicit truncation with a tail-mass check is requested.
@@ -30,7 +32,20 @@ INVERSE_COND_MAX = 1e10
 
 
 class TailMassError(RuntimeError):
-    """Raised when discarded or high-mode coefficient mass exceeds the threshold."""
+    """Raised when discarded or high-mode coefficient mass exceeds the
+    threshold.  For a stack, loop is the worst loop's flat index (in C
+    order over the loop axes), which the message names "in loop <index>"
+    unless the raiser places it by where, in its own terms."""
+
+    def __init__(self, what: str, mass: float, tol: float,
+                 loop: int | None = None, where: str | None = None):
+        if where is None and loop is not None:
+            where = f"in loop {loop}"
+        hint = ("increase the truncation order" if np.isfinite(mass)
+                else "the loop is not finite")
+        super().__init__(f"{what} {mass:.3e}{' ' + where if where else ''} "
+                         f"exceeds {tol:.1e}; {hint}")
+        self.what, self.mass, self.tol, self.loop = what, mass, tol, loop
 
 
 class SingularLoopError(RuntimeError):
@@ -72,6 +87,27 @@ def _entry_major_empty(shape, dtype=complex):
                                 dtype=dtype), -1, -3)
 
 
+def _spectrum(coeffs, m: int, first_mode, dtype, negate: bool = False):
+    """Zero-padded spectrum (..., n, n, M) of a coefficient stack, mode k
+    in bin k mod M, or -k mod M with negate (see coeffs_to_samples)."""
+    coeffs = np.asarray(coeffs, dtype=dtype)
+    k = coeffs.shape[-3]
+    if k > m:
+        raise ValueError("sample grid cannot resolve the loop")
+    if first_mode is None:
+        first_mode = -((k - 1) // 2)
+    src = np.moveaxis(coeffs, -3, -1)
+    if negate:
+        src, first_mode = src[..., ::-1], -(first_mode + k - 1)
+    spec = np.zeros(src.shape[:-1] + (m,), dtype=dtype)
+    # the modes fill a cyclic run of bins: up to the top, then from bin 0
+    start = first_mode % m
+    split = min(k, m - start)
+    spec[..., start:start + split] = src[..., :split]
+    spec[..., :k - split] = src[..., split:]
+    return spec
+
+
 def coeffs_to_samples(coeffs, m: int, first_mode: int | None = None):
     """Values on the M-point circle grid, exact via zero-padded FFT.
 
@@ -79,21 +115,18 @@ def coeffs_to_samples(coeffs, m: int, first_mode: int | None = None):
     centres them on 0, as for a loop with modes -N..N.  The result is an
     entry-major view (see above).
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    k = coeffs.shape[-3]
-    if k > m:
-        raise ValueError("sample grid cannot resolve the loop")
-    if first_mode is None:
-        first_mode = -((k - 1) // 2)
-    spec = np.zeros(coeffs.shape[:-3] + coeffs.shape[-2:] + (m,), dtype=complex)
-    src = np.moveaxis(coeffs, -3, -1)
-    # the modes fill a cyclic run of bins: up to the top, then from bin 0
-    start = first_mode % m
-    split = min(k, m - start)
-    spec[..., start:start + split] = src[..., :split]
-    spec[..., :k - split] = src[..., split:]
+    spec = _spectrum(coeffs, m, first_mode, complex)
     np.fft.ifft(spec, axis=-1, norm="forward", out=spec)
     return np.moveaxis(spec, -1, -3)
+
+
+def coeffs_to_half_samples(coeffs, m: int, first_mode: int | None = None):
+    """coeffs_to_samples for real coefficients, at lambda_j, j = 0..M/2
+    (M even): f(conj lambda) = conj f(lambda) gives the other samples.
+    With mode k in bin -k, rfft's e^{-2 pi i j n / M} gives lambda_j^k.
+    """
+    spec = _spectrum(coeffs, m, first_mode, float, negate=True)
+    return np.moveaxis(np.fft.rfft(spec, axis=-1), -1, -3)
 
 
 def _tail_fraction(stack, kept, axis: int = -3):
@@ -120,15 +153,33 @@ def samples_to_coeffs(samples, order: int, tail_tol: float | None = None):
     return coeffs
 
 
-def _coeffs_and_tail(samples, order: int, tail: bool = True):
+def half_samples_to_coeffs(samples, order: int,
+                           tail_tol: float | None = None):
+    """samples_to_coeffs for real coefficients, from the M/2 + 1 samples
+    of coeffs_to_half_samples."""
+    coeffs, fraction = _coeffs_and_tail(samples, order, tail_tol is not None,
+                                        half=True)
+    if tail_tol is not None:
+        _check_tail(fraction, tail_tol)
+    return coeffs
+
+
+def _coeffs_and_tail(samples, order: int, tail: bool = True,
+                     half: bool = False):
     """samples_to_coeffs without the check, and, with tail, each loop's
-    share of mass in the discarded alias bins (else None)."""
-    samples = np.asarray(samples, dtype=complex)
-    m = samples.shape[-3]
+    share of mass in the discarded alias bins (else None); with half,
+    half_samples_to_coeffs."""
+    samples = np.moveaxis(np.asarray(samples, dtype=complex), -3, -1)
+    m = 2 * (samples.shape[-1] - 1) if half else samples.shape[-1]
     if 2 * order + 1 > m:
         raise ValueError("sample grid cannot resolve the loop")
-    spec = np.fft.fft(np.moveaxis(samples, -3, -1), axis=-1)
-    idx = np.arange(-order, order + 1) % m
+    if half:
+        # irfft sums with e^{+2 pi i j n / M}: mode k lands in bin -k
+        spec = np.fft.irfft(samples, n=m, axis=-1, norm="forward")
+        idx = np.arange(order, -order - 1, -1) % m
+    else:
+        spec = np.fft.fft(samples, axis=-1)
+        idx = np.arange(-order, order + 1) % m
     fraction = None
     if tail:
         kept = np.zeros(m, dtype=bool)
@@ -140,16 +191,12 @@ def _coeffs_and_tail(samples, order: int, tail: bool = True):
 def _check_tail(fraction, tail_tol: float, what="discarded alias mass"):
     """Raise TailMassError when the worst loop's mass fraction exceeds
     tail_tol or is NaN, as for a loop with NaN or inf entries; for a stack
-    the message gives that loop's index (flat, in C order over the loop
-    axes), the first NaN one if any."""
+    the error carries that loop's index, the first NaN one if any."""
     fraction = np.asarray(fraction)
     worst = np.max(fraction, initial=-np.inf)
     if not worst <= tail_tol:
-        where = f" in loop {int(fraction.argmax())}" if fraction.ndim else ""
-        hint = ("increase the truncation order" if np.isfinite(worst)
-                else "the loop is not finite")
-        raise TailMassError(
-            f"{what} {worst:.3e}{where} exceeds {tail_tol:.1e}; {hint}")
+        loop = int(fraction.argmax()) if fraction.ndim else None
+        raise TailMassError(what, float(worst), tail_tol, loop)
 
 
 def _by_block(fn, stack):

@@ -131,6 +131,26 @@ def test_three_blocks_equal_calls_on_pieces(cut):
         assert np.array_equal(got, want)
 
 
+def test_real_path_matches_complex_path_on_the_default_kdv_grid():
+    # the default kdv grid's 2,601 real loops: real LU on half-circle
+    # samples against the complex route on the same loops
+    axis = np.linspace(-1, 1, 51)
+    x, t = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
+    stack = kdv.pullback_coeff_batch(kdv.seed_one_pole(), x, t)
+    assert stack.dtype == np.float64
+    real = birkhoff.factorize_slogdet(stack)
+    cplx = birkhoff.factorize_slogdet(stack.astype(complex))
+    (gm, gp, res, ok, sign, logabs) = real
+    assert gm.dtype == gp.dtype == sign.dtype == np.float64
+    assert np.array_equal(ok, cplx[3]) and ok.all()
+    for got, want in zip((gm, gp), cplx[:2]):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.abs(res - cplx[2]).max() <= 1e-13
+    assert np.abs(sign - cplx[4]).max() <= 1e-14
+    # an error in log|det| is a relative error of det T_N
+    assert np.abs(logabs - cplx[5]).max() <= 1e-14
+
+
 def _peak_mb(fn, *args):
     """fn's result and its peak traced allocation above what was live."""
     tracemalloc.reset_peak()

@@ -110,6 +110,12 @@ class TestConfigHandling:
                  if pipeline in readers}
         assert listed == reads | {"--seed-file", "--help"}
 
+    def test_parser_is_built_once(self):
+        # a rejected flag leaves the one parser able to parse the next call
+        assert run_cli(["kdv", "--no-such-flag"]) == cli.EXIT_CONFIG
+        assert cli._parser() is cli._parser()
+        assert cli._parser().parse_args(["kdv", "--trunc", "8"]).trunc == 8
+
     @pytest.mark.parametrize("pipeline", cli.PIPELINES)
     def test_every_flag_has_a_seed_file_key(self, pipeline):
         args = cli._parser().parse_args([pipeline])
@@ -238,6 +244,14 @@ class TestKdvPipeline:
         code = run_cli(["kdv", "--trunc", "4", "--grid", "-1:1:11"])
         assert code == cli.EXIT_CHECK_FAILED
         assert "[FAIL] tail_mass:" in capsys.readouterr().out
+
+    def test_tail_mass_names_the_node(self, capsys):
+        # order 16 on the default grid: the worst node, the corner, drops
+        # 1.445e-8 of its mass
+        assert run_cli(["kdv", "--trunc", "16"]) == cli.EXIT_CHECK_FAILED
+        assert capsys.readouterr().out.startswith(
+            "[FAIL] tail_mass: discarded alias mass 1.445e-08 at (x, t) = "
+            "(1.0000, 1.0000) exceeds 1.0e-08")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_pullback_exits_2(self, capsys):

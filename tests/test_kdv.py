@@ -431,10 +431,10 @@ class TestDeterminantRoute:
         assert worst <= 1e-9
         assert points == (8, 7)
 
-    def test_tau_grid_factors_each_point_once(self, monkeypatch):
-        # one LU per point gives both g_plus and det T_N; a second
-        # factorization for the determinant fails here
-        calls = {"zgesv": 0, "slogdet": 0, "solve": 0}
+    @staticmethod
+    def _count_solves(monkeypatch, seed, xs, ts):
+        """tau_grid on the axes, and the LAPACK and numpy solves it ran."""
+        calls = dict.fromkeys(("dgesv", "zgesv", "slogdet", "solve"), 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -442,15 +442,50 @@ class TestDeterminantRoute:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(lapack, "zgesv", counted("zgesv", lapack.zgesv))
+        for name in ("dgesv", "zgesv"):
+            monkeypatch.setattr(lapack, name,
+                                counted(name, getattr(lapack, name)))
         for name in ("slogdet", "solve"):
             monkeypatch.setattr(np.linalg, name,
                                 counted(name, getattr(np.linalg, name)))
+        return kdv.tau_grid(seed, xs, ts), calls
+
+    def test_tau_grid_factors_each_point_once(self, monkeypatch):
+        # one LU per point gives both g_plus and det T_N; a second
+        # factorization for the determinant fails here.  A real seed
+        # translates to real loops, which take the real LU
         seed = kdv.seed_one_pole(pole=0.25, strength=0.33)
-        grid = kdv.tau_grid(seed, np.linspace(-1, 1, 41),
-                            np.linspace(-0.15, 0.15, 7))
+        grid, calls = self._count_solves(monkeypatch, seed,
+                                         np.linspace(-1, 1, 41),
+                                         np.linspace(-0.15, 0.15, 7))
         assert grid.points_factored == 287
-        assert calls == {"zgesv": 287, "slogdet": 0, "solve": 0}
+        assert calls == {"dgesv": 287, "zgesv": 0, "slogdet": 0, "solve": 0}
+
+    def test_complex_pole_factors_each_point_once(self, monkeypatch):
+        axis = np.linspace(-0.5, 0.5, 11)
+        grid, calls = self._count_solves(
+            monkeypatch, kdv.seed_one_pole(pole=0.2 + 0.15j), axis, axis)
+        assert grid.points_factored == 121
+        assert calls == {"dgesv": 0, "zgesv": 121, "slogdet": 0, "solve": 0}
+
+    def test_real_seed_takes_the_real_path(self):
+        # a real seed's loops have real coefficients: det T_N is real, so
+        # log tau has no imaginary rounding noise, and the factors are real
+        axis = np.linspace(-1, 1, 21)
+        for seed in (kdv.seed_one_pole(), kdv.seed_vacuum()):
+            grid = kdv.tau_grid(seed, axis, axis)
+            assert not grid.log_tau.imag.any()
+            assert grid.minus.dtype == np.float64
+
+    def test_tail_mass_error_names_the_point(self):
+        # at order 16, 13 of the default grid's nodes drop more than
+        # TAIL_THRESHOLD of their mass; the corner (1, 1) is the worst
+        axis = np.linspace(-1, 1, 51)
+        with pytest.raises(TailMassError, match=r"at \(x, t\) = "
+                           r"\(1\.0000, 1\.0000\) exceeds 1\.0e-08") as err:
+            kdv.tau_grid(kdv.seed_one_pole(order=16), axis, axis, order=16)
+        assert err.value.loop == 51 * 51 - 1
+        assert err.value.mass == pytest.approx(1.445e-8, rel=1e-3)
 
 
 class TestFactorsOnFamily:

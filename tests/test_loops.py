@@ -72,6 +72,40 @@ class TestTransforms:
         with pytest.raises(tf.TailMassError, match="truncation to order 4"):
             loop.truncate(4)
 
+    @pytest.mark.parametrize("first_mode", [None, 0, -16, 7])
+    def test_half_circle_transforms_match_complex_ones(self, rng,
+                                                       first_mode):
+        # real coefficients: the rfft pair gives the complex pair's upper
+        # half-circle samples, and back, with the same tail fractions
+        m = 64
+        decay = 0.8 ** np.abs(np.arange(-16, 17))[:, None, None]
+        coeffs = decay * rng.standard_normal((3, 33, 2, 2))
+        full = loops.coeffs_to_samples(coeffs, m, first_mode)
+        scale = np.abs(coeffs).max()
+        half = loops.coeffs_to_half_samples(coeffs, m, first_mode)
+        assert half.shape == (3, m // 2 + 1, 2, 2)
+        assert np.abs(half - full[:, :m // 2 + 1]).max() <= (
+            1e-15 * np.abs(full).max())
+        for order in (16, 8):
+            back, tail = loops._coeffs_and_tail(half, order, half=True)
+            want, want_tail = loops._coeffs_and_tail(full, order)
+            assert back.dtype == np.float64
+            assert np.abs(back - want).max() <= 1e-15 * scale
+            # fractions are relative already; the bins they sum are tiny
+            assert np.abs(tail - want_tail).max() <= 1e-15
+        if first_mode is None:
+            assert np.abs(loops.half_samples_to_coeffs(half, 16)
+                          - coeffs).max() <= 1e-15 * scale
+
+    def test_half_circle_tail_check_names_the_worst_loop(self, rng):
+        decay = 0.8 ** np.abs(np.arange(-16, 17))[:, None, None]
+        coeffs = decay * rng.standard_normal((4, 33, 2, 2))
+        coeffs[2] *= 0.5 / decay  # no decay: the worst tail
+        half = loops.coeffs_to_half_samples(coeffs, 64)
+        with pytest.raises(tf.TailMassError, match=" in loop 2 exceeds") as err:
+            loops.half_samples_to_coeffs(half, 8, tail_tol=1e-8)
+        assert err.value.loop == 2
+
     def test_unimodular_tag_defect(self, rng):
         assert unimodular_defect(tf.random_unimodular_loop(rng)) <= 1e-10
 
