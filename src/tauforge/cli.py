@@ -40,7 +40,7 @@ from .loops import (
     random_unimodular_stack,
 )
 from .phase_space import cocycle, poisson_anomaly
-from .quadrature import PathRefinementError
+from .quadrature import PathRefinementError, derivative
 from .twistor import ernst_frame
 
 EXIT_PASS = 0
@@ -198,8 +198,9 @@ class ExperimentConfig:
                 if n < 7:
                     raise ConfigError(
                         "residual pipelines need grid counts >= 7")
-            if self.pipeline == "kdv" and spans[0][2] < 11:
-                raise ConfigError("kdv grids need x counts >= 11")
+            if self.pipeline == "kdv" and spans[0][2] < kdv.MIN_NODES[0]:
+                raise ConfigError(
+                    f"kdv grids need x counts >= {kdv.MIN_NODES[0]}")
             if self.pipeline == "ernst" and spans[0][0] <= 0:
                 raise ConfigError("ernst grid must stay in the r > 0 half plane")
         name, params = self.resolved_preset()
@@ -329,8 +330,7 @@ def _run_kdv(config: ExperimentConfig):
     tol_path = config.resolved_tol_path()
     crosscheck, points = kdv.path_crosscheck(grid)
 
-    dx = float(xs[1] - xs[0])
-    fd = kdv._derivative_on_grid(grid.log_tau, dx, 1, axis=0)
+    fd = derivative(grid.log_tau, xs, 1)
     mismatch = np.abs(fd - grid.q)[grid.bigcell]
     headline = float(mismatch.max()) if mismatch.size else 0.0
 

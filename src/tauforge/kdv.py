@@ -30,9 +30,11 @@ points, means the path crosses det T_N = 0 and raises
 PathCrossesBadCellError.  The paper's contour formula, evaluated on the
 nodes' minus factors and integrated with an interpolatory cell rule, is
 kept as a cross-check on a few cells (path_crosscheck).  The solution
-field is u = -2 dq/dx by 4th-order finite differences, the scaling in
-which the family satisfies 4 u_t = u_xxx + 6 u u_x.  All loop-valued work
-is batched over points.
+field is u = -2 dq/dx by 4th-order finite differences (quadrature's
+stencils, as for every derivative on the grid), the scaling in which the
+family satisfies 4 u_t = u_xxx + 6 u u_x; kdv_residual's stencils set the
+grid minimum MIN_NODES, which the CLI reads.  All loop-valued work is
+batched over points.
 """
 
 from __future__ import annotations
@@ -58,8 +60,11 @@ from .loops import (
 )
 from .phase_space import gauge_variation, vacuum_logderiv_gauge
 from .quadrature import (
+    cell_weights,
     cumulative_from,
-    interpolatory_cell_weights,
+    derivative,
+    derivative_width,
+    even_step,
     refine_path_cells,
     validated_axes,
 )
@@ -67,6 +72,16 @@ from .twistor import SpacetimePoint, SymmetryGenerator, decompose
 
 # nodes of the polynomial behind each cell integral of path_crosscheck
 CELL_RULE_POINTS = 8
+
+# kdv_residual's margin of x nodes: u is one-sided within
+# derivative_width(1) // 2 nodes of the x edges, and the u_xxx stencil must
+# not read those values or the edge error is amplified by 1/dx^3 and the
+# residual drops to first order
+X_MARGIN = derivative_width(1) // 2 + derivative_width(3) // 2
+
+# fewest (x, t) nodes of a kdv grid: one x row inside X_MARGIN, and in t
+# the count every residual pipeline takes
+MIN_NODES = (2 * X_MARGIN + 1, 7)
 
 # largest |arg| change of det T_N between neighbouring path points; a real
 # det changing sign is a step of pi
@@ -215,71 +230,6 @@ def q_contour(seed: KdVSeed, p: SpacetimePoint,
                                  _direction_u("x"))
 
 
-# -- finite differences -------------------------------------------------
-
-
-def _fornberg_weights(offsets, m: int):
-    """Weights for the m-th derivative at 0 from the given node offsets.
-
-    Standard recursive construction; exact for polynomials up to the
-    stencil degree, giving order len(offsets) - m on smooth data.
-    """
-    x = np.asarray(offsets, dtype=float)
-    n = len(x)
-    c = np.zeros((n, m + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0]
-    for i in range(1, n):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i]
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1]
-                                    - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, m]
-
-
-def _derivative_on_grid(values, spacing, m: int, axis: int):
-    """4th-order m-th derivative along one axis, one-sided at the edges."""
-    values = np.moveaxis(np.asarray(values), axis, 0)
-    npts = values.shape[0]
-    width = m + 4  # 4th-order stencil size for odd m
-    if width % 2 == 0:
-        width += 1
-    half = width // 2
-    if npts < width:
-        raise ValueError(f"need at least {width} nodes along the axis")
-    out = np.empty_like(values, dtype=complex)
-    central = _fornberg_weights(np.arange(-half, half + 1), m)
-    for i in range(npts):
-        if i < half:
-            offs = np.arange(-i, width - i)
-        elif i >= npts - half:
-            offs = np.arange(npts - width - i, npts - i)
-        else:
-            offs = None
-        if offs is None:
-            w = central
-            sl = values[i - half:i + half + 1]
-        else:
-            w = _fornberg_weights(offs, m)
-            sl = values[i + offs[0]:i + offs[-1] + 1]
-        out[i] = np.tensordot(w, sl, axes=(0, 0))
-    out /= spacing ** m
-    return np.moveaxis(out, 0, axis)
-
-
 # -- the grid pipeline --------------------------------------------------
 
 
@@ -306,14 +256,6 @@ class TauGrid:
     points_factored: int
     factor_residuals: np.ndarray
     min_abs_det: float
-
-
-def _uniform_spacing(axis, name: str) -> float:
-    """Step of an evenly spaced axis; the finite differences assume one."""
-    steps = np.diff(axis)
-    if np.abs(steps - steps[0]).max() > 1e-6 * abs(steps[0]):
-        raise ValueError(f"{name} axis must be evenly spaced")
-    return float(steps[0])
 
 
 def _node_sweep(seed: KdVSeed, x, t, order, factor_tol):
@@ -354,8 +296,9 @@ def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
              factor_tol: float = 1e-9) -> TauGrid:
     """log tau, q, u over the grid; see the module docstring for the path."""
     xs, ts = validated_axes(xs, ts)
-    dx = _uniform_spacing(xs, "x")
-    _uniform_spacing(ts, "t")
+    # u's stencil is checked before any point is factored
+    even_step(xs, "x", derivative_width(1))
+    even_step(ts, "t")
 
     # path points: the t legs (x_i, t) for t in t_breaks, and the origin;
     # the x leg (x, 0) is the t = 0 row of that lattice
@@ -388,7 +331,7 @@ def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
     node[need] = np.arange(len(minus))
     minus = minus[node[np.ix_(cols, rows)]]
     q = _q_of(minus)
-    u = -2.0 * _derivative_on_grid(q, dx, 1, axis=0)
+    u = -2.0 * derivative(q, xs, 1)
     # every node is a path point, and a path point off the big cell raised
     bigcell = np.ones(q.shape, dtype=bool)
     return TauGrid(xs=xs, ts=ts, log_tau=log_tau, q=q, u=u, minus=minus,
@@ -420,12 +363,10 @@ def path_crosscheck(grid: TauGrid):
                                np.minimum(cols, len(xs) - 2)))
 
     def rule(axis, cells):
-        """The nodes the cells' polynomials read, and h times the weights
-        on them."""
-        weights = interpolatory_cell_weights(len(axis), cells,
-                                             CELL_RULE_POINTS)
+        """The nodes the cells' polynomials read, and the weights on them."""
+        weights = cell_weights(axis, cells, CELL_RULE_POINTS)
         used = np.flatnonzero(weights.any(axis=0))
-        return used, weights[:, used] * (axis[-1] - axis[0]) / (len(axis) - 1)
+        return used, weights[:, used]
 
     used, w_t = rule(ts, np.arange(len(ts) - 1))
     vals_t = gauge_variation(grid.minus[np.ix_(cols, used)],
@@ -444,25 +385,17 @@ def path_crosscheck(grid: TauGrid):
 def kdv_residual(grid: TauGrid) -> float:
     """max |4 u_t - u_xxx - 6 u u_x| over interior nodes, 4th order.
 
-    The interior excludes a 5-node margin in x: u itself is a finite
-    difference of q, one-sided within 2 nodes of the x edges, and the
-    third-derivative stencil must not read those values or the edge
-    error is amplified by 1/dx^3 and the residual drops to first order.
+    The interior excludes X_MARGIN nodes at both x edges, where u or the
+    u_xxx stencil is one-sided, and the one-sided u_t nodes at the t edges.
     """
-    u = grid.u
-    nx, nt = u.shape
-    if nx < 11 or nt < 7:
-        raise ValueError("residual needs at least 11 x and 7 t nodes")
-    dx = _uniform_spacing(grid.xs, "x")
-    dt = _uniform_spacing(grid.ts, "t")
-    cw1 = _fornberg_weights(np.arange(-2, 3), 1)
-    cw3 = _fornberg_weights(np.arange(-3, 4), 3)
-
-    # rows 5 .. nx-6 keep every stencil read inside centrally computed u
-    u_x = sum(w * u[3 + k:nx - 7 + k, 2:-2] for k, w in enumerate(cw1)) / dx
-    u_xxx = sum(w * u[2 + k:nx - 8 + k, 2:-2]
-                for k, w in enumerate(cw3)) / dx ** 3
-    u_t = sum(w * u[5:-5, k:nt - 4 + k] for k, w in enumerate(cw1)) / dt
-    mid = u[5:-5, 2:-2]
-    residual = 4 * u_t - u_xxx - 6 * mid * u_x
+    nx, nt = grid.u.shape
+    if nx < MIN_NODES[0] or nt < MIN_NODES[1]:
+        raise ValueError(f"residual needs at least {MIN_NODES[0]} x and "
+                         f"{MIN_NODES[1]} t nodes")
+    t_margin = derivative_width(1) // 2
+    inner = np.s_[X_MARGIN:nx - X_MARGIN, t_margin:nt - t_margin]
+    u_x = derivative(grid.u, grid.xs, 1)[inner]
+    u_xxx = derivative(grid.u, grid.xs, 3)[inner]
+    u_t = derivative(grid.u, grid.ts, 1, along=1)[inner]
+    residual = 4 * u_t - u_xxx - 6 * grid.u[inner] * u_x
     return float(np.abs(residual).max())

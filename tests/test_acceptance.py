@@ -18,7 +18,7 @@ from tauforge.birkhoff import (
     factorize,
     factorize_batch,
 )
-from tauforge.kdv import _derivative_on_grid, _direction_u
+from tauforge.kdv import _direction_u
 from tauforge.loops import (
     MatrixLoop,
     monomial,
@@ -32,6 +32,7 @@ from tauforge.phase_space import (
     poisson_anomaly,
     vacuum_logderiv_gauge,
 )
+from tauforge.quadrature import derivative
 from tauforge.twistor import SpacetimePoint
 
 AXIS_51 = np.linspace(-0.5, 0.5, 51)
@@ -156,10 +157,9 @@ def test_criterion_3_kdv_headline_identity(report):
     worst_fd = 0.0
     worst_two = 0.0
     gx, gt = np.meshgrid(AXIS_51, AXIS_51, indexing="ij")
-    dx = float(AXIS_51[1] - AXIS_51[0])
     for seed in (kdv.seed_one_pole(), kdv.seed_vacuum()):
         grid = kdv.tau_grid(seed, AXIS_51, AXIS_51)
-        fd = _derivative_on_grid(grid.log_tau, dx, 1, axis=0)
+        fd = derivative(grid.log_tau, AXIS_51, 1)
         worst_fd = max(worst_fd,
                        float(np.abs(fd - grid.q)[grid.bigcell].max()))
         minus, flags = minus_factors(seed, gx.ravel(), gt.ravel())
@@ -197,9 +197,8 @@ def test_criterion_5_dlogtau_closedness(report, one_pole_grid,
     shape = (len(AXIS_51), len(AXIS_51))
     v_t = gauge_variation(
         minus, _direction_u("t").samples(SAMPLES)).reshape(shape)
-    dx = float(AXIS_51[1] - AXIS_51[0])
-    dq_dt = _derivative_on_grid(one_pole_grid.q, dx, 1, axis=1)
-    dvt_dx = _derivative_on_grid(v_t, dx, 1, axis=0)
+    dq_dt = derivative(one_pole_grid.q, AXIS_51, 1, along=1)
+    dvt_dx = derivative(v_t, AXIS_51, 1)
     mixed = float(np.abs(dq_dt - dvt_dx)[2:-2, 2:-2].max())
 
     spans = [((1.0, 1.5), (0.0, 0.5)), ((0.6, 2.1), (-0.8, 0.9))]

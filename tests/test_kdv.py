@@ -17,7 +17,12 @@ from tauforge.loops import (
     random_tangent,
     random_unimodular_loop,
 )
-from tauforge.quadrature import cumulative_from, refine_path_cells
+from tauforge.quadrature import (
+    _stencil_weights,
+    cumulative_from,
+    derivative,
+    refine_path_cells,
+)
 from tauforge.twistor import SpacetimePoint
 
 
@@ -167,9 +172,9 @@ class TestPotential:
 
 class TestDerivativeHelpers:
     def test_central_weights(self):
-        w1 = kdv._fornberg_weights(np.arange(-2, 3), 1)
+        w1 = _stencil_weights(5, 2, 1)
         assert np.allclose(w1, [1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12])
-        w3 = kdv._fornberg_weights(np.arange(-3, 4), 3)
+        w3 = _stencil_weights(7, 3, 3)
         assert np.allclose(w3, [1 / 8, -1.0, 13 / 8, 0.0, -13 / 8, 1.0, -1 / 8])
 
     def test_grid_derivative_fourth_order(self):
@@ -177,7 +182,7 @@ class TestDerivativeHelpers:
         for d in (0.02, 0.01):
             xs = np.arange(-0.5, 0.5 + d / 2, d)
             vals = np.sin(3 * xs)[:, None]
-            got = kdv._derivative_on_grid(vals, d, 1, axis=0)[:, 0]
+            got = derivative(vals, xs, 1)[:, 0]
             errs.append(np.abs(got - 3 * np.cos(3 * xs)).max())
         assert errs[0] < 5e-6
         assert errs[0] / errs[1] > 10  # 4th order shrink
@@ -186,7 +191,7 @@ class TestDerivativeHelpers:
         d = 0.01
         xs = np.arange(-0.5, 0.5 + d / 2, d)
         vals = np.sin(3 * xs)[:, None]
-        got = kdv._derivative_on_grid(vals, d, 3, axis=0)[:, 0]
+        got = derivative(vals, xs, 3)[:, 0]
         assert np.abs(got + 27 * np.cos(3 * xs)).max() < 5e-5
 
 
@@ -200,27 +205,23 @@ class TestTauGrid:
 
     def test_headline_identity(self, one_pole_grid):
         # d/dx of the path-integrated log tau reproduces q
-        dx = float(one_pole_grid.xs[1] - one_pole_grid.xs[0])
-        fd = kdv._derivative_on_grid(one_pole_grid.log_tau, dx, 1, axis=0)
+        fd = derivative(one_pole_grid.log_tau, one_pole_grid.xs, 1)
         assert np.abs(fd - one_pole_grid.q).max() < 1e-5
 
     def test_time_leg_matches_contour_variation(self, one_pole_seed,
                                                 one_pole_grid):
         g = one_pole_grid
-        dt = float(g.ts[1] - g.ts[0])
         vt = t_variation(one_pole_seed,
                          *np.meshgrid(g.xs, g.ts, indexing="ij"))
-        fd = kdv._derivative_on_grid(g.log_tau, dt, 1, axis=1)
+        fd = derivative(g.log_tau, g.ts, 1, along=1)
         assert np.abs(fd - vt).max() < 1e-5
 
     def test_mixed_partials_agree(self, one_pole_seed, one_pole_grid):
         g = one_pole_grid
-        dx = float(g.xs[1] - g.xs[0])
-        dt = float(g.ts[1] - g.ts[0])
         vt = t_variation(one_pole_seed,
                          *np.meshgrid(g.xs, g.ts, indexing="ij"))
-        mix_tq = kdv._derivative_on_grid(g.q, dt, 1, axis=1)
-        mix_xt = kdv._derivative_on_grid(vt, dx, 1, axis=0)
+        mix_tq = derivative(g.q, g.ts, 1, along=1)
+        mix_xt = derivative(vt, g.xs, 1)
         assert np.abs(mix_tq - mix_xt).max() < 1e-6
 
     def test_all_nodes_in_big_cell(self, one_pole_grid):
@@ -228,8 +229,7 @@ class TestTauGrid:
 
     def test_u_is_scaled_x_derivative_of_q(self, one_pole_grid):
         g = one_pole_grid
-        dx = float(g.xs[1] - g.xs[0])
-        want = -2.0 * kdv._derivative_on_grid(g.q, dx, 1, axis=0)
+        want = -2.0 * derivative(g.q, g.xs, 1)
         assert np.abs(g.u - want).max() == 0.0
 
     def test_grid_validation(self, one_pole_seed):
@@ -238,10 +238,20 @@ class TestTauGrid:
         with pytest.raises(ValueError):
             kdv.tau_grid(one_pole_seed, [0.0, 0.1], [0.1, 0.0])
 
+    def test_short_x_axis_rejected_before_factoring(self, one_pole_seed,
+                                                    monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pulled back a point of a rejected grid")
+
+        monkeypatch.setattr(kdv, "pullback_coeff_batch", refuse)
+        with pytest.raises(ValueError, match="x axis needs at least 5"):
+            kdv.tau_grid(one_pole_seed, np.linspace(-0.1, 0.1, 4),
+                         np.linspace(-0.1, 0.1, 7))
+
     def test_path_through_bad_cell_raises(self):
         strong = kdv.seed_one_pole(strength=1.0)
         with pytest.raises(kdv.PathCrossesBadCellError):
-            kdv.tau_grid(strong, np.linspace(-0.3, -0.2, 3),
+            kdv.tau_grid(strong, np.linspace(-0.3, -0.2, 5),
                          np.linspace(0.5, 1.2, 8))
 
     def test_path_across_det_zero_raises(self):

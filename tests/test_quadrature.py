@@ -1,6 +1,8 @@
 """The Gauss-Legendre cell rule behind both path integrations, and the
 interpolatory cell rule of the KdV contour cross-check."""
 
+import ast
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +15,9 @@ from tauforge.phase_space import gauge_variation
 from tauforge.quadrature import (
     BASE_NODES,
     PathRefinementError,
-    interpolatory_cell_weights,
+    cell_weights,
+    derivative,
+    derivative_width,
     refine_path_cells,
 )
 
@@ -92,6 +96,42 @@ def test_leggauss_only_in_quadrature():
     assert users == ["quadrature.py"]
 
 
+def test_stencils_only_in_quadrature():
+    # one home for grid stencils: no other module builds finite-difference
+    # or cell weights or works out a grid step, and cli reaches kdv only
+    # through its public names
+    src = Path(__file__).resolve().parents[1] / "src" / "tauforge"
+    stencil = re.compile(r"fornberg|lagrange|np\.diff\(\w+\)"
+                         r"|(\w+)\[1\] - \1\[0\]|/ \(len\(\w+\) - 1\)",
+                         re.IGNORECASE)
+    users = sorted(path.name for path in src.glob("*.py")
+                   if stencil.search(path.read_text()))
+    assert users == ["quadrature.py"]
+    cli = ast.parse((src / "cli.py").read_text())
+    assert not [node.attr for node in ast.walk(cli)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "kdv" and node.attr.startswith("_")]
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_every_derivative_row_exact_below_width(m):
+    # each row of the stencil, the one-sided ones at both ends included,
+    # differentiates every polynomial of degree < width exactly
+    p = derivative_width(m)
+    axis = np.linspace(-2.0, 3.5, 12)
+    h = axis[1] - axis[0]
+    for degree in range(p):
+        coeffs = np.zeros(degree + 1)
+        coeffs[degree] = 1.0
+        values = np.polynomial.polynomial.polyval(axis, coeffs)
+        exact = np.polynomial.polynomial.polyval(
+            axis, np.polynomial.polynomial.polyder(coeffs, m))
+        got = derivative(values, axis, m)
+        scale = max(np.abs(exact).max(), np.abs(values).max() / h ** m)
+        assert (np.abs(got - exact) <= 1e-12 * scale).all()
+
+
 def _exact_cell_weights(p, offset):
     """Integrals over [offset, offset + 1] of the Lagrange basis
     polynomials on the nodes 0..p-1, in rationals."""
@@ -113,21 +153,20 @@ def test_cell_weights_exact_below_degree_p(p):
     # polynomials of degree < p; every offset of the cell in its stencil,
     # the one-sided ones included
     for offset in range(p - 1):
-        weights = interpolatory_cell_weights(p, [offset], p)[0]
+        weights = cell_weights(np.arange(p), [offset], p)[0]
         exact = _exact_cell_weights(p, offset)
         assert (np.abs(weights - exact) <= 1e-13 * np.abs(exact)).all()
 
 
 def test_cell_weights_place_the_stencil_on_the_axis():
-    # on a 20-node axis of spacing h every cell's rule reads 8 nodes and
-    # integrates a degree-7 polynomial exactly
+    # on a 20-node axis every cell's rule reads 8 nodes and integrates a
+    # degree-7 polynomial exactly
     axis = np.linspace(-1.0, 0.9, 20)
-    h = axis[1] - axis[0]
     coeffs = np.array([0.3, -1.2, 0.5, 2.0, -0.7, 0.1, 1.1, -0.4])
     antiderivative = np.polynomial.polynomial.polyint(coeffs)
-    weights = interpolatory_cell_weights(len(axis), np.arange(19), 8)
+    weights = cell_weights(axis, np.arange(19), 8)
     assert ((weights != 0).sum(axis=1) == 8).all()
-    got = h * weights @ np.polynomial.polynomial.polyval(axis, coeffs)
+    got = weights @ np.polynomial.polynomial.polyval(axis, coeffs)
     exact = np.diff(np.polynomial.polynomial.polyval(axis, antiderivative))
     assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
 
@@ -138,7 +177,6 @@ def test_cell_rule_matches_gauss_on_default_kdv_cells():
     # the Gauss reference factors fresh loops between the nodes
     seed = kdv.seed_one_pole()
     axis = np.linspace(-1.0, 1.0, 51)
-    h = axis[1] - axis[0]
     cols, x_cells, it0 = np.array([0, 25, 50]), np.array([0, 25, 49]), 25
     m = 256
     u = {d: kdv._direction_u(d).samples(m) for d in ("x", "t")}
@@ -149,10 +187,10 @@ def test_cell_rule_matches_gauss_on_default_kdv_cells():
         return gauge_variation(minus, u[direction])
 
     gx, gt = np.meshgrid(axis[cols], axis, indexing="ij")
-    rule_t = h * (variation("t", gx.ravel(), gt.ravel()).reshape(gx.shape)
-                  @ interpolatory_cell_weights(51, np.arange(50), 8).T)
-    rule_x = h * (interpolatory_cell_weights(51, x_cells, 8)
-                  @ variation("x", axis, np.full(51, axis[it0])))
+    rule_t = (variation("t", gx.ravel(), gt.ravel()).reshape(gx.shape)
+              @ cell_weights(axis, np.arange(50), 8).T)
+    rule_x = (cell_weights(axis, x_cells, 8)
+              @ variation("x", axis, np.full(51, axis[it0])))
 
     gauss_t, _, _ = refine_path_cells(
         lambda pts, c: variation("t", axis[cols][c], pts),
