@@ -94,23 +94,17 @@ def _lu_block(cs: np.ndarray, order: int, n: int):
     return sol, ok, np.where(ok, sign, 0), np.where(ok, logabs, -np.inf)
 
 
-def toeplitz_slogdet(coeffs: np.ndarray):
-    """(sign, log|det|) of the system matrix T_N for (B, 2N+1, n, n) loops.
+def factorize_slogdet(coeffs: np.ndarray, sample_count: int = DEFAULT_SAMPLES,
+                      tol: float = FACTOR_TOL):
+    """factorize_batch's four arrays, then (sign, log|det T_N|), all from
+    one LU factorization per loop; a real stack has real factors, from
+    real arithmetic (see _assemble).
 
     det T_N is the Segal-Wilson tau-function of the loop up to its
     normalization; it vanishes exactly where the solve is singular, so
     |det| measures the distance to the boundary of the big cell.  A
     singular T_N gives sign 0 and log|det| = -inf.
     """
-    _, nmodes, n, _ = coeffs.shape
-    return _by_block(lambda cs: _lu_block(cs, nmodes // 2, n)[2:], coeffs)
-
-
-def factorize_slogdet(coeffs: np.ndarray, sample_count: int = DEFAULT_SAMPLES,
-                      tol: float = FACTOR_TOL):
-    """factorize_batch's four arrays, then toeplitz_slogdet's (sign,
-    log|det T_N|), both from one LU factorization per loop; a real stack
-    has real factors, from real arithmetic (see _assemble)."""
     _, nmodes, n, _ = coeffs.shape
     if n != 2:
         raise ValueError(f"only 2x2 loops are factored, got {n}x{n}")

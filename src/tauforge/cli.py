@@ -192,16 +192,17 @@ class ExperimentConfig:
                 "so only threads = 1 is accepted")
         if self.count < 1:
             raise ConfigError("loop count must be >= 1")
-        if self.pipeline in _SETTINGS["grid"][1]:
-            spans = self.grid_spec()
-            for lo, hi, n in spans:
-                if n < 7:
+        if self.pipeline == "kdv":
+            for axis, (_, _, n), least in zip("xt", self.grid_spec(),
+                                              kdv.MIN_NODES):
+                if n < least:
                     raise ConfigError(
-                        "residual pipelines need grid counts >= 7")
-            if self.pipeline == "kdv" and spans[0][2] < kdv.MIN_NODES[0]:
-                raise ConfigError(
-                    f"kdv grids need x counts >= {kdv.MIN_NODES[0]}")
-            if self.pipeline == "ernst" and spans[0][0] <= 0:
+                        f"kdv grids need {axis} counts >= {least}")
+        if self.pipeline == "ernst":
+            spans = self.grid_spec()
+            if min(n for _, _, n in spans) < 7:
+                raise ConfigError("residual pipelines need grid counts >= 7")
+            if spans[0][0] <= 0:
                 raise ConfigError("ernst grid must stay in the r > 0 half plane")
         name, params = self.resolved_preset()
         if (self.pipeline, name) not in _PRESETS:
@@ -528,14 +529,16 @@ _DISPATCH = {
 def _manifest(config: ExperimentConfig, checks, extra, csv_name, elapsed,
               exit_code) -> dict:
     name, params = config.resolved_preset()
-    grid = [list(span) for span in config.grid_spec()] \
-        if config.pipeline in _SETTINGS["grid"][1] else None
+    # a setting the pipeline does not read is recorded as None
+    reads = {key for key, (_, readers, _) in _SETTINGS.items()
+             if config.pipeline in readers}
     return {
         "pipeline": config.pipeline,
         "preset": name,
         "preset_params": params,
         "seed_file": config.seed_file,
-        "grid": grid,
+        "grid": ([list(span) for span in config.grid_spec()]
+                 if "grid" in reads else None),
         "trunc": config.trunc,
         "samples": default_sample_count(config.trunc),
         "threads": 1,  # kept in the fixed key set; runs are single-threaded
@@ -545,9 +548,9 @@ def _manifest(config: ExperimentConfig, checks, extra, csv_name, elapsed,
             "residual": config.tol_residual,
             "headline": config.tol_headline,
         },
-        "rng_seed": config.rng_seed,
-        "count": config.count,
-        "strength": config.strength,
+        "rng_seed": config.rng_seed if "rng_seed" in reads else None,
+        "count": config.count if "count" in reads else None,
+        "strength": config.strength if "strength" in reads else None,
         "versions": {
             "tauforge": __version__,
             "python": platform.python_version(),

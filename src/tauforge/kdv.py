@@ -22,14 +22,14 @@ T_N the block-Toeplitz system matrix of the factorization, so every point
 is pulled back and factored once: the grid nodes, which carry q, and the
 points (0, 0), (x, 0) of the path (0,0) -> (x,0) -> (x,t).  A real P0
 gives loops with real coefficients: they are sampled on the upper half
-circle and factored in real arithmetic, so log tau is real; complex seeds,
-pullback_patching and factorize stay complex.  The branch of
-the logarithm is continued along that path; a path point off the big cell,
-or a sign change or large phase jump of det T_N between neighbouring path
-points, means the path crosses det T_N = 0 and raises
-PathCrossesBadCellError.  The paper's contour formula, evaluated on the
-nodes' minus factors and integrated with an interpolatory cell rule, is
-kept as a cross-check on a few cells (path_crosscheck).  The solution
+circle and factored in real arithmetic, so log tau is real; complex seeds
+stay complex.  The branch of the logarithm is continued along that path;
+a path point off the big cell, or a sign change or large phase jump of
+det T_N between neighbouring path points, means the path crosses
+det T_N = 0 and raises PathCrossesBadCellError.  The paper's contour
+formula, evaluated on the nodes' minus factors and integrated with an
+interpolatory cell rule, is kept as a cross-check on a few cells
+(path_crosscheck).  The solution
 field is u = -2 dq/dx by 4th-order finite differences (quadrature's
 stencils, as for every derivative on the grid), the scaling in which the
 family satisfies 4 u_t = u_xxx + 6 u u_x; kdv_residual's stencils set the
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # unused factorize_batch, refine_path_cells: benchmark/tracing.py patches them
-from .birkhoff import factorize, factorize_batch, factorize_slogdet
+from .birkhoff import factorize_batch, factorize_slogdet
 from .loops import (
     DEFAULT_ORDER,
     TAIL_THRESHOLD,
@@ -58,7 +58,7 @@ from .loops import (
     multiply,
     samples_to_coeffs,
 )
-from .phase_space import gauge_variation, vacuum_logderiv_gauge
+from .phase_space import gauge_variation
 from .quadrature import (
     cell_weights,
     cumulative_from,
@@ -68,7 +68,7 @@ from .quadrature import (
     refine_path_cells,
     validated_axes,
 )
-from .twistor import SpacetimePoint, SymmetryGenerator, decompose
+from .twistor import SymmetryGenerator, decompose
 
 # nodes of the polynomial behind each cell integral of path_crosscheck
 CELL_RULE_POINTS = 8
@@ -153,9 +153,10 @@ def _exp_minus_mu_phi(mu, lam, branch: float = 1.0):
     return c, np.multiply(mu, s, out=s)
 
 
-def _pullback_values(seed: KdVSeed, v, x, t, order: int, half=False):
-    """Translated loops on the circle grid of their order, (B, M, 2, 2),
-    or with half only at its M/2 + 1 points on the upper half circle.
+def _pullback_values(seed: KdVSeed, x, t, order: int, half=False):
+    """Translated loops at v = 0 on the circle grid of their order,
+    (B, M, 2, 2), or with half only at its M/2 + 1 points on the upper
+    half circle.
 
     exp(-mu Phi) P0 = C P0 - (mu S) Phi P0, where Phi P0 is P0 with its
     rows swapped and the new top row divided by lambda.  The stack is
@@ -166,13 +167,12 @@ def _pullback_values(seed: KdVSeed, v, x, t, order: int, half=False):
     m = default_sample_count(order)
     keep = m // 2 + 1 if half else m
     lam = circle_points(m)[:keep]
-    v = np.atleast_1d(np.asarray(v, dtype=complex))[:, None]
     x = np.atleast_1d(np.asarray(x, dtype=complex))[:, None]
     t = np.atleast_1d(np.asarray(t, dtype=complex))[:, None]
     p0 = np.moveaxis(MatrixLoop.samples(seed.p0, m), -3, -1)[..., :keep]
     phi_p0 = np.stack([p0[1] / lam, p0[0]])
     with np.errstate(over="ignore", invalid="ignore"):
-        c, mu_s = _exp_minus_mu_phi(v + lam * x + lam ** 2 * t, lam)
+        c, mu_s = _exp_minus_mu_phi(lam * x + lam ** 2 * t, lam)
         vals = c[:, None, None] * p0
         vals -= mu_s[:, None, None] * phi_p0
     return np.moveaxis(vals, -1, -3)
@@ -184,17 +184,9 @@ def pullback_coeff_batch(seed: KdVSeed, x, t, order: int = DEFAULT_ORDER,
     P0, x and t give real loops, sampled on the upper half circle only."""
     real = (np.isrealobj(x) and np.isrealobj(t)
             and not seed.p0.coeffs.imag.any())
-    vals = _pullback_values(seed, np.zeros_like(np.atleast_1d(x)), x, t,
-                            order, half=real)
+    vals = _pullback_values(seed, x, t, order, half=real)
     to_coeffs = half_samples_to_coeffs if real else samples_to_coeffs
     return to_coeffs(vals, order, tail_tol)
-
-
-def pullback_patching(seed: KdVSeed, p: SpacetimePoint,
-                      order: int = DEFAULT_ORDER) -> MatrixLoop:
-    """Translated patching loop at one space-time point."""
-    vals = _pullback_values(seed, p.v, p.x, p.t, order)[0]
-    return MatrixLoop.from_samples(vals, order, tail_tol=TAIL_THRESHOLD)
 
 
 # -- direction data and the potential ------------------------------------
@@ -213,21 +205,6 @@ def _q_of(minus):
     """q = tr(P1 Phi0) = entry (0, 1) of P1, Phi0 = [[0, 0], [1, 0]], where
     P1 is mode -1 of minus factors (..., 2N+1, 2, 2)."""
     return minus[..., (minus.shape[-3] - 3) // 2, 0, 1]
-
-
-def q_expansion(seed: KdVSeed, p: SpacetimePoint,
-                order: int = DEFAULT_ORDER) -> complex:
-    """q from the expansion of the negative factor: tr(P1 P0^-1 Phi0)."""
-    factors = factorize(pullback_patching(seed, p, order))
-    return complex(_q_of(factors.g_minus.coeffs))
-
-
-def q_contour(seed: KdVSeed, p: SpacetimePoint,
-              order: int = DEFAULT_ORDER) -> complex:
-    """q as the gauge variation of log tau along u = h Phi, the x direction:
-    a route independent of the expansion formula."""
-    return vacuum_logderiv_gauge(pullback_patching(seed, p, order),
-                                 _direction_u("x"))
 
 
 # -- the grid pipeline --------------------------------------------------

@@ -3,7 +3,9 @@
 A loop is the trigonometric polynomial f(lambda) = sum_{k=-N}^{N} c_k lambda^k
 with lambda = exp(i theta), stored by its coefficient stack c_k (each an n x n
 complex matrix); its sample grid theta_j = 2 pi j / M has the M that
-default_sample_count derives from N.
+default_sample_count derives from N.  The pipelines' loops are 2x2, and
+the inverse and the exponential take only those; a scalar loop (n = 1)
+enters only as the multiplier of a product.
 A loop with real coefficients is fixed by its samples on the upper half
 circle, which coeffs_to_half_samples and half_samples_to_coeffs carry.
 Products are dealiased by zero-padding to an exact grid; nothing is ever
@@ -14,7 +16,6 @@ an explicit truncation with a tail-mass check is requested.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 DEFAULT_ORDER = 32
 DEFAULT_SAMPLES = 256
@@ -262,19 +263,6 @@ class MatrixLoop:
             return np.zeros((self.n, self.n), dtype=complex)
         return self.coeffs[k + self.order]
 
-    def eval(self, theta):
-        """Evaluate sum c_k e^{ik theta} at arbitrary angles."""
-        theta = np.asarray(theta, dtype=float)
-        ks = np.arange(-self.order, self.order + 1)
-        phases = np.exp(1j * np.outer(theta.ravel(), ks))
-        vals = np.tensordot(phases, self.coeffs, axes=(1, 0))
-        return vals.reshape(theta.shape + (self.n, self.n))
-
-    def eval_point(self, z: complex):
-        """Evaluate the Laurent polynomial at a point off the circle."""
-        ks = np.arange(-self.order, self.order + 1)
-        return np.tensordot(np.asarray(z) ** ks, self.coeffs, axes=(0, 0))
-
     def samples(self, m: int | None = None):
         """Values on the grid theta_j = 2 pi j / M, exact via zero-padded FFT;
         M defaults to default_sample_count(order)."""
@@ -297,20 +285,6 @@ class MatrixLoop:
         sl = slice(self.order - order, self.order + order + 1)
         return type(self)(self.coeffs[sl].copy())
 
-    def project(self, part: str) -> "MatrixLoop":
-        """Keep one mode range; complementary parts sum to the original."""
-        ks = np.arange(-self.order, self.order + 1)
-        keep = {
-            "strictly_positive": ks >= 1,
-            "nonnegative": ks >= 0,
-            "strictly_negative": ks <= -1,
-            "nonpositive": ks <= 0,
-        }.get(part)
-        if keep is None:
-            raise ValueError(f"unknown projection {part!r}")
-        coeffs = np.where(keep[:, None, None], self.coeffs, 0.0)
-        return type(self)(coeffs)
-
     def derivative_theta(self) -> "MatrixLoop":
         ks = np.arange(-self.order, self.order + 1)
         return type(self)(1j * ks[:, None, None] * self.coeffs)
@@ -331,33 +305,15 @@ class MatrixLoop:
     def __sub__(self, other):
         return self + other.scaled(-1.0)
 
-    def __repr__(self):
-        return f"{type(self).__name__}(n={self.n}, order={self.order})"
-
 
 class ScalarLoop(MatrixLoop):
-    """Scalar loop (n = 1); eval returns plain numbers, not 1x1 matrices."""
+    """Scalar loop (n = 1), held as 1x1 blocks: the multiplier of a 2x2
+    loop in a product."""
 
     def __init__(self, coeffs):
         super().__init__(coeffs)
         if self.n != 1:
             raise ValueError("ScalarLoop requires n = 1")
-
-    @classmethod
-    def from_modes(cls, modes: dict, n: int = 1,
-                   order: int = DEFAULT_ORDER) -> "ScalarLoop":
-        wrapped = {k: np.atleast_2d(np.asarray(v, dtype=complex))
-                   for k, v in modes.items()}
-        return super().from_modes(wrapped, n=1, order=order)
-
-    def eval(self, theta):
-        return super().eval(theta)[..., 0, 0]
-
-    def eval_point(self, z: complex):
-        return super().eval_point(z)[0, 0]
-
-    def samples(self, m: int | None = None):
-        return super().samples(m)[..., 0, 0]
 
     @classmethod
     def from_scalar_function(cls, fn,
@@ -397,24 +353,17 @@ def multiply(a: MatrixLoop, b: MatrixLoop) -> MatrixLoop:
 
 
 def inverse(a: MatrixLoop) -> MatrixLoop:
-    """Pointwise inverse transformed back at the loop's own truncation.
+    """Pointwise inverse of a 2x2 loop, transformed back at the loop's own
+    truncation; other sizes raise ValueError.
 
     Raises SingularLoopError when any sample matrix has 2-norm condition
     above INVERSE_COND_MAX.  The result is the order-N best effort; the
     round-trip guarantee multiply(a, inverse(a)) ~ identity holds for loops
     whose inverse has geometrically decaying coefficients.
     """
-    vals = MatrixLoop.samples(a)
-    if a.n == 1:
-        mags = np.abs(vals[:, 0, 0])
-        cond = mags.max() / max(mags.min(), np.finfo(float).tiny)
-        if cond > INVERSE_COND_MAX:
-            raise SingularLoopError(f"scalar loop condition {cond:.3e} > {INVERSE_COND_MAX:.1e}")
-        inv_vals = 1.0 / vals
-    else:
-        check_sample_condition(vals)
-        inv_vals = np.linalg.inv(vals)
-    return type(a).from_samples(inv_vals, a.order)
+    vals = _require_2x2(a.samples())
+    check_sample_condition(vals)
+    return MatrixLoop.from_samples(np.linalg.inv(vals), a.order)
 
 
 def check_sample_condition(vals):
@@ -483,13 +432,23 @@ def cosh_sinhc(z, branch: float = 1.0):
     return ch * cb + 1j * (sh * sb), s
 
 
-def _expm_2x2(vals):
+def _require_2x2(vals):
+    """vals, a (..., n, n) stack, once n is 2; other sizes raise ValueError."""
+    if vals.shape[-2:] != (2, 2):
+        raise ValueError("only 2x2 loops are inverted or exponentiated, "
+                         f"got {vals.shape[-2]}x{vals.shape[-1]}")
+    return vals
+
+
+def _exp_samples(vals):
     """exp of stacked 2x2 matrices: e^{tr/2} (cosh s I + sinh(s)/s u0).
 
     u0 = u - (tr/2) I is traceless, so u0^2 = s^2 I with s^2 = -det u0,
     and cosh_sinhc gives cosh s and sinh(s)/s from s^2.  The result is
-    built entry by entry, in the entry-major order of matmul_2x2.
+    built entry by entry, in the entry-major order of matmul_2x2.  Other
+    sizes raise ValueError.
     """
+    _require_2x2(vals)
     half_tr = 0.5 * (vals[..., 0, 0] + vals[..., 1, 1])
     u00 = vals[..., 0, 0] - half_tr
     u11 = vals[..., 1, 1] - half_tr
@@ -505,26 +464,14 @@ def _expm_2x2(vals):
     return out
 
 
-def _exp_samples(vals):
-    """exp of every (..., n, n) sample matrix: scalar, closed 2x2 form, or
-    batched scaling-and-squaring."""
-    n = vals.shape[-1]
-    if n == 1:
-        return np.exp(vals)
-    if n == 2:
-        return _expm_2x2(vals)
-    return scipy.linalg.expm(vals)
-
-
 def exp_pointwise(a: MatrixLoop) -> MatrixLoop:
-    """Pointwise matrix exponential, recovered at the input's truncation.
-
-    2x2 samples use the closed form of _expm_2x2, larger ones batched
-    scaling-and-squaring.  Raises TailMassError when exp spreads the
-    spectrum past what order N can hold.
+    """Pointwise exponential of a 2x2 loop by the closed form of
+    _exp_samples, recovered at the input's truncation; other sizes raise
+    ValueError.  Raises TailMassError when exp spreads the spectrum past
+    what order N can hold.
     """
-    exp_vals = _exp_samples(MatrixLoop.samples(a))
-    return type(a).from_samples(exp_vals, a.order, tail_tol=TAIL_THRESHOLD)
+    exp_vals = _exp_samples(a.samples())
+    return MatrixLoop.from_samples(exp_vals, a.order, tail_tol=TAIL_THRESHOLD)
 
 
 def mean_theta(f: MatrixLoop):
@@ -595,12 +542,13 @@ def _tangent_draw(rng, count, n=2, band=TANGENT_BAND, amplitude=0.5,
 
 def random_unimodular_stack(rng: np.random.Generator, count: int,
                             **kw) -> np.ndarray:
-    """exp of count random traceless tangents, (count, 2N+1, n, n).
+    """exp of count random traceless tangents, (count, 2N+1, 2, 2).
 
     Unimodular by construction; the keywords are random_tangent_stack's
-    except traceless.  The normals are drawn as random_tangent_stack draws
-    them; each block of loops then goes through the tangent, its samples,
-    exp and back to coefficients while its arrays are in cache.  The tail
+    except traceless, and n other than 2 raises ValueError.  The normals
+    are drawn as random_tangent_stack draws them; each block of loops then
+    goes through the tangent, its samples, exp and back to coefficients
+    while its arrays are in cache.  The tail
     mass of exp is checked loop by loop, and the worst loop of the whole
     stack raises TailMassError, which names its index.
     """

@@ -126,8 +126,8 @@ def hamiltonian_diffeo(gamma: MatrixLoop, xi: ScalarLoop,
     of gamma against lambda xi, which is formed on the samples.
     """
     m = _checked_grid(gamma, gamma.order + xi.order)
-    value = -0.5 * quadratic_variation(gamma.coeffs,
-                                       circle_points(m) * xi.samples(m))
+    lam_xi = circle_points(m) * xi.samples(m)[:, 0, 0]
+    value = -0.5 * quadratic_variation(gamma.coeffs, lam_xi)
     return _maybe_real(value, check_real, default=False)
 
 
@@ -241,7 +241,7 @@ def vacuum_logderiv_diffeo(gamma_or_factors, xi10: ScalarLoop) -> complex:
     g_minus, g_plus = factors.g_minus, factors.g_plus
     m = default_sample_count(g_minus.order + xi10.order)
     minus_term, plus_term = quadratic_variation(
-        np.stack([g_minus.coeffs, g_plus.coeffs]), xi10.samples(m))
+        np.stack([g_minus.coeffs, g_plus.coeffs]), xi10.samples(m)[:, 0, 0])
     # the contour integral of the g_plus term is 2 pi i plus_term
     plus_contour = 2 * np.pi * abs(plus_term)
     ks = np.arange(-xi10.order, xi10.order + 1)

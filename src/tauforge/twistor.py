@@ -1,5 +1,5 @@
-"""Minitwistor correspondence: incidence relation, symmetry generators, and
-the decomposition of space-time directions into multiplier data.
+"""Minitwistor correspondence: symmetry generators and the decomposition
+of space-time directions into multiplier data.
 
 The correspondence space carries the two Lax fields
 
@@ -28,19 +28,6 @@ import numpy as np
 
 class DegenerateFrameError(Exception):
     """(X, V0, V1) fail to frame the tangent space for generic lambda."""
-
-
-@dataclass(frozen=True)
-class SpacetimePoint:
-    v: complex = 0.0
-    x: complex = 0.0
-    t: complex = 0.0
-
-
-def incidence(p: SpacetimePoint, lam):
-    """mu = v + lambda x + lambda^2 t; lam may be an array."""
-    lam = np.asarray(lam)
-    return p.v + lam * p.x + lam * lam * p.t
 
 
 @dataclass(frozen=True)
@@ -96,13 +83,6 @@ class RationalFunction:
     def derivative_coeffs(self, coeffs):
         return tuple(k * c for k, c in enumerate(coeffs))[1:] or (0.0,)
 
-    def poles(self):
-        """Roots of the denominator (degree <= 2 handled exactly)."""
-        den = np.trim_zeros(np.asarray(self.den, dtype=complex), "b")
-        if len(den) <= 1:
-            return []
-        return list(np.roots(den[::-1]))
-
     def residue(self, z0: complex) -> complex:
         """Residue at a simple pole z0: num(z0) / den'(z0)."""
         dp = self._horner(self.derivative_coeffs(self.den), z0)
@@ -110,29 +90,12 @@ class RationalFunction:
             raise ZeroDivisionError(f"pole at {z0} is not simple")
         return complex(self._horner(self.num, z0) / dp)
 
-    def __repr__(self):
-        return f"RationalFunction(num={self.num}, den={self.den})"
-
 
 @dataclass(frozen=True)
 class DirectionDecomposition:
     f0: RationalFunction
     f1: RationalFunction
     h: RationalFunction
-
-    def verify(self, y: SymmetryGenerator, x: SymmetryGenerator,
-               lams) -> float:
-        """Sup residual of Y = f0 V0 + f1 V1 + h X over the sample points."""
-        yv, yx, yt = y.translation_components()
-        xv, xx, xt = x.translation_components()
-        worst = 0.0
-        for lam in np.asarray(lams, dtype=complex):
-            f0, f1, h = self.f0.eval(lam), self.f1.eval(lam), self.h.eval(lam)
-            rv = f0 * (-lam) + h * xv - yv
-            rx = f0 + f1 * (-lam) + h * xx - yx
-            rt = f1 + h * xt - yt
-            worst = max(worst, abs(rv), abs(rx), abs(rt))
-        return worst
 
 
 def decompose(y: SymmetryGenerator,

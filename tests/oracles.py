@@ -2,12 +2,17 @@
 
 The package evaluates every contour formula on sample stacks; these
 references work at coefficient level (or from samples alone), so they stay
-independent of the kernels they check.
+independent of the kernels they check.  The single-point routes for the
+KdV potential q and the twistor helpers are the tests' second routes: no
+pipeline runs them.
 """
 
 import numpy as np
 
-from tauforge.loops import MatrixLoop, adjugate_2x2
+from tauforge import kdv
+from tauforge.birkhoff import factorize
+from tauforge.loops import DEFAULT_ORDER, MatrixLoop, adjugate_2x2
+from tauforge.phase_space import vacuum_logderiv_gauge
 
 
 def unimodular_defect(loop: MatrixLoop) -> float:
@@ -28,3 +33,88 @@ def adjugate_inverse(loop: MatrixLoop) -> MatrixLoop:
     """Exact coefficient-level inverse of a 2x2 loop with det = 1: the
     adjugate only permutes and negates coefficients."""
     return MatrixLoop(adjugate_2x2(loop.coeffs))
+
+
+# -- evaluation off the sample grid and mode projections -------------------
+
+
+def eval_theta(loop: MatrixLoop, theta):
+    """sum c_k e^{ik theta} at arbitrary angles, (..., n, n) values also
+    for a scalar loop."""
+    theta = np.asarray(theta, dtype=float)
+    ks = np.arange(-loop.order, loop.order + 1)
+    phases = np.exp(1j * np.outer(theta.ravel(), ks))
+    vals = np.tensordot(phases, loop.coeffs, axes=(1, 0))
+    return vals.reshape(theta.shape + (loop.n, loop.n))
+
+
+def eval_point(loop: MatrixLoop, z: complex):
+    """The Laurent polynomial at a point z off the circle, (n, n)."""
+    ks = np.arange(-loop.order, loop.order + 1)
+    return np.tensordot(np.asarray(z) ** ks, loop.coeffs, axes=(0, 0))
+
+
+def project(loop: MatrixLoop, part: str) -> MatrixLoop:
+    """Keep one mode range; complementary parts sum to the original."""
+    ks = np.arange(-loop.order, loop.order + 1)
+    keep = {
+        "strictly_positive": ks >= 1,
+        "nonnegative": ks >= 0,
+        "strictly_negative": ks <= -1,
+        "nonpositive": ks <= 0,
+    }[part]
+    return type(loop)(np.where(keep[:, None, None], loop.coeffs, 0.0))
+
+
+# -- the KdV potential at one point, by two routes --------------------------
+
+
+def pullback_patching(seed, x, t, order: int = DEFAULT_ORDER) -> MatrixLoop:
+    """Translated patching loop at one point (x, t), from the complex route
+    of pullback_coeff_batch."""
+    return MatrixLoop(kdv.pullback_coeff_batch(seed, [complex(x)],
+                                               [complex(t)], order)[0])
+
+
+def q_expansion(seed, x, t, order: int = DEFAULT_ORDER) -> complex:
+    """q from the expansion of the negative factor of one factorize call:
+    tr(P1 Phi0), as tau_grid reads it."""
+    factors = factorize(pullback_patching(seed, x, t, order))
+    return complex(kdv._q_of(factors.g_minus.coeffs))
+
+
+def q_contour(seed, x, t, order: int = DEFAULT_ORDER) -> complex:
+    """q as the gauge variation of log tau along u = h Phi, the x direction:
+    a route independent of the expansion formula."""
+    return vacuum_logderiv_gauge(pullback_patching(seed, x, t, order),
+                                 kdv._direction_u("x"))
+
+
+# -- twistor ----------------------------------------------------------------
+
+
+def incidence(v, x, t, lam):
+    """mu = v + lambda x + lambda^2 t; lam may be an array."""
+    lam = np.asarray(lam)
+    return v + lam * x + lam * lam * t
+
+
+def poles(f) -> list:
+    """Roots of a RationalFunction's denominator."""
+    den = np.trim_zeros(np.asarray(f.den, dtype=complex), "b")
+    return list(np.roots(den[::-1])) if len(den) > 1 else []
+
+
+def decomposition_residual(dec, y, x, lams) -> float:
+    """Sup residual of Y = f0 V0 + f1 V1 + h X over the points lams, for
+    dec = decompose(y, x)."""
+    yv, yx, yt = y.translation_components()
+    xv, xx, xt = x.translation_components()
+    worst = 0.0
+    for lam in np.asarray(lams, dtype=complex):
+        f0, f1, h = dec.f0.eval(lam), dec.f1.eval(lam), dec.h.eval(lam)
+        rv = f0 * (-lam) + h * xv - yv
+        rx = f0 + f1 * (-lam) + h * xx - yx
+        rt = f1 + h * xt - yt
+        worst = max(worst, abs(rv), abs(rx), abs(rt))
+    return worst

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tauforge import cli, ernst
+from tauforge import cli, ernst, kdv
 
 SMALL_KDV = ["--grid", "-0.4:0.4:11"]
 
@@ -49,6 +49,7 @@ class TestConfigHandling:
         ["kdv", "--trunc", "abc"],
         ["kdv", "--no-such-flag", "1"],
         ["kdv", "--preset", "one_pole:order=3"],
+        ["kdv", "--grid=-0.4:0.4:11,-0.1:0.1:6"],
     ])
     def test_bad_configs_exit_3(self, args):
         assert run_cli(args) == cli.EXIT_CONFIG
@@ -121,6 +122,33 @@ class TestConfigHandling:
         args = cli._parser().parse_args([pipeline])
         assert set(vars(args)) - {"pipeline", "seed_file"} \
             == set(cli._SETTINGS)
+
+    def test_kdv_grid_minimum_follows_min_nodes(self, monkeypatch):
+        def validate(pipeline, grid):
+            cli.ExperimentConfig(pipeline, grid=grid).validate()
+
+        monkeypatch.setattr(kdv, "MIN_NODES", (13, 5))
+        validate("kdv", "-0.4:0.4:13,-0.1:0.1:5")
+        with pytest.raises(cli.ConfigError, match="x counts >= 13"):
+            validate("kdv", "-0.4:0.4:12,-0.1:0.1:5")
+        with pytest.raises(cli.ConfigError, match="t counts >= 5"):
+            validate("kdv", "-0.4:0.4:13,-0.1:0.1:4")
+        # Ernst keeps its own minimum
+        with pytest.raises(cli.ConfigError, match="grid counts >= 7"):
+            validate("ernst", "0.5:2:9,-0.5:0.5:6")
+        monkeypatch.setattr(kdv, "MIN_NODES", (11, 9))
+        with pytest.raises(cli.ConfigError, match="t counts >= 9"):
+            validate("kdv", "-0.4:0.4:11,-0.1:0.1:8")
+
+    @pytest.mark.parametrize("pipeline", cli.PIPELINES)
+    def test_manifest_records_only_the_settings_read(self, pipeline):
+        config = cli.ExperimentConfig(pipeline)
+        manifest = cli._manifest(config, [], {}, None, 0.0, cli.EXIT_PASS)
+        for key in ("grid", "rng_seed", "count", "strength"):
+            reads = pipeline in cli._SETTINGS[key][1]
+            assert (manifest[key] is not None) == reads
+            if reads and key != "grid":
+                assert manifest[key] == getattr(config, key)
 
     @pytest.mark.parametrize("trunc, samples", [(32, 256), (64, 512)])
     def test_manifest_samples_follow_trunc(self, tmp_path, trunc, samples):

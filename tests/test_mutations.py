@@ -74,3 +74,24 @@ class TestContourCrosscheck:
             2 * np.pi, rel=1e-6)
         assert not checks["logtau_path_crosscheck"][1]
         assert code == cli.EXIT_CHECK_FAILED
+
+
+class TestPotential:
+    """logtau_q_consistency compares q with a 4th-order x difference of
+    log tau; on -0.4:0.4:11 its floor for a relative error in q lies
+    between 1e-3 and 1.5e-3, where the check reads 8.4e-5 and 1.2e-4
+    against its bound 1e-4."""
+
+    @pytest.mark.parametrize("error, value, fails", [(1e-3, 8.4e-5, False),
+                                                     (1.5e-3, 1.2e-4, True)])
+    def test_relative_error_in_q(self, tmp_path, monkeypatch, error, value,
+                                 fails):
+        real = kdv._q_of
+        monkeypatch.setattr(kdv, "_q_of",
+                            lambda minus: real(minus) * (1 + error))
+        code, checks = run_checks(tmp_path, SMALL_KDV)
+        assert checks["logtau_q_consistency"][0] == pytest.approx(value,
+                                                                  rel=0.01)
+        failed = {name for name, (_, passed) in checks.items() if not passed}
+        assert failed == ({"logtau_q_consistency"} if fails else set())
+        assert code == (cli.EXIT_CHECK_FAILED if fails else 0)

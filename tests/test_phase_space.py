@@ -18,7 +18,14 @@ from tauforge.loops import (
     default_sample_count,
 )
 
-from oracles import adjugate_inverse, derivative_lambda, unimodular_defect
+from oracles import (
+    adjugate_inverse,
+    derivative_lambda,
+    eval_point,
+    eval_theta,
+    project,
+    unimodular_defect,
+)
 
 
 def unitary_loop(rng, amplitude=0.5):
@@ -94,8 +101,8 @@ class TestSymplecticForm:
         val = ps.reduced_symplectic(MatrixLoop.identity(order=4), u, v)
 
         def integrand(theta):
-            uu = u.eval(theta)
-            dv = v.derivative_theta().eval(theta)
+            uu = eval_theta(u, theta)
+            dv = eval_theta(v.derivative_theta(), theta)
             return np.trace(uu @ dv, axis1=-2, axis2=-1)
 
         oracle = quadrature_mean(integrand)
@@ -175,35 +182,36 @@ class TestHamiltonians:
         assert abs(fd - (-ps.cocycle(u, U))) <= 1e-6
 
     def test_larger_loops_rejected(self, rng):
-        # the kernels read 2x2 entry planes; a 3x3 loop must not pass
-        gamma = tf.exp_pointwise(tf.random_tangent(rng, n=3))
+        # the kernels read 2x2 entry planes; a 3x3 loop must not pass.
+        # gamma is built from its coefficients, as exp takes only 2x2
         u = tf.random_tangent(rng, n=3)
-        xi = ScalarLoop.from_modes({0: 1.0}, order=2)
+        gamma = MatrixLoop.identity(n=3) + u.scaled(0.5)
+        xi = ScalarLoop.from_modes({0: 1.0}, n=1, order=2)
         with pytest.raises(ValueError, match="2x2"):
             ps.hamiltonian_gauge(gamma, u)
         with pytest.raises(ValueError, match="2x2"):
             ps.hamiltonian_diffeo(gamma, xi)
 
     def test_diffeo_vanishes_at_identity(self):
-        xi = ScalarLoop.from_modes({0: 1.0}, order=2)
+        xi = ScalarLoop.from_modes({0: 1.0}, n=1, order=2)
         assert ps.hamiltonian_diffeo(MatrixLoop.identity(), xi,
                                      check_real=True) == 0.0
 
     def test_diffeo_zero_field(self, rng):
         gamma = unitary_loop(rng)
-        xi = ScalarLoop.from_modes({}, order=2)
+        xi = ScalarLoop.from_modes({}, n=1, order=2)
         assert ps.hamiltonian_diffeo(gamma, xi, check_real=True) == 0.0
 
     def test_diffeo_quadrature_oracle(self, rng):
         gamma = unitary_loop(rng)
-        xi = ScalarLoop.from_modes({1: 0.5, -1: 0.5}, order=4)  # cos(theta)
+        xi = ScalarLoop.from_modes({1: 0.5, -1: 0.5}, n=1, order=4)  # cos(theta)
         val = ps.hamiltonian_diffeo(gamma, xi, check_real=True)
         assert isinstance(val, float)
         w = tf.multiply(gamma.derivative_theta(), tf.inverse(gamma))
         wsq = tf.multiply(w, w).trace()
 
         def integrand(theta):
-            return np.cos(theta) * wsq.eval(theta)
+            return np.cos(theta) * eval_theta(wsq, theta)[..., 0, 0]
 
         oracle = 0.5 * quadrature_mean(integrand)
         assert abs(val - oracle) <= 1e-10
@@ -315,14 +323,14 @@ class TestNonUnimodularLoop:
         u = tf.random_tangent(rng)
         # tr((dg g^-1)^2) of the minus factor has modes <= -4, so xi needs
         # a mode >= 3 for the residue to see it
-        xi = ScalarLoop.from_modes({3: 1.0, 4: 0.5}, order=4)
+        xi = ScalarLoop.from_modes({3: 1.0, 4: 0.5}, n=1, order=4)
         fac = birkhoff.factorize(gamma)
 
         w_minus = self._log_derivative(fac.g_minus)
         w_plus = self._log_derivative(fac.g_plus)
         gauge = -self._residue(
             np.trace(w_minus @ u.samples(self.M), axis1=1, axis2=2))
-        xi_vals = xi.samples(self.M)
+        xi_vals = xi.samples(self.M)[:, 0, 0]
         squares = [np.trace(w @ w, axis1=1, axis2=2) for w in (w_minus, w_plus)]
         diffeo = -0.5 * self._residue(xi_vals * (squares[0] - squares[1]))
 
@@ -334,7 +342,7 @@ class TestNonUnimodularLoop:
         gamma = MatrixLoop.from_modes({0: np.eye(2), 1: np.diag([1.0, 0.0])},
                                       order=4)
         u = tf.random_tangent(rng, band=4)
-        xi = ScalarLoop.from_modes({1: 0.5, -1: 0.5}, order=4)
+        xi = ScalarLoop.from_modes({1: 0.5, -1: 0.5}, n=1, order=4)
         with pytest.raises(tf.SingularLoopError):
             ps.hamiltonian_gauge(gamma, u)
         with pytest.raises(tf.SingularLoopError):
@@ -346,20 +354,21 @@ class TestNonUnimodularLoop:
 class TestVacuumLogderivDiffeo:
     def test_zero_field(self, rng):
         gamma = tf.random_unimodular_loop(rng)
-        xi = ScalarLoop.from_modes({}, order=2)
+        xi = ScalarLoop.from_modes({}, n=1, order=2)
         assert ps.vacuum_logderiv_diffeo(gamma, xi) == 0.0
 
     def test_identity_base_point(self):
-        xi = ScalarLoop.from_modes({2: 1.0}, order=2)
+        xi = ScalarLoop.from_modes({2: 1.0}, n=1, order=2)
         assert abs(ps.vacuum_logderiv_diffeo(MatrixLoop.identity(), xi)) <= 1e-14
 
     def test_disc_holomorphic_field_drops_plus_term(self, rng):
         gamma = tf.random_unimodular_loop(rng)
         fac = birkhoff.factorize(gamma)
-        xi = ScalarLoop.from_modes({2: 1.0}, order=2)  # lambda^2
+        xi = ScalarLoop.from_modes({2: 1.0}, n=1, order=2)  # lambda^2
         m = default_sample_count(fac.g_minus.order + xi.order)
         minus_term, plus_term = ps.quadratic_variation(
-            np.stack([fac.g_minus.coeffs, fac.g_plus.coeffs]), xi.samples(m))
+            np.stack([fac.g_minus.coeffs, fac.g_plus.coeffs]),
+            xi.samples(m)[:, 0, 0])
         assert abs(2 * np.pi * plus_term) <= 1e-9
         total = ps.vacuum_logderiv_diffeo(fac, xi)
         assert abs(total - (-0.5 * minus_term)) <= 1e-12
@@ -373,13 +382,13 @@ class TestVacuumLogderivDiffeo:
         z0 = 2j
         order = 24
         modes = {k: -((1 / z0) ** (k + 1)) for k in range(order + 1)}
-        xi = ScalarLoop.from_modes(modes, order=order)
+        xi = ScalarLoop.from_modes(modes, n=1, order=order)
         val = ps.vacuum_logderiv_diffeo(fac, xi)
         gm = fac.g_minus
         w = tf.multiply(derivative_lambda(gm), adjugate_inverse(gm))
-        w = w.project("strictly_negative")
-        g_of_z = tf.multiply(w, w).trace().project("strictly_negative")
-        assert abs(val - 0.5 * g_of_z.eval_point(z0)) <= 1e-8
+        w = project(w, "strictly_negative")
+        g_of_z = project(tf.multiply(w, w).trace(), "strictly_negative")
+        assert abs(val - 0.5 * eval_point(g_of_z, z0)[0, 0]) <= 1e-8
 
 
 class TestCurvature:

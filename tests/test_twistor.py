@@ -5,24 +5,22 @@ import pytest
 
 from tauforge import twistor as tw
 
+from oracles import decomposition_residual, incidence, poles
+
 
 class TestIncidence:
     def test_origin(self):
-        p = tw.SpacetimePoint(0.0, 0.0, 0.0)
         lam = np.exp(1j * np.linspace(0, 2 * np.pi, 16))
-        assert np.abs(tw.incidence(p, lam)).max() == 0.0
+        assert np.abs(incidence(0.0, 0.0, 0.0, lam)).max() == 0.0
 
     def test_direct_substitution(self):
-        p = tw.SpacetimePoint(1.0, 2.0, 3.0)
-        assert tw.incidence(p, 1.0) == 6.0
+        assert incidence(1.0, 2.0, 3.0, 1.0) == 6.0
 
     def test_linearity_in_coordinates(self, rng):
         lam = 0.7 + 0.2j
-        p1 = tw.SpacetimePoint(*rng.standard_normal(3))
-        p2 = tw.SpacetimePoint(*rng.standard_normal(3))
-        s = tw.SpacetimePoint(p1.v + p2.v, p1.x + p2.x, p1.t + p2.t)
-        split = tw.incidence(p1, lam) + tw.incidence(p2, lam)
-        assert abs(tw.incidence(s, lam) - split) <= 1e-14
+        p1, p2 = rng.standard_normal(3), rng.standard_normal(3)
+        split = incidence(*p1, lam) + incidence(*p2, lam)
+        assert abs(incidence(*(p1 + p2), lam) - split) <= 1e-14
 
     def test_null_plane_annihilated_by_ruling_fields(self):
         sympy = pytest.importorskip("sympy")
@@ -62,7 +60,7 @@ class TestDecompose:
             x = tw.SymmetryGenerator(*rng.standard_normal(3))
             dec = tw.decompose(y, x)
             lams = np.exp(2j * np.pi * rng.random(8))
-            assert dec.verify(y, x, lams) <= 3e-14
+            assert decomposition_residual(dec, y, x, lams) <= 3e-14
 
     def test_degenerate_frame_rejected(self):
         # zero, and nonzero below the bound: mu_X is round-off, not a frame
@@ -91,7 +89,7 @@ class TestRationalFunction:
 
     def test_poles_of_quadratic(self):
         f = tw.RationalFunction((1.0,), (2.0, -3.0, 1.0))  # 1/((z-1)(z-2))
-        roots = sorted(f.poles(), key=lambda z: z.real)
+        roots = sorted(poles(f), key=lambda z: z.real)
         assert abs(roots[0] - 1.0) <= 1e-12 and abs(roots[1] - 2.0) <= 1e-12
 
     def test_zero_denominator_rejected(self):
