@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import inspect
+import itertools
 import json
 import platform
 import sys
@@ -65,7 +66,11 @@ FIELD_EQUATION_TOL = 1e-10
 RESIDUE_ROUTE_TOL = 1e-12
 LOOP_CLOSEDNESS_TOL = 1e-8
 CONFORMAL_CONSTANT_TOL = 1e-7
-# rows per block of the CSV writer; bounds the keys and strings held at once
+# rows per block of the CSV writer; bounds what a block holds at once, its
+# byte matrix and the %.17g kernel's arrays: 3.5 MB at the peak for eight
+# float columns of distinct values.  On the 201x201 Ernst CSVs 2048 rows
+# wrote 10-17% faster but held 5.4 MB and raised the median peak RSS of six
+# Ernst calls in one process by 0.7 MB; 512 rows wrote 18-26% slower.
 CSV_BLOCK_ROWS = 1024
 # smallest trunc at which `birkhoff --preset random --count 1000` passes for
 # every rng seed 0-9 at the default strength; at 15 three seeds fail
@@ -539,8 +544,9 @@ def _manifest(config: ExperimentConfig, checks, extra, csv_name, elapsed,
         "seed_file": config.seed_file,
         "grid": ([list(span) for span in config.grid_spec()]
                  if "grid" in reads else None),
-        "trunc": config.trunc,
-        "samples": default_sample_count(config.trunc),
+        "trunc": config.trunc if "trunc" in reads else None,
+        "samples": (default_sample_count(config.trunc)
+                    if "trunc" in reads else None),
         "threads": 1,  # kept in the fixed key set; runs are single-threaded
         "tolerances": {
             "factor": config.tol_factor,
@@ -567,6 +573,182 @@ def _manifest(config: ExperimentConfig, checks, extra, csv_name, elapsed,
     }
 
 
+# longest '%.17g' text of a float64, as in '-1.2345678901234567e-308'
+F17_WIDTH = 24
+# decimal exponents e = floor(log10 |x|) of float64 values, with one more
+# at each end for the kernel's off-by-one fix
+_EXP_LO, _EXP_HI = -325, 309
+# offsets in the kernel's 32-byte source row: digit j of the 17 at 3 + j
+# (bytes 0-2 are '0'), the 3-digit |exponent| at 21-23, then constants
+_DIGIT0, _EXP3, _MINUS, _DOT, _E, _PLUS, _NUL = 3, 21, 24, 25, 26, 27, 28
+# layout classes: fixed notation for exponents -4..16, then scientific
+# with 'e+dd', 'e+ddd', 'e-dd' and 'e-ddd'
+_FIXED_CLASSES = 21
+_CLASSES = _FIXED_CLASSES + 4
+
+
+def _f17_class(exp: int) -> int:
+    """Layout class of the values '%.17g' prints with decimal exponent exp."""
+    if -4 <= exp < 17:
+        return exp + 4
+    return _FIXED_CLASSES + (abs(exp) >= 100) + 2 * (exp < 0)
+
+
+def _f17_template(neg: bool, cls: int, digits: int) -> list[int]:
+    """Source-row offsets spelling '%.17g' of a value with the given sign,
+    layout class and count of significant digits, padded with _NUL."""
+    d = [_DIGIT0 + j for j in range(17)]
+    out = [_MINUS] if neg else []
+    if cls < _FIXED_CLASSES:
+        exp = cls - 4
+        if exp < 0:
+            out += [0, _DOT] + [0] * (-exp - 1) + d[:digits]
+        else:
+            out += d[:exp + 1]
+            if digits > exp + 1:
+                out += [_DOT] + d[exp + 1:digits]
+    else:
+        big, minus = (cls - _FIXED_CLASSES) % 2, cls - _FIXED_CLASSES >= 2
+        out += d[:1] + ([_DOT] + d[1:digits] if digits > 1 else [])
+        out += [_E, _MINUS if minus else _PLUS]
+        out += list(range(_EXP3 + 1 - big, _EXP3 + 3))
+    return out + [_NUL] * (F17_WIDTH - len(out))
+
+
+@functools.cache
+def _f17_powers():
+    """(powers, rel_err, tolerance), indexed by e - _EXP_LO.
+
+    powers holds long double 10^(16 - e), correctly rounded by the C
+    library's strtold.  rel_err is the relative error the certificate
+    assumes of it: none where 10^s = 5^s 2^s fits the significand, else u,
+    half an ulp.  With one more rounding, of the product, a scaled value y
+    lies within y (u + rel_err) (1 + 5u) of the exact one.  tolerance holds
+    (u + rel_err) (1 + 2^-20) as float64, whose slack also covers taking
+    the 17-digit n for y and the float64 roundings of the bound.
+    """
+    eps = np.finfo(np.longdouble).eps
+    nmant = np.finfo(np.longdouble).nmant
+    exps = range(_EXP_LO, _EXP_HI + 1)
+    with np.errstate(over="ignore"):
+        powers = np.array([np.longdouble(f"1e{16 - e}") for e in exps])
+    exact = [e <= 16 and 5 ** (16 - e) < 2 ** (nmant + 1) for e in exps]
+    rel_err = np.where(exact, 0, eps / 2).astype(np.longdouble)
+    tolerance = ((eps / 2 + rel_err) * (1 + 2.0 ** -20)).astype(np.float64)
+    return powers, rel_err, tolerance
+
+
+@functools.cache
+def _f17_layout():
+    """(keys, groups, zeros, templates).
+
+    keys[e - _EXP_LO] is 18 times the layout class of e.  groups[v] is
+    v < 10^4 as four ASCII digits in a uint32 and zeros[v] counts their
+    trailing zeros.  templates[(neg * _CLASSES + cls) * 18 + digits] is
+    _f17_template(neg, cls, digits).
+    """
+    keys = np.array([18 * _f17_class(e) for e in range(_EXP_LO, _EXP_HI + 1)])
+    v = np.arange(10 ** 4)
+    text = np.empty((10 ** 4, 4), dtype=np.uint8)
+    zeros = np.zeros(10 ** 4, dtype=np.uint8)
+    for j in range(4):
+        text[:, 3 - j] = v // 10 ** j % 10 + ord("0")
+        zeros[::10 ** (j + 1)] += 1
+    templates = np.empty((2 * _CLASSES * 18, F17_WIDTH), dtype=np.uint8)
+    for key, row in enumerate(itertools.product((0, 1), range(_CLASSES),
+                                                range(18))):
+        templates[key] = _f17_template(*row)
+    return keys, text.view(np.uint32).ravel(), zeros, templates
+
+
+# built at import, before any run: built by the first CSV write, in among
+# a run's freed arrays, they raised the peak RSS of repeated kdv runs by
+# about 0.6 MB
+_f17_powers()
+_f17_layout()
+
+
+def _f17_scale(x):
+    """(n, at, certified) for a float64 array x: n the 17 significant
+    digits of |x| as an integer, at = e - _EXP_LO for its decimal exponent
+    e, and whether the pair is proven to be what '%.17g' prints.
+
+    |x| is scaled by 10^(16 - e), e = floor(log10 |x|), in long double and
+    rounded to n.  The pair is certified when the error bound of the scaled
+    value stays clear of the half-way points around it and
+    10^16 < n < 10^17: a certified n then lies strictly inside the decade
+    (10^17 - 1/2 is itself a half-way point), so e is the exponent '%g'
+    prints.  Zeros and non-finite values are never certified; where long
+    double is float64 the bound always exceeds 1/2 and nothing is.
+    """
+    powers, _, tolerance = _f17_powers()
+    mag = np.abs(x)
+    regular = np.isfinite(mag) & (mag > 0)
+    mag = np.where(regular, mag, 1.0)
+    at = np.floor(np.log10(mag)).astype(np.intp) - _EXP_LO
+    mag = mag.astype(np.longdouble)
+    # a long double as narrow as float64 overflows at the ends of the
+    # range, and the values there are then not certified
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = mag * powers[at]
+        rounded = np.rint(scaled)
+        n = rounded.astype(np.int64)
+        # log10 may miss the decade by one next to a power of ten
+        off = np.flatnonzero((n < 10 ** 16) | (n >= 10 ** 17))
+        if off.size:
+            at[off] += np.where(n[off] < 10 ** 16, -1, 1)
+            scaled[off] = mag[off] * powers[at[off]]
+            rounded[off] = np.rint(scaled[off])
+            n[off] = rounded[off].astype(np.int64)
+    # |scaled - rounded| <= 1/2 is exact in long double; the float64 sum
+    # errs by far less than the 2^-30 margin
+    clearance = np.abs((scaled - rounded).astype(np.float64))
+    clearance += n * tolerance[at]
+    certified = (clearance < 0.5 - 2.0 ** -30) & regular \
+        & (n > 10 ** 16) & (n < 10 ** 17)
+    return n, at, certified
+
+
+def _format_f17(values) -> np.ndarray:
+    """'%.17g' % v for each v of a float64 array, as a zero-padded
+    (len(values), F17_WIDTH) uint8 matrix.
+
+    Each certified value of _f17_scale is spelled from its digits and
+    exponent by the template of its sign, layout class and count of
+    significant digits; the others are formatted by '%.17g' itself.
+    """
+    keys, groups, zeros, templates = _f17_layout()
+    x = np.asarray(values, dtype=np.float64)
+    n, at, certified = _f17_scale(x)
+    # the 17 digits in groups of 1, 4, 4, 4 and 4; every index below stays
+    # in its table whatever n is
+    hi = n // 10 ** 8
+    lo = (n - hi * 10 ** 8).astype(np.uint32)
+    hi = hi.astype(np.uint32)
+    lead = hi // 10 ** 8
+    hi -= lead * 10 ** 8
+    h1, l1 = hi // 10 ** 4, lo // 10 ** 4
+    h2, l2 = hi - h1 * 10 ** 4, lo - l1 * 10 ** 4
+    src = np.empty((len(x), 8), dtype=np.uint32)
+    for j, group in enumerate((lead, h1, h2, l1, l2, np.abs(at + _EXP_LO))):
+        src[:, j] = groups.take(group)
+    src[:, 6] = np.frombuffer(b"-.e+", dtype=np.uint32)[0]
+    src[:, 7] = 0
+    trailing = zeros.take(l2) + (l2 == 0) * (zeros.take(l1) + (l1 == 0) * (
+        zeros.take(h2) + (h2 == 0) * zeros.take(h1)))
+    key = keys[at] + (x < 0) * (_CLASSES * 18) + (17 - trailing)
+    index = np.take(templates, key, axis=0).astype(np.intp)
+    index += np.arange(0, src.nbytes, src.itemsize * 8)[:, None]
+    out = np.take(src.view(np.uint8), index)
+
+    rest = np.flatnonzero(~certified)
+    if rest.size:
+        out[rest] = np.array(["%.17g" % v for v in x[rest].tolist()],
+                             dtype=f"S{F17_WIDTH}").view(np.uint8) \
+            .reshape(-1, F17_WIDTH)
+    return out
+
+
 def _write_csv(path, header, columns):
     """Write columns as CSV under a one-line header.
 
@@ -574,10 +756,14 @@ def _write_csv(path, header, columns):
     with delimiter ",", header ",".join(header) and comments "", printing
     bool and integer columns as %d and the rest as %.17g, which
     round-trips every float64; a complex column raises ValueError.
-    Rows are written in blocks of CSV_BLOCK_ROWS, and within a block each
-    distinct value of a column is formatted once: grid tables repeat their
-    values, and formatting is the cost.  Floats are told apart by their
-    bits, so -0.0 and 0.0 (printed -0 and 0) never share a string.
+
+    Rows go out in blocks of CSV_BLOCK_ROWS, and within a block each
+    distinct value of a column is formatted once, since grid tables repeat
+    their values: the distinct floats of all columns in one _format_f17
+    call, integers by Python's %d.  Floats are told apart by their bits, so
+    -0.0 and 0.0 (printed -0 and 0) never share a text.  The block is then
+    one byte matrix, a zero-padded text and its comma per cell, written
+    with the zero bytes dropped.
     """
     cols = [np.ravel(c) for c in columns]
     if len({len(c) for c in cols}) > 1:
@@ -590,20 +776,39 @@ def _write_csv(path, header, columns):
     if floats:
         # %.17g prints any float through float64, so the cast changes no text
         common = np.dtype(np.float64)
-    fmts = ["%d" if c.dtype.kind in "biu" else "%.17g" for c in cols]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+    # float columns first, so that their distinct values lie together
+    order = sorted(range(len(cols)), key=lambda j: cols[j].dtype.kind in "biu")
+    n_float = sum(c.dtype.kind not in "biu" for c in cols)
+    position = np.argsort(order)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(cols[0]), CSV_BLOCK_ROWS):
-            texts = []
-            for col, fmt in zip(cols, fmts):
-                block = np.ascontiguousarray(
-                    col[start:start + CSV_BLOCK_ROWS], dtype=common)
-                keys = block.view(np.int64) if floats else block
-                _, first, inverse = np.unique(keys, return_index=True,
-                                              return_inverse=True)
-                strings = list(map(fmt.__mod__, block[first].tolist()))
-                texts.append(map(strings.__getitem__, inverse.tolist()))
-            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+            block = np.stack([cols[j][start:start + CSV_BLOCK_ROWS]
+                              for j in order], dtype=common)
+            keys = block.view(np.int64) if floats else block
+            # each column sorted, as flat indices into the block
+            sort = np.argsort(keys, axis=1)
+            sort += np.arange(0, block.size, block.shape[1])[:, None]
+            ranked = np.take(keys, sort)
+            new = np.ones(block.shape, dtype=bool)
+            np.not_equal(ranked[:, 1:], ranked[:, :-1], out=new[:, 1:])
+            # the distinct values of every column, numbered in one sequence
+            inverse = np.empty(block.size, dtype=np.intp)
+            inverse[sort.ravel()] = np.cumsum(new) - 1
+            distinct = ranked[new].view(common)
+            split = np.count_nonzero(new[:n_float])
+            texts = np.empty((len(distinct), F17_WIDTH + 1), dtype=np.uint8)
+            texts[:, -1] = ord(",")
+            texts[:split, :-1] = _format_f17(distinct[:split])
+            # '%d' of an integer column, even cast to float64, is at most
+            # 20 characters
+            texts[split:, :-1] = np.array(
+                ["%d" % v for v in distinct[split:].tolist()],
+                dtype=f"S{F17_WIDTH}").view(np.uint8).reshape(-1, F17_WIDTH)
+            rows = inverse.reshape(block.shape)[position].T
+            mat = np.take(texts, rows, axis=0)
+            mat[:, -1, -1] = ord("\n")
+            fh.write(mat[mat != 0].tobytes())
 
 
 def run(config: ExperimentConfig) -> int:

@@ -361,17 +361,27 @@ def inverse(a: MatrixLoop) -> MatrixLoop:
     round-trip guarantee multiply(a, inverse(a)) ~ identity holds for loops
     whose inverse has geometrically decaying coefficients.
     """
-    vals = _require_2x2(a.samples())
+    vals = a.samples()
     check_sample_condition(vals)
-    return MatrixLoop.from_samples(np.linalg.inv(vals), a.order)
+    return MatrixLoop.from_samples(inverse_2x2(vals), a.order)
 
 
 def check_sample_condition(vals):
-    """Raise SingularLoopError when a matrix of the (M, n, n) sample stack
-    has 2-norm condition above INVERSE_COND_MAX."""
-    svals = np.linalg.svd(vals, compute_uv=False)
-    cond = float((svals[:, 0] / np.maximum(svals[:, -1], np.finfo(float).tiny)).max())
-    if cond > INVERSE_COND_MAX:
+    """Raise SingularLoopError when a matrix of the (M, 2, 2) sample stack
+    has 2-norm condition above INVERSE_COND_MAX, or is zero or not finite;
+    other sizes raise ValueError.
+
+    The singular values of a 2x2 matrix A satisfy s1^2 + s2^2 = |A|_F^2 and
+    s1 s2 = |det A|, so its condition s1 / s2 is
+    (|A|_F^2 + sqrt(|A|_F^4 - 4 |det A|^2)) / (2 |det A|).
+    """
+    vals = _require_2x2(vals)
+    frob = (vals.real ** 2 + vals.imag ** 2).sum(axis=(-2, -1))
+    det = np.abs(det_2x2(vals))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = float(((frob + np.sqrt(np.maximum(frob ** 2 - 4 * det ** 2, 0)))
+                      / (2 * det)).max())
+    if not cond <= INVERSE_COND_MAX:  # NaN, from a zero matrix, fails too
         raise SingularLoopError(f"sample condition {cond:.3e} > {INVERSE_COND_MAX:.1e}")
 
 

@@ -144,11 +144,15 @@ class TestConfigHandling:
     def test_manifest_records_only_the_settings_read(self, pipeline):
         config = cli.ExperimentConfig(pipeline)
         manifest = cli._manifest(config, [], {}, None, 0.0, cli.EXIT_PASS)
-        for key in ("grid", "rng_seed", "count", "strength"):
+        for key in ("grid", "trunc", "rng_seed", "count", "strength"):
             reads = pipeline in cli._SETTINGS[key][1]
             assert (manifest[key] is not None) == reads
             if reads and key != "grid":
                 assert manifest[key] == getattr(config, key)
+        # samples follows trunc: the grid of the loops trunc truncates
+        reads = pipeline in cli._SETTINGS["trunc"][1]
+        assert manifest["samples"] == (
+            cli.default_sample_count(config.trunc) if reads else None)
 
     @pytest.mark.parametrize("trunc, samples", [(32, 256), (64, 512)])
     def test_manifest_samples_follow_trunc(self, tmp_path, trunc, samples):

@@ -192,6 +192,29 @@ class TestInverse:
         with pytest.raises(tf.SingularLoopError):
             tf.inverse(a)
 
+    @pytest.mark.parametrize("log_cond", [0, 4, 9.9, 10.1, 13, 17])
+    def test_condition_check_matches_svd(self, rng, log_cond):
+        # U diag(1, 10^-log_cond) V^H, with U and V random unitaries: the
+        # closed form must reject exactly where the singular values do
+        def unitary(count):
+            z = rng.standard_normal((count, 2, 2, 2)) @ [1, 1j]
+            return np.linalg.qr(z)[0]
+        sigma = np.zeros((16, 2, 2))
+        sigma[:, 0, 0], sigma[:, 1, 1] = 1.0, 10.0 ** -log_cond
+        vals = unitary(16) @ sigma @ unitary(16).conj().swapaxes(-1, -2)
+        svals = np.linalg.svd(vals, compute_uv=False)
+        assert (svals[:, 0] / svals[:, 1] > loops.INVERSE_COND_MAX).all() \
+            == (log_cond > 10)
+        if log_cond > 10:
+            with pytest.raises(tf.SingularLoopError):
+                loops.check_sample_condition(vals)
+        else:
+            loops.check_sample_condition(vals)
+
+    def test_zero_sample_rejected(self):
+        with pytest.raises(tf.SingularLoopError):
+            loops.check_sample_condition(np.zeros((4, 2, 2), dtype=complex))
+
     def test_adjugate_matches_inverse_for_det_one(self, rng):
         a = tf.random_unimodular_loop(rng)
         adj = adjugate_inverse(a)

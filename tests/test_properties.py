@@ -1,12 +1,14 @@
 """Property tests: the 2x2 kernels, the entry-major sample transforms, the
-KdV pullback, dealiased products, the factorization, the loop generators
-and the CSV writer.
+KdV pullback, dealiased products, the factorization, the loop generators,
+the CSV writer and its %.17g kernel.
 
 Each property is checked on inputs drawn by hypothesis; the random loops
 come from numpy generators seeded by the drawn integers.
 """
 
+import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -462,3 +464,100 @@ def test_write_csv_keeps_signed_zeros_apart_in_one_block():
 def test_write_csv_rejects_complex_and_ragged_columns(columns, tmp_path):
     with pytest.raises(ValueError):
         cli._write_csv(tmp_path / "x.csv", ["a", "b"], columns)
+
+
+# -- the %.17g kernel against '%.17g' % ----------------------------------------
+
+def _assert_f17_matches_printf(values):
+    values = np.asarray(values, dtype=np.float64)
+    want = np.array(["%.17g" % v for v in values.tolist()],
+                    dtype=f"S{cli.F17_WIDTH}").view(np.uint8)
+    got = cli._format_f17(values)
+    assert got.shape == (len(values), cli.F17_WIDTH)
+    bad = np.flatnonzero((got != want.reshape(got.shape)).any(axis=1))
+    assert bad.size == 0, [("%.17g" % values[i], got[i].tobytes())
+                           for i in bad[:5]]
+
+
+def test_f17_powers_of_ten_and_their_neighbours():
+    # the decade edges: the double nearest 10^k and one ulp either side
+    nearest = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    _assert_f17_matches_printf(np.concatenate([
+        nearest, np.nextafter(nearest, np.inf), np.nextafter(nearest, 0.0),
+        -nearest]))
+
+
+def test_f17_random_bit_patterns():
+    # uniform bits: every exponent, sign and mantissa, NaN payloads and
+    # infinities included
+    bits = np.random.default_rng(5).integers(0, 2 ** 64, 50_000,
+                                             dtype=np.uint64)
+    _assert_f17_matches_printf(bits.view(np.float64))
+
+
+def test_f17_subnormals():
+    rng = np.random.default_rng(6)
+    mantissas = np.concatenate([np.arange(1, 1025), 2 ** 52 - np.arange(1, 1025),
+                                rng.integers(1, 2 ** 52, 10_000)])
+    values = mantissas.astype(np.int64).view(np.float64)
+    _assert_f17_matches_printf(np.concatenate([values, -values]))
+
+
+def test_f17_integers_near_two_to_53_and_ten_to_17():
+    around = [np.arange(2 ** 53 - 600, 2 ** 53 + 600),
+              np.arange(10 ** 16 - 600, 10 ** 16 + 600),
+              np.arange(10 ** 17 - 6000, 10 ** 17 + 6000, 8)]
+    _assert_f17_matches_printf(np.concatenate(around).astype(np.float64))
+
+
+def _f17_fraction(x: float) -> Fraction:
+    """|x| 10^(16 - e), e = floor(log10 |x|), exactly."""
+    exact = abs(Fraction(x))
+    e = math.floor(math.log10(abs(x)))
+    scaled = exact * Fraction(10) ** (16 - e)
+    if scaled < 10 ** 16:
+        scaled *= 10
+    elif scaled >= 10 ** 17:
+        scaled /= 10
+    return scaled
+
+
+def test_f17_values_half_way_at_the_17th_digit():
+    # exact ties, m / 2^k with 18 significant digits ending in 5 ...
+    ties = [m / 2 ** k for k in range(20, 64) for m in range(1, 400, 2)
+            if _f17_fraction(m / 2 ** k).denominator == 2]
+    assert len(ties) > 50
+    # ... and doubles whose scaled value lies within 1/200 of a half-way
+    # point, about the size of the long double error bound
+    rng = np.random.default_rng(7)
+    drawn = rng.standard_normal(20_000) * 10.0 ** rng.integers(-300, 300,
+                                                                20_000)
+    near = [v for v in drawn.tolist()
+            if abs(_f17_fraction(v) % 1 - Fraction(1, 2)) < Fraction(1, 200)]
+    assert len(near) > 100
+    _assert_f17_matches_printf(ties + [-v for v in ties] + near)
+
+
+def test_f17_power_table_within_the_certified_error():
+    powers, rel_err, _ = cli._f17_powers()
+    for at, (power, err) in enumerate(zip(powers, rel_err)):
+        exact = Fraction(10) ** (16 - (at + cli._EXP_LO))
+        if not np.isfinite(power):
+            continue  # long double is float64: beyond its range
+        assert abs(Fraction(*power.as_integer_ratio()) - exact) \
+            <= Fraction(*err.as_integer_ratio()) * exact, at
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0 ** -60,
+                    reason="long double is no wider than float64 here, so "
+                           "every value takes the '%.17g' fallback")
+def test_f17_fast_path_formats_nearly_every_value():
+    # the distinct values of one CSV block of a point-source run, as the
+    # writer hands them to the kernel
+    config = cli.ExperimentConfig("ernst", preset="point_source",
+                                  grid="0.5:2:201,-0.5:0.5:201")
+    _, _, columns, _ = cli._run_ernst(config)
+    values = np.concatenate([np.unique(np.ravel(c)[:cli.CSV_BLOCK_ROWS])
+                             for c in columns])
+    _, _, certified = cli._f17_scale(values)
+    assert (~certified).mean() <= 0.05

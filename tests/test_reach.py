@@ -68,6 +68,8 @@ def _called(runs, out_dir) -> tuple[set, list]:
 
     # a cached function runs its body only on its first call in a process
     cli._parser.cache_clear()
+    cli._f17_powers.cache_clear()
+    cli._f17_layout.cache_clear()
     quadrature._stencil_weights.cache_clear()
     codes = []
     sys.setprofile(profile)
