@@ -32,7 +32,6 @@ from .loops import (
 )
 
 FACTOR_TOL = 1e-9
-COND_LIMIT = 1e12
 
 
 class BigCellError(RuntimeError):
@@ -44,12 +43,6 @@ class BirkhoffFactors:
     g_minus: MatrixLoop
     g_plus: MatrixLoop
     residual: float
-    condition: float
-
-
-def toeplitz_matrix(gamma: MatrixLoop) -> np.ndarray:
-    """Dense system matrix; block (m, j) holds gamma's mode m - j."""
-    return gamma.coeffs.reshape(-1)[_toeplitz_index(gamma.order, gamma.n)]
 
 
 def _toeplitz_index(order: int, n: int) -> np.ndarray:
@@ -179,18 +172,17 @@ def _assemble(coeffs, plus, order, sample_count):
 
 
 def factorize(gamma: MatrixLoop, tol: float = FACTOR_TOL) -> BirkhoffFactors:
-    """Factor a single loop, with a condition estimate of the Toeplitz system.
+    """Factor a single loop: factorize_slogdet on a one-loop stack.
 
-    Raises BigCellError when the system condition exceeds COND_LIMIT or the
-    reconstruction residual exceeds tol.
+    Raises BigCellError when T_N is singular, the LU's verdict that the
+    loop is off the big cell, or when the reconstruction residual exceeds
+    tol.
     """
-    t = toeplitz_matrix(gamma)
-    condition = float(np.linalg.cond(t))
-    if not np.isfinite(condition) or condition > COND_LIMIT:
-        raise BigCellError(f"Toeplitz condition {condition:.3e} exceeds {COND_LIMIT:.1e}")
-    gm, gp, res, ok = factorize_batch(gamma.coeffs[None], tol=tol)
+    gm, gp, res, ok, sign, _ = factorize_slogdet(gamma.coeffs[None], tol=tol)
+    if sign[0] == 0:
+        size = gamma.n * (gamma.order + 1)
+        raise BigCellError(f"T_N (N = {gamma.order}, {size}x{size}) is "
+                           "singular: the loop is off the big cell")
     if not ok[0]:
         raise BigCellError(f"reconstruction residual {res[0]:.3e} exceeds tol {tol:.1e}")
-    return BirkhoffFactors(MatrixLoop(gm[0]), MatrixLoop(gp[0]),
-                           float(res[0]), condition)
-
+    return BirkhoffFactors(MatrixLoop(gm[0]), MatrixLoop(gp[0]), float(res[0]))

@@ -25,8 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__, ernst, kdv
-from .birkhoff import BigCellError, factorize, factorize_batch
-from .kdv import PathCrossesBadCellError
+from .birkhoff import FACTOR_TOL, BigCellError, factorize, factorize_batch
 from .loops import (
     DEFAULT_ORDER,
     MatrixLoop,
@@ -113,7 +112,7 @@ class ExperimentConfig:
     trunc: int = DEFAULT_ORDER
     out: str = ""
     threads: int = 1
-    tol_factor: float = 1e-9
+    tol_factor: float = FACTOR_TOL
     tol_path: float | None = None
     tol_residual: float = 2e-2
     tol_headline: float = 1e-4
@@ -197,6 +196,8 @@ class ExperimentConfig:
                 "so only threads = 1 is accepted")
         if self.count < 1:
             raise ConfigError("loop count must be >= 1")
+        if self.rng_seed < 0:
+            raise ConfigError("rng_seed must be >= 0")
         if self.pipeline == "kdv":
             for axis, (_, _, n), least in zip("xt", self.grid_spec(),
                                               kdv.MIN_NODES):
@@ -821,7 +822,7 @@ def run(config: ExperimentConfig) -> int:
 
     try:
         checks, header, columns, extra = _DISPATCH[config.pipeline](config)
-    except (BigCellError, PathCrossesBadCellError) as err:
+    except BigCellError as err:
         print(f"[FAIL] big_cell_required_node: {err}")
         return EXIT_BIG_CELL
     except PathRefinementError as err:

@@ -44,7 +44,12 @@ from dataclasses import dataclass
 import numpy as np
 
 # unused factorize_batch, refine_path_cells: benchmark/tracing.py patches them
-from .birkhoff import factorize_batch, factorize_slogdet
+from .birkhoff import (
+    FACTOR_TOL,
+    BigCellError,
+    factorize_batch,
+    factorize_slogdet,
+)
 from .loops import (
     DEFAULT_ORDER,
     TAIL_THRESHOLD,
@@ -88,7 +93,7 @@ MIN_NODES = (2 * X_MARGIN + 1, 7)
 MAX_PHASE_STEP = np.pi / 2
 
 
-class PathCrossesBadCellError(Exception):
+class PathCrossesBadCellError(BigCellError):
     """A point of the log tau path is off the big cell, or the path
     crosses det T_N = 0 between two of its points."""
 
@@ -141,15 +146,14 @@ def seed_one_pole(pole: float = 0.25, strength: float = 0.3,
 # -- pullback of the patching data --------------------------------------
 
 
-def _exp_minus_mu_phi(mu, lam, branch: float = 1.0):
+def _exp_minus_mu_phi(mu, lam):
     """(C, mu S) with exp(-mu Phi) = C I - (mu S) Phi at circle points lam.
 
-    (C, S) = cosh_sinhc(z), z = mu^2 / lam; branch flips the square root
-    for testing.  mu S is written over S: the bits of mu * S, without a
-    fresh array in the pullback's peak.
+    (C, S) = cosh_sinhc(z), z = mu^2 / lam.  mu S is written over S: the
+    bits of mu * S, without a fresh array in the pullback's peak.
     """
     mu = np.asarray(mu, dtype=complex)
-    c, s = cosh_sinhc(mu * mu / np.asarray(lam, dtype=complex), branch)
+    c, s = cosh_sinhc(mu * mu / np.asarray(lam, dtype=complex))
     return c, np.multiply(mu, s, out=s)
 
 
@@ -270,7 +274,7 @@ def _leg_increments(sign, logabs, x, t):
 
 
 def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
-             factor_tol: float = 1e-9) -> TauGrid:
+             factor_tol: float = FACTOR_TOL) -> TauGrid:
     """log tau, q, u over the grid; see the module docstring for the path."""
     xs, ts = validated_axes(xs, ts)
     # u's stencil is checked before any point is factored

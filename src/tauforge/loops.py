@@ -260,7 +260,7 @@ class MatrixLoop:
 
     def coeff(self, k: int):
         if abs(k) > self.order:
-            return np.zeros((self.n, self.n), dtype=complex)
+            raise ValueError(f"mode {k} outside -{self.order}..{self.order}")
         return self.coeffs[k + self.order]
 
     def samples(self, m: int | None = None):
@@ -422,16 +422,15 @@ def matmul_2x2(a, b):
     return out
 
 
-def cosh_sinhc(z, branch: float = 1.0):
+def cosh_sinhc(z):
     """(cosh sqrt(z), sinh(sqrt(z)) / sqrt(z)) on an array z, both entire.
 
-    Both are even in sqrt(z), so the square-root branch drops out; branch
-    flips it for testing.  With sqrt(z) = a + ib, both share the real
-    cosh a, sinh a, cos b and sin b, and the second switches to its series
-    near z = 0.
+    Both are even in sqrt(z), so the square-root branch drops out.  With
+    sqrt(z) = a + ib, both share the real cosh a, sinh a, cos b and sin b,
+    and the second switches to its series near z = 0.
     """
     z = np.asarray(z, dtype=complex)
-    sq = branch * np.sqrt(z)
+    sq = np.sqrt(z)
     ch, sh = np.cosh(sq.real), np.sinh(sq.real)
     cb, sb = np.cos(sq.imag), np.sin(sq.imag)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -484,12 +483,9 @@ def exp_pointwise(a: MatrixLoop) -> MatrixLoop:
     return MatrixLoop.from_samples(exp_vals, a.order, tail_tol=TAIL_THRESHOLD)
 
 
-def mean_theta(f: MatrixLoop):
+def mean_theta(f: ScalarLoop) -> complex:
     """(1/2 pi) integral of f dtheta = mode-0 coefficient."""
-    value = f.coeff(0)
-    if f.n == 1:
-        return complex(value[0, 0])
-    return value
+    return complex(f.coeff(0)[0, 0])
 
 
 def commutator(a: MatrixLoop, b: MatrixLoop) -> MatrixLoop:

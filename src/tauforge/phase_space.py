@@ -134,7 +134,7 @@ def hamiltonian_diffeo(gamma: MatrixLoop, xi: ScalarLoop,
 def cocycle(u, v) -> complex:
     """Central-extension cocycle c(u, v) = (1/2 pi) contour tr(u dv)."""
     u, v = _as_loop(u), _as_loop(v)
-    return complex(mean_theta(multiply(u, v.derivative_theta()).trace()))
+    return mean_theta(multiply(u, v.derivative_theta()).trace())
 
 
 def poisson_anomaly(gamma: MatrixLoop, u, v, eps: float = 1e-4) -> complex:

@@ -10,7 +10,7 @@ pipeline runs them.
 import numpy as np
 
 from tauforge import kdv
-from tauforge.birkhoff import factorize
+from tauforge.birkhoff import _toeplitz_index, factorize
 from tauforge.loops import DEFAULT_ORDER, MatrixLoop, adjugate_2x2
 from tauforge.phase_space import vacuum_logderiv_gauge
 
@@ -33,6 +33,12 @@ def adjugate_inverse(loop: MatrixLoop) -> MatrixLoop:
     """Exact coefficient-level inverse of a 2x2 loop with det = 1: the
     adjugate only permutes and negates coefficients."""
     return MatrixLoop(adjugate_2x2(loop.coeffs))
+
+
+def toeplitz_matrix(loop: MatrixLoop) -> np.ndarray:
+    """Dense T_N, the matrix the LU route factors; block (m, j) holds the
+    loop's mode m - j."""
+    return loop.coeffs.reshape(-1)[_toeplitz_index(loop.order, loop.n)]
 
 
 # -- evaluation off the sample grid and mode projections -------------------

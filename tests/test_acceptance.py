@@ -276,7 +276,7 @@ def test_criterion_7_normalization_invariance(report, one_pole_seed):
         refactored = BirkhoffFactors(
             g_minus=multiply(factors.g_minus, const_loop),
             g_plus=multiply(factors.g_plus, const_loop),
-            residual=factors.residual, condition=factors.condition)
+            residual=factors.residual)
         for u in directions:
             worst = max(worst, abs(vacuum_logderiv_gauge(factors, u)
                                    - vacuum_logderiv_gauge(refactored, u)))

@@ -50,8 +50,15 @@ class TestConfigHandling:
         ["kdv", "--no-such-flag", "1"],
         ["kdv", "--preset", "one_pole:order=3"],
         ["kdv", "--grid=-0.4:0.4:11,-0.1:0.1:6"],
+        ["birkhoff", "--rng-seed", "-5", "--count", "3"],
+        ["selftest", "--seed-file", "rng_seed = -1"],
     ])
-    def test_bad_configs_exit_3(self, args):
+    def test_bad_configs_exit_3(self, args, tmp_path):
+        if "=" in args[-1] and args[-2] == "--seed-file":
+            # the seed file's text stands in the argument list
+            seed_file = tmp_path / "exp.cfg"
+            seed_file.write_text(args[-1] + "\n")
+            args = args[:-1] + [str(seed_file)]
         assert run_cli(args) == cli.EXIT_CONFIG
 
     @pytest.mark.parametrize("args, name", [
@@ -416,7 +423,9 @@ class TestBirkhoffPipeline:
 
     def test_twist_exits_4(self, capsys):
         assert run_cli(["birkhoff", "--preset", "twist"]) == cli.EXIT_BIG_CELL
-        assert "big_cell_required_node" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "[FAIL] big_cell_required_node: T_N (N = 32, 66x66) is singular: "
+            "the loop is off the big cell\n")
 
     def test_twist_that_factors_exits_2(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "factorize", lambda *args, **kwargs: None)

@@ -8,7 +8,7 @@ from scipy.linalg import lapack
 
 from tauforge import cli, kdv
 from tauforge import phase_space as ps
-from tauforge.birkhoff import factorize, factorize_batch
+from tauforge.birkhoff import BigCellError, factorize, factorize_batch
 from tauforge.loops import (
     MatrixLoop,
     ScalarLoop,
@@ -116,11 +116,12 @@ class TestPullback:
         assert np.abs(mu_s - mu * want_s).max() < 1e-15
 
     def test_branch_flip_is_identical(self):
+        # the other square root of z = mu^2 / lam gives the same (C, mu S)
         lam = np.exp(2j * np.pi * np.arange(8) / 8)
         mu = 0.3 * lam + 0.1 * lam ** 2
-        plus = kdv._exp_minus_mu_phi(mu, lam, branch=1.0)
-        minus = kdv._exp_minus_mu_phi(mu, lam, branch=-1.0)
-        for a, b in zip(plus, minus):  # (C, mu S)
+        sq = -np.sqrt(mu * mu / lam)
+        minus = (np.cosh(sq), mu * np.sinh(sq) / sq)
+        for a, b in zip(kdv._exp_minus_mu_phi(mu, lam), minus):
             assert np.abs(a - b).max() < 1e-13
 
     def test_vacuum_family_has_no_negative_modes(self):
@@ -249,6 +250,14 @@ class TestTauGrid:
     def test_path_through_bad_cell_raises(self):
         strong = kdv.seed_one_pole(strength=1.0)
         with pytest.raises(kdv.PathCrossesBadCellError):
+            kdv.tau_grid(strong, np.linspace(-0.3, -0.2, 5),
+                         np.linspace(0.5, 1.2, 8))
+
+    def test_off_cell_node_is_a_big_cell_error(self):
+        # the CLI maps exit 4 from BigCellError alone
+        strong = kdv.seed_one_pole(strength=1.0)
+        with pytest.raises(BigCellError, match=r"\(x, t\) = \(-0.3000, "
+                           r"1.0000\) is off the big cell"):
             kdv.tau_grid(strong, np.linspace(-0.3, -0.2, 5),
                          np.linspace(0.5, 1.2, 8))
 

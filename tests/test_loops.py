@@ -35,6 +35,12 @@ class TestTransforms:
         rel = np.abs(back.samples() - vals).max() / np.abs(vals).max()
         assert rel <= 1e-12
 
+    @pytest.mark.parametrize("k", [-3, 3])
+    def test_coeff_outside_the_modes_rejected(self, k):
+        # without the check, k = -3 would wrap round to mode 2
+        with pytest.raises(ValueError, match=f"mode {k} outside -2..2"):
+            MatrixLoop.identity(order=2).coeff(k)
+
     def test_eval_identity(self):
         ident = MatrixLoop.identity()
         for theta in (0.0, 1.0, 3.9):
