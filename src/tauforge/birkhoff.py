@@ -14,12 +14,15 @@ partial indices) make T_N singular and are reported as BigCellError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .loops import (
+    DEFAULT_ORDER,
     DEFAULT_SAMPLES,
+    _BLOCK,
     MatrixLoop,
     _by_block,
     _fast_len,
@@ -45,14 +48,27 @@ class BirkhoffFactors:
     residual: float
 
 
+@lru_cache(maxsize=None)
 def _toeplitz_index(order: int, n: int) -> np.ndarray:
     """Flat position, in one (2N+1, n, n) loop, of every entry of T_N:
-    row m n + a, column j n + c holds entry (a, c) of mode m - j."""
+    row m n + a, column j n + c holds entry (a, c) of mode m - j.  Built
+    once per (order, n) and read-only, as every block shares it."""
     blocks = np.arange(order + 1)
     entry = np.arange(n)
     mode = blocks[:, None, None, None] - blocks[None, None, :, None] + order
     idx = (mode * n + entry[None, :, None, None]) * n + entry[None, None, None, :]
-    return idx.reshape(n * (order + 1), n * (order + 1))
+    idx = idx.reshape(n * (order + 1), n * (order + 1))
+    idx.flags.writeable = False
+    return idx
+
+
+def _lu_block_loops(order: int) -> int:
+    """Loops per factorization block: as many as keep the block's gathered
+    T_N matrices, (N+1)^2 blocks each, at the size of a _BLOCK-loop block
+    at DEFAULT_ORDER, so a block's memory does not grow with N; never more
+    than _BLOCK, whose sample stack is sized for cache."""
+    return max(1, min(_BLOCK, _BLOCK * (DEFAULT_ORDER + 1) ** 2
+                      // (order + 1) ** 2))
 
 
 def _lu_block(cs: np.ndarray, order: int, n: int):
@@ -112,7 +128,7 @@ def factorize_slogdet(coeffs: np.ndarray, sample_count: int = DEFAULT_SAMPLES,
         gm[~good] = gp[~good] = 0
         return gm, gp, res, good, sign, logabs
 
-    return _by_block(block, coeffs)
+    return _by_block(block, coeffs, _lu_block_loops(order))
 
 
 def factorize_batch(coeffs: np.ndarray, sample_count: int = DEFAULT_SAMPLES,
@@ -123,11 +139,12 @@ def factorize_batch(coeffs: np.ndarray, sample_count: int = DEFAULT_SAMPLES,
     the first four arrays of factorize_slogdet.  Nodes whose system is
     singular or whose reconstruction residual exceeds tol are flagged
     ok = False instead of raising; the coefficient entries for failed nodes
-    are zero.  The stack is solved serially in blocks of loops sized so
-    that a block's T_N matrices and samples stay in cache, not to bound
-    memory; each loop is LU-factored on its own, so a loop's result does
-    not depend on the others in its block.  An empty stack gives empty
-    arrays.  Loops of another matrix size raise ValueError.
+    are zero.  The stack is solved serially in blocks of loops, 64 at the
+    default order, fewer as N grows, so that a block's T_N matrices hold
+    as much memory at any order and its samples stay in cache; each loop
+    is LU-factored on its own, so a loop's result does not depend on the
+    others in its block.  An empty stack gives empty arrays.  Loops of
+    another matrix size raise ValueError.
     """
     return factorize_slogdet(coeffs, sample_count, tol)[:4]
 

@@ -36,8 +36,8 @@ from .loops import (
     monomial,
     multiply,
     random_tangent,
+    random_unimodular_blocks,
     random_unimodular_loop,
-    random_unimodular_stack,
 )
 from .phase_space import cocycle, poisson_anomaly
 from .quadrature import PathRefinementError, derivative
@@ -433,10 +433,12 @@ def _run_birkhoff(config: ExperimentConfig):
             "the twist loop diag(lambda, 1/lambda) factored: big-cell "
             "detection missed it")
 
-    stack = random_unimodular_stack(
+    # each block of loops is factored as it is made; only the residuals
+    # and ok flags outlive it, so memory does not grow with the count
+    residuals, ok = random_unimodular_blocks(
         np.random.default_rng(config.rng_seed), config.count,
+        lambda coeffs: factorize_batch(coeffs, tol=config.tol_factor)[2:],
         order=config.trunc, amplitude=config.strength)
-    _, _, residuals, ok = factorize_batch(stack, tol=config.tol_factor)
 
     worst, margin, near_misses = _residual_telemetry(residuals,
                                                      config.tol_factor)

@@ -134,10 +134,13 @@ def _tail_fraction(stack, kept, axis: int = -3):
     """Per-loop share of the mode-norm mass outside the kept modes; the
     modes run along axis, the other two trailing axes are the entries."""
     stack = np.moveaxis(stack, axis, -1)
-    norms = np.sqrt((stack.real ** 2 + stack.imag ** 2).sum(axis=(-3, -2)))
-    total = norms.sum(axis=-1)
-    dropped = norms[..., ~kept].sum(axis=-1)
-    return dropped / np.where(total > 0, total, 1.0)
+    # an inf entry overflows the squares and gives a NaN fraction, quietly:
+    # _check_tail rejects it as a loop that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt((stack.real ** 2 + stack.imag ** 2).sum(axis=(-3, -2)))
+        total = norms.sum(axis=-1)
+        dropped = norms[..., ~kept].sum(axis=-1)
+        return dropped / np.where(total > 0, total, 1.0)
 
 
 def samples_to_coeffs(samples, order: int, tail_tol: float | None = None):
@@ -174,19 +177,23 @@ def _coeffs_and_tail(samples, order: int, tail: bool = True,
     m = 2 * (samples.shape[-1] - 1) if half else samples.shape[-1]
     if 2 * order + 1 > m:
         raise ValueError("sample grid cannot resolve the loop")
-    if half:
-        # irfft sums with e^{+2 pi i j n / M}: mode k lands in bin -k
-        spec = np.fft.irfft(samples, n=m, axis=-1, norm="forward")
-        idx = np.arange(order, -order - 1, -1) % m
-    else:
-        spec = np.fft.fft(samples, axis=-1)
-        idx = np.arange(-order, order + 1) % m
-    fraction = None
-    if tail:
-        kept = np.zeros(m, dtype=bool)
-        kept[idx] = True
-        fraction = _tail_fraction(spec, kept, axis=-1)
-    return np.moveaxis(spec[..., idx] / m, -1, -3), fraction
+    # an inf sample meets inf - inf in the FFT; its tail fraction is NaN,
+    # which the tail check rejects, so with tail the transform runs quietly
+    quiet = {"over": "ignore", "invalid": "ignore"} if tail else {}
+    with np.errstate(**quiet):
+        if half:
+            # irfft sums with e^{+2 pi i j n / M}: mode k lands in bin -k
+            spec = np.fft.irfft(samples, n=m, axis=-1, norm="forward")
+            idx = np.arange(order, -order - 1, -1) % m
+        else:
+            spec = np.fft.fft(samples, axis=-1)
+            idx = np.arange(-order, order + 1) % m
+        fraction = None
+        if tail:
+            kept = np.zeros(m, dtype=bool)
+            kept[idx] = True
+            fraction = _tail_fraction(spec, kept, axis=-1)
+        return np.moveaxis(spec[..., idx] / m, -1, -3), fraction
 
 
 def _check_tail(fraction, tail_tol: float, what="discarded alias mass"):
@@ -200,13 +207,15 @@ def _check_tail(fraction, tail_tol: float, what="discarded alias mass"):
         raise TailMassError(what, float(worst), tail_tol, loop)
 
 
-def _by_block(fn, stack):
-    """fn's outputs (a tuple of arrays) over blocks of _BLOCK loops along
-    axis 0, concatenated; an empty stack still makes one (empty) block,
-    which fixes the shapes.  fn must treat every loop on its own, so the
-    result does not depend on where the blocks are cut."""
-    parts = [fn(stack[lo:lo + _BLOCK])
-             for lo in range(0, max(len(stack), 1), _BLOCK)]
+def _by_block(fn, stack, size: int = _BLOCK):
+    """fn's outputs (a tuple of arrays) over blocks of size loops along
+    axis 0, concatenated, the blocks in order; an empty stack still makes
+    one (empty) block, which fixes the shapes.  The stack may be a range
+    of loop indices, for a stage that makes its loops block by block.  fn
+    must treat every loop on its own, so the result does not depend on
+    where the blocks are cut."""
+    parts = [fn(stack[lo:lo + size])
+             for lo in range(0, max(len(stack), 1), size)]
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
@@ -508,26 +517,28 @@ def random_tangent_stack(rng: np.random.Generator, count: int, n: int = 2,
     count sequential random_tangent calls and leaves rng in the same state.
     Raises ValueError when the band does not fit the order.
     """
-    normals, tangent = _tangent_draw(rng, count, n, band, amplitude,
-                                     order, antihermitian, traceless)
-    return tangent(normals)
+    return _tangent_draw(rng, n, band, amplitude, order, antihermitian,
+                         traceless)(count)
 
 
-def _tangent_draw(rng, count, n=2, band=TANGENT_BAND, amplitude=0.5,
+def _tangent_draw(rng, n=2, band=TANGENT_BAND, amplitude=0.5,
                   order=DEFAULT_ORDER, antihermitian=False, traceless=True):
-    """The normals of random_tangent_stack, drawn in its one call, and the
-    per-block core that turns a block of them into tangent coefficients."""
+    """The core of random_tangent_stack: a function that draws the normals
+    of its next count loops from rng, in one call, and returns their
+    tangent coefficients.  Draws made in turn equal one draw, bit for bit,
+    so a stack drawn block by block is the stack drawn whole."""
     if band > order:
         raise ValueError(f"tangent band {band} exceeds truncation order {order}")
-    normals = rng.standard_normal((count, 2 * band + 1, 2, n, n))
     weights = np.array([TANGENT_DECAY ** abs(k)
                         for k in range(-band, band + 1)])
     m = default_sample_count(order)
 
-    def tangent(block):
-        coeffs = np.zeros((len(block), 2 * order + 1, n, n), dtype=complex)
+    def tangent(count):
+        normals = rng.standard_normal((count, 2 * band + 1, 2, n, n))
+        coeffs = np.zeros((count, 2 * order + 1, n, n), dtype=complex)
         coeffs[:, order - band:order + band + 1] = (
-            (block[:, :, 0] + 1j * block[:, :, 1]) * weights[:, None, None])
+            (normals[:, :, 0] + 1j * normals[:, :, 1])
+            * weights[:, None, None])
         if antihermitian:
             # enforce u(theta)^* = -u(theta): c_{-k} = -c_k^H
             positive = coeffs[:, order + 1:order + band + 1]
@@ -543,7 +554,7 @@ def _tangent_draw(rng, count, n=2, band=TANGENT_BAND, amplitude=0.5,
         scale = amplitude / np.maximum(sup, np.finfo(float).tiny)
         return coeffs * scale[:, None, None, None]
 
-    return normals, tangent
+    return tangent
 
 
 def random_unimodular_stack(rng: np.random.Generator, count: int,
@@ -551,22 +562,44 @@ def random_unimodular_stack(rng: np.random.Generator, count: int,
     """exp of count random traceless tangents, (count, 2N+1, 2, 2).
 
     Unimodular by construction; the keywords are random_tangent_stack's
-    except traceless, and n other than 2 raises ValueError.  The normals
-    are drawn as random_tangent_stack draws them; each block of loops then
-    goes through the tangent, its samples, exp and back to coefficients
-    while its arrays are in cache.  The tail
-    mass of exp is checked loop by loop, and the worst loop of the whole
-    stack raises TailMassError, which names its index.
+    except traceless, and n other than 2 raises ValueError.  The stack is
+    random_unimodular_blocks' run with nothing done to its blocks: the
+    tail mass of exp is checked loop by loop, and the worst loop of the
+    whole stack raises TailMassError, which names its index.
+    """
+    return random_unimodular_blocks(rng, count, lambda coeffs: (coeffs,),
+                                    **kw)[0]
+
+
+def random_unimodular_blocks(rng: np.random.Generator, count: int, fn,
+                             **kw) -> tuple:
+    """fn's outputs (a tuple of arrays) over the count loops of
+    random_unimodular_stack, made one block of _BLOCK loops at a time.
+
+    Each block draws its normals from rng in turn, and goes through the
+    tangent, its samples, exp and back to coefficients while its arrays
+    are in cache; fn gets its (B, 2N+1, 2, 2) coefficients, and only fn's
+    outputs outlive the block.  The draws in turn equal
+    random_tangent_stack's one draw, so the loops are that stack's, bit
+    for bit, at any count.  Once every block has run, the worst tail
+    mass of exp over the whole stack raises TailMassError, which names
+    its loop; fn must therefore take non-finite loops quietly.
     """
     order = kw.get("order", DEFAULT_ORDER)
     m = default_sample_count(order)
-    normals, tangent = _tangent_draw(rng, count, traceless=True, **kw)
-    coeffs, fraction = _by_block(
-        lambda block: _coeffs_and_tail(
-            _exp_samples(coeffs_to_samples(tangent(block), m)), order),
-        normals)
+    tangent = _tangent_draw(rng, traceless=True, **kw)
+
+    def block(span):
+        # a huge tangent overflows exp, and inf * 0 gives NaN; such loops
+        # are left non-finite, without a warning, for the tail check
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = _exp_samples(coeffs_to_samples(tangent(len(span)), m))
+        coeffs, fraction = _coeffs_and_tail(vals, order)
+        return (*fn(coeffs), fraction)
+
+    *out, fraction = _by_block(block, range(count))
     _check_tail(fraction, TAIL_THRESHOLD)
-    return coeffs
+    return tuple(out)
 
 
 def random_tangent(rng: np.random.Generator, **kw) -> MatrixLoop:

@@ -1,5 +1,7 @@
 """Birkhoff factorization: residuals, normalization, stratum detection."""
 
+import contextlib
+import io
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import tauforge as tf
-from tauforge import birkhoff, kdv, loops
+from tauforge import birkhoff, cli, kdv, loops
 from tauforge.cli import _twist_loop
 
 from oracles import eval_theta, toeplitz_matrix
@@ -179,23 +181,65 @@ def _peak_mb(fn, *args):
     return out, (tracemalloc.get_traced_memory()[1] - live) / 2 ** 20
 
 
-def test_batch_peak_memory_stays_in_blocks():
+@pytest.fixture
+def traced():
+    """tracemalloc on for the test, unless something else runs it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    yield
+    if started:
+        tracemalloc.stop()
+
+
+def test_batch_peak_memory_stays_in_blocks(traced):
     # 1000 loops at N = 32 (4.2 MB of coefficients) peaked 9.0 MB above
     # what was live to generate and 16.0 MB to factor, in blocks, against
     # 70.5 and 53.1 MB when each stage held the whole stack; the bounds
     # give the blocked peaks 2x and 1.5x
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        stack, generate = _peak_mb(tf.random_unimodular_stack,
-                                   np.random.default_rng(1), 1000)
-        _, factor = _peak_mb(birkhoff.factorize_batch, stack)
-    finally:
-        if started:
-            tracemalloc.stop()
+    stack, generate = _peak_mb(tf.random_unimodular_stack,
+                               np.random.default_rng(1), 1000)
+    _, factor = _peak_mb(birkhoff.factorize_batch, stack)
     assert generate <= 18.0
     assert factor <= 24.0
+
+
+def test_lu_block_memory_does_not_grow_with_the_order(traced):
+    # 64 loops at N = 256: 64-loop blocks gathered 64 T_N of 514x514 and
+    # peaked at 264 MB; one-loop blocks peak at 10.1 MB
+    stack = tf.random_unimodular_stack(np.random.default_rng(2), 64,
+                                       order=256)
+    _, factor = _peak_mb(birkhoff.factorize_batch, stack)
+    assert factor < 20.0
+
+
+def test_streamed_run_memory_does_not_grow_with_the_count(traced,
+                                                          tmp_path):
+    # the whole stacks a run held between its stages made the traced peak
+    # 9.3 MB at --count 256 and 51.0 MB at 2560; block by block, both
+    # read 7.0 MB.  A first run fills the caches a run keeps.
+    def run(count):
+        argv = ["birkhoff", "--count", str(count), "--out", str(tmp_path)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == cli.EXIT_PASS
+
+    run(8)
+    _, small = _peak_mb(run, 256)
+    _, large = _peak_mb(run, 2560)
+    assert large <= 1.2 * small
+
+
+def test_lu_blocks_are_sized_by_the_order():
+    # the gathered T_N of a block hold what 64 loops hold at N = 32
+    assert [birkhoff._lu_block_loops(order)
+            for order in (8, 32, 64, 128, 256, 512)] == [64, 64, 16, 4, 1, 1]
+
+
+def test_toeplitz_index_is_built_once_and_read_only():
+    idx = birkhoff._toeplitz_index(16, 2)
+    assert birkhoff._toeplitz_index(16, 2) is idx
+    with pytest.raises(ValueError, match="read-only"):
+        idx[0, 0] = 0
 
 
 def test_empty_stack_gives_empty_arrays():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tauforge import cli, ernst, kdv
+from tauforge import birkhoff, cli, ernst, kdv, loops
 
 SMALL_KDV = ["--grid", "-0.4:0.4:11"]
 
@@ -299,6 +299,16 @@ class TestKdvPipeline:
         assert code == cli.EXIT_CHECK_FAILED
         assert "[FAIL] tail_mass:" in capsys.readouterr().out
 
+    def test_overflowing_tail_fraction_exits_2_without_a_warning(self,
+                                                                  capsys):
+        # the one-pole loops overflow the squares of the tail fraction at
+        # |x| = 1e3; a RuntimeWarning would fail the test
+        assert run_cli(["kdv", "--grid=-1e3:1e3:11"]) == cli.EXIT_CHECK_FAILED
+        assert capsys.readouterr().out == (
+            "[FAIL] tail_mass: discarded alias mass nan at (x, t) = "
+            "(-1000.0000, -1000.0000) exceeds 1.0e-08; the loop is not "
+            "finite\n")
+
     def test_bad_cell_on_path_exits_4(self):
         code = run_cli(["kdv", "--preset", "one_pole:strength=1.0",
                         "--grid", "-0.3:-0.2:11,0.5:1.2:8"])
@@ -432,6 +442,72 @@ class TestBirkhoffPipeline:
         assert run_cli(["birkhoff", "--preset", "twist"]) \
             == cli.EXIT_CHECK_FAILED
         assert "[FAIL] numerical_invariant" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("count", [1, 64, 65, 200])
+    def test_streamed_run_matches_the_whole_stack(self, count, seed,
+                                                  monkeypatch):
+        # the run factors each block as it is made; generating the whole
+        # stack and then factoring it gives the same bits
+        flags = []
+
+        def factor(coeffs, **kwargs):
+            out = birkhoff.factorize_batch(coeffs, **kwargs)
+            flags.append(out[3])
+            return out
+
+        monkeypatch.setattr(cli, "factorize_batch", factor)
+        config = cli.ExperimentConfig("birkhoff", count=count, rng_seed=seed)
+        _, _, (index, residuals), _ = cli._run_birkhoff(config)
+        stack = loops.random_unimodular_stack(np.random.default_rng(seed),
+                                              count)
+        _, _, want, ok = birkhoff.factorize_batch(stack)
+        assert np.array_equal(index, np.arange(count))
+        assert np.array_equal(residuals, want)
+        assert np.array_equal(np.concatenate(flags), ok)
+        assert [len(f) for f in flags] == [
+            min(loops._BLOCK, count - lo)
+            for lo in range(0, count, loops._BLOCK)]
+
+    def test_tail_failure_names_the_loop_the_stack_names(self, monkeypatch,
+                                                          capsys):
+        # Nyquist-bin mass added after exp, as in test_loops: loop 3 of the
+        # first block fails, loop 5 of the second fails worse; the run
+        # checks the tail once every block is factored, and must name the
+        # loop that the whole stack names
+        count, m = 2 * loops._BLOCK + 5, loops.default_sample_count(32)
+        spoil = {3: 5e-4, loops._BLOCK + 5: 1e-3}
+        nyquist = (-1.0) ** np.arange(m)[:, None, None]
+        exp_samples, seen = loops._exp_samples, []
+
+        def spoiled(vals):
+            out = exp_samples(vals)
+            lo = sum(seen)
+            seen.append(len(vals))
+            for i, size in spoil.items():
+                if lo <= i < lo + len(vals):
+                    out[i - lo] += size * nyquist
+            return out
+
+        monkeypatch.setattr(loops, "_exp_samples", spoiled)
+        with pytest.raises(loops.TailMassError) as stack:
+            loops.random_unimodular_stack(np.random.default_rng(4), count)
+        seen.clear()
+        code = run_cli(["birkhoff", "--count", str(count), "--rng-seed", "4"])
+        assert code == cli.EXIT_CHECK_FAILED
+        assert seen == [loops._BLOCK, loops._BLOCK, 5]
+        assert capsys.readouterr().out == f"[FAIL] tail_mass: {stack.value}\n"
+        assert f" in loop {loops._BLOCK + 5} exceeds" in str(stack.value)
+
+    def test_non_finite_loops_exit_2_without_a_warning(self, capsys):
+        # exp overflows in the generator, and the NaN loops are factored
+        # before the tail check rejects them; a RuntimeWarning from either
+        # stage would fail the test
+        code = run_cli(["birkhoff", "--count", "3", "--strength", "1e6"])
+        assert code == cli.EXIT_CHECK_FAILED
+        assert capsys.readouterr().out == (
+            "[FAIL] tail_mass: discarded alias mass nan in loop 0 exceeds "
+            "1.0e-08; the loop is not finite\n")
 
     def test_telemetry_keys(self, tmp_path):
         assert run_cli(["birkhoff", "--count", "30", "--out", str(tmp_path)]) == 0

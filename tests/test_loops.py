@@ -74,7 +74,6 @@ class TestTransforms:
         with pytest.raises(tf.TailMassError):
             MatrixLoop.from_samples(vals, order=8, tail_tol=1e-8)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_tail_mass_error_names_a_non_finite_loop(self, rng, bad):
         # a NaN fraction compares False with the tolerance, yet must fail
@@ -347,6 +346,18 @@ class TestRandomStacks:
                       for _ in range(count)]
         assert np.array_equal(stack, np.stack(sequential))
         assert rng_stack.bit_generator.state == rng_loop.bit_generator.state
+
+    def test_tangents_drawn_in_blocks_equal_one_draw(self):
+        # the generator's core draws each block's normals in turn; the
+        # blocks are the stack drawn in one call, and leave rng as it does
+        count = 2 * loops._BLOCK + 5
+        rng_whole, rng_blocks = (np.random.default_rng(3) for _ in range(2))
+        whole = tf.random_tangent_stack(rng_whole, count)
+        draw = loops._tangent_draw(rng_blocks)
+        blocks = [draw(min(loops._BLOCK, count - lo))
+                  for lo in range(0, count, loops._BLOCK)]
+        assert np.array_equal(np.concatenate(blocks), whole)
+        assert rng_blocks.bit_generator.state == rng_whole.bit_generator.state
 
     @pytest.mark.parametrize("n, order, generator", [
         (2, 32, "random_tangent_stack"), (2, 32, "random_unimodular_stack"),

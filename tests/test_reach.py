@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 import tauforge
-from tauforge import cli, quadrature
+from tauforge import birkhoff, cli, quadrature
 
 SRC = Path(tauforge.__file__).parent
 
@@ -71,6 +71,7 @@ def _called(runs, out_dir) -> tuple[set, list]:
     cli._f17_powers.cache_clear()
     cli._f17_layout.cache_clear()
     quadrature._stencil_weights.cache_clear()
+    birkhoff._toeplitz_index.cache_clear()
     codes = []
     sys.setprofile(profile)
     try:
