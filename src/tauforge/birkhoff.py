@@ -176,15 +176,21 @@ def _assemble(coeffs, plus, order, sample_count):
         plus_vals = matmul_2x2(plus_vals, twist)
     minus[:, -1] = np.eye(2)
 
+    # each temporary is dropped once read, so the block's peak holds as
+    # few sample stacks as the residual needs
     gm = np.zeros(coeffs.shape, dtype=minus.dtype)
     gm[:, :order + 1] = minus
     gp = np.zeros_like(gm)
     gp[:, order:] = plus
-
+    del plus
     minus_vals = to_samples(minus, m, first_mode=-order)
+    del minus
     with np.errstate(all="ignore"):
-        recon = matmul_2x2(minus_vals, inverse_2x2(plus_vals))
-    res = np.abs(recon - gamma_vals).max(axis=(1, 2, 3))
+        plus_inv = inverse_2x2(plus_vals)
+        del plus_vals
+        recon = matmul_2x2(minus_vals, plus_inv)
+    del minus_vals, plus_inv
+    res = np.abs(np.subtract(recon, gamma_vals, out=recon)).max(axis=(1, 2, 3))
     return gm, gp, res
 
 

@@ -34,7 +34,9 @@ field is u = -2 dq/dx by 4th-order finite differences (quadrature's
 stencils, as for every derivative on the grid), the scaling in which the
 family satisfies 4 u_t = u_xxx + 6 u u_x; kdv_residual's stencils set the
 grid minimum MIN_NODES, which the CLI reads.  All loop-valued work is
-batched over points.
+batched over points; the node sweep streams them through the pullback and
+the factorization one block at a time, so its memory grows with the grid
+only by what each point keeps.
 """
 
 from __future__ import annotations
@@ -56,12 +58,11 @@ from .loops import (
     MatrixLoop,
     ScalarLoop,
     TailMassError,
+    _stream_blocks,
     circle_points,
     cosh_sinhc,
     default_sample_count,
-    half_samples_to_coeffs,
     multiply,
-    samples_to_coeffs,
 )
 from .phase_space import gauge_variation
 from .quadrature import (
@@ -183,14 +184,27 @@ def _pullback_values(seed: KdVSeed, x, t, order: int, half=False):
 
 
 def pullback_coeff_batch(seed: KdVSeed, x, t, order: int = DEFAULT_ORDER,
-                         tail_tol: float | None = TAIL_THRESHOLD):
-    """Coefficients (B, 2N+1, 2, 2) of the translated loops at v = 0; real
-    P0, x and t give real loops, sampled on the upper half circle only."""
+                         tail_tol: float | None = TAIL_THRESHOLD, fn=None):
+    """Coefficients (B, 2N+1, 2, 2) of the translated loops at v = 0, or
+    with fn, fn's outputs (a tuple of arrays) over them; real P0, x and t
+    give real loops, sampled on the upper half circle only.
+
+    The points stream through _stream_blocks one block of _BLOCK at a
+    time: each block is pulled back, transformed to coefficients and
+    handed to fn, so only fn's outputs and the tail fractions outlive it.
+    The tail check runs once, over all points, and TailMassError names
+    the worst point's index.
+    """
     real = (np.isrealobj(x) and np.isrealobj(t)
             and not seed.p0.coeffs.imag.any())
-    vals = _pullback_values(seed, x, t, order, half=real)
-    to_coeffs = half_samples_to_coeffs if real else samples_to_coeffs
-    return to_coeffs(vals, order, tail_tol)
+    points = np.stack(np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(t)),
+                      axis=-1)
+    out = _stream_blocks(
+        lambda rows: _pullback_values(seed, rows[:, 0], rows[:, 1], order,
+                                      half=real),
+        points, order, fn or (lambda coeffs: (coeffs,)), half=real,
+        tail_tol=tail_tol)
+    return out if fn else out[0]
 
 
 # -- direction data and the potential ------------------------------------
@@ -242,16 +256,23 @@ class TauGrid:
 def _node_sweep(seed: KdVSeed, x, t, order, factor_tol):
     """Minus factors, big-cell flags, reconstruction residuals and
     (sign, log|det T_N|) at points, from one LU factorization per point.
-    A pullback's TailMassError is raised again naming its point (x, t)."""
+    The points stream through pullback_coeff_batch block by block, so no
+    block's samples or plus factors outlive it.  A pullback's
+    TailMassError is raised again naming its point (x, t)."""
+    def factor(coeffs):
+        minus, _, residuals, ok, sign, logabs = factorize_slogdet(
+            coeffs, tol=factor_tol)
+        return minus, ok, residuals, sign, logabs
+
     try:
-        coeffs = pullback_coeff_batch(seed, x, t, order)
+        # fn goes by position: benchmark/tracing.py wraps this function in
+        # Tracer.call(name, fn, *args, **kwargs), whose fn takes a keyword
+        return pullback_coeff_batch(seed, x, t, order, TAIL_THRESHOLD,
+                                    factor)
     except TailMassError as err:
         where = f"at (x, t) = ({x[err.loop]:.4f}, {t[err.loop]:.4f})"
         raise TailMassError(err.what, err.mass, err.tol, err.loop,
                             where) from None
-    minus, _, residuals, ok, sign, logabs = factorize_slogdet(
-        coeffs, tol=factor_tol)
-    return minus, ok, residuals, sign, logabs
 
 
 def _leg_increments(sign, logabs, x, t):
@@ -282,25 +303,30 @@ def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
     even_step(ts, "t")
 
     # path points: the t legs (x_i, t) for t in t_breaks, and the origin;
-    # the x leg (x, 0) is the t = 0 row of that lattice
+    # the x leg (x, 0) is the t = 0 row of that lattice.  The sweep takes
+    # the grid nodes first, in (ix, it) order, so their minus factors are
+    # the head of its stack, then the other path points in lattice order
     x_breaks = np.union1d(xs, [0.0])
     t_breaks = np.union1d(ts, [0.0])
+    cols = np.searchsorted(x_breaks, xs)
+    rows = np.searchsorted(t_breaks, ts)
     gx, gt = np.meshgrid(x_breaks, t_breaks, indexing="ij")
-    need = np.isin(gx, xs) | ((gx == 0.0) & (gt == 0.0))
+    nodes = np.ravel_multi_index(np.ix_(cols, rows), gx.shape).ravel()
+    extra = np.isin(gx, xs) | ((gx == 0.0) & (gt == 0.0))
+    extra.flat[nodes] = False
+    at = np.concatenate([nodes, np.flatnonzero(extra)])
     minus, ok, residuals, sign_n, logabs_n = _node_sweep(
-        seed, gx[need], gt[need], order, factor_tol)
+        seed, gx.flat[at], gt.flat[at], order, factor_tol)
     if not ok.all():
-        bad = np.argwhere(~ok)[0, 0]
+        bad = at[~ok].min()  # the first in lattice order
         raise PathCrossesBadCellError(
-            f"path point (x, t) = ({gx[need][bad]:.4f}, {gt[need][bad]:.4f}) "
+            f"path point (x, t) = ({gx.flat[bad]:.4f}, {gt.flat[bad]:.4f}) "
             f"is off the big cell")
     sign = np.ones(gx.shape, dtype=complex)
     logabs = np.zeros(gx.shape)
-    sign[need], logabs[need] = sign_n, logabs_n
+    sign.flat[at], logabs.flat[at] = sign_n, logabs_n
 
     it0 = np.searchsorted(t_breaks, 0.0)
-    cols = np.searchsorted(x_breaks, xs)
-    rows = np.searchsorted(t_breaks, ts)
     leg_x = -_leg_increments(sign[:, it0], logabs[:, it0],
                              gx[:, it0], gt[:, it0])
     leg_t = -_leg_increments(sign[cols], logabs[cols], gx[cols], gt[cols])
@@ -308,15 +334,14 @@ def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
     log_tau = (log_tau_x[cols, None]
                + cumulative_from(t_breaks, leg_t, 0.0))[:, rows]
 
-    node = np.zeros(gx.shape, dtype=int)
-    node[need] = np.arange(len(minus))
-    minus = minus[node[np.ix_(cols, rows)]]
+    minus = minus[:cols.size * rows.size].reshape(
+        cols.size, rows.size, *minus.shape[1:])
     q = _q_of(minus)
     u = -2.0 * derivative(q, xs, 1)
     # every node is a path point, and a path point off the big cell raised
     bigcell = np.ones(q.shape, dtype=bool)
     return TauGrid(xs=xs, ts=ts, log_tau=log_tau, q=q, u=u, minus=minus,
-                   bigcell=bigcell, points_factored=int(need.sum()),
+                   bigcell=bigcell, points_factored=len(at),
                    factor_residuals=residuals,
                    min_abs_det=float(np.exp(logabs_n.min())))
 

@@ -219,6 +219,31 @@ def _by_block(fn, stack, size: int = _BLOCK):
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
+def _stream_blocks(make, items, order: int, fn, half: bool = False,
+                   tail_tol: float | None = TAIL_THRESHOLD) -> tuple:
+    """fn's outputs (a tuple of arrays) over loops made one block of
+    _BLOCK at a time.
+
+    items is a range of loop indices or an array with one row per loop;
+    make(items[lo:hi]) returns the block's samples on the circle grid of
+    order (with half, on its upper half, for real coefficients).  They go
+    back to coefficients while the block is in cache, fn gets those
+    (B, 2N+1, n, n) coefficients, and only fn's outputs and the tail
+    fractions outlive the block.  Once every block has run, the worst
+    tail mass over all loops raises TailMassError, which names its loop,
+    unless tail_tol is None; fn must therefore take non-finite loops
+    quietly.
+    """
+    def block(rows):
+        coeffs, fraction = _coeffs_and_tail(make(rows), order, half=half)
+        return (*fn(coeffs), fraction)
+
+    *out, fraction = _by_block(block, items)
+    if tail_tol is not None:
+        _check_tail(fraction, tail_tol)
+    return tuple(out)
+
+
 class MatrixLoop:
     """Matrix-valued loop with modes -order..order; its circle grid has
     default_sample_count(order) points."""
@@ -574,32 +599,27 @@ def random_unimodular_stack(rng: np.random.Generator, count: int,
 def random_unimodular_blocks(rng: np.random.Generator, count: int, fn,
                              **kw) -> tuple:
     """fn's outputs (a tuple of arrays) over the count loops of
-    random_unimodular_stack, made one block of _BLOCK loops at a time.
+    random_unimodular_stack, made by _stream_blocks one block of _BLOCK
+    loops at a time.
 
-    Each block draws its normals from rng in turn, and goes through the
-    tangent, its samples, exp and back to coefficients while its arrays
-    are in cache; fn gets its (B, 2N+1, 2, 2) coefficients, and only fn's
-    outputs outlive the block.  The draws in turn equal
-    random_tangent_stack's one draw, so the loops are that stack's, bit
-    for bit, at any count.  Once every block has run, the worst tail
-    mass of exp over the whole stack raises TailMassError, which names
-    its loop; fn must therefore take non-finite loops quietly.
+    Each block draws its normals from rng in turn and goes through the
+    tangent, its samples and exp; fn gets its (B, 2N+1, 2, 2)
+    coefficients.  The draws in turn equal random_tangent_stack's one
+    draw, so the loops are that stack's, bit for bit, at any count.  Once
+    every block has run, the worst tail mass of exp over the whole stack
+    raises TailMassError, which names its loop.
     """
     order = kw.get("order", DEFAULT_ORDER)
     m = default_sample_count(order)
     tangent = _tangent_draw(rng, traceless=True, **kw)
 
-    def block(span):
+    def samples(span):
         # a huge tangent overflows exp, and inf * 0 gives NaN; such loops
         # are left non-finite, without a warning, for the tail check
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = _exp_samples(coeffs_to_samples(tangent(len(span)), m))
-        coeffs, fraction = _coeffs_and_tail(vals, order)
-        return (*fn(coeffs), fraction)
+            return _exp_samples(coeffs_to_samples(tangent(len(span)), m))
 
-    *out, fraction = _by_block(block, range(count))
-    _check_tail(fraction, TAIL_THRESHOLD)
-    return tuple(out)
+    return _stream_blocks(samples, range(count), order, fn)
 
 
 def random_tangent(rng: np.random.Generator, **kw) -> MatrixLoop:

@@ -5,9 +5,13 @@ a rename or deletion in src/ would only show up when the benchmark runs.
 Only the tracer is loaded here, none of the benchmark's reference code.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
 from pathlib import Path
+
+from tauforge import cli
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 
@@ -31,3 +35,20 @@ def test_tracer_installs_and_uninstalls_on_current_src():
         tracer.uninstall()
     assert all(w is not o for w, o in zip(wrapped, originals))
     assert [getattr(module, attr) for module, attr in sites] == originals
+
+
+def test_traced_kdv_run_passes_and_counts_its_points(tmp_path):
+    # a wrapper runs Tracer.call(name, fn, *args, **kwargs), so a src call
+    # that passes a keyword fn fails only in a traced run; the kdv_wide
+    # grid pulls back its 287 nodes
+    tracer = _load_tracing().Tracer()
+    argv = ["kdv", "--preset", "one_pole:pole=0.2505,strength=0.348",
+            "--grid=-1:1:41,-0.15:0.15:7", "--out", str(tmp_path)]
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+    finally:
+        tracer.uninstall()
+    assert code == cli.EXIT_PASS
+    assert tracer.counts["kdv.pullback_loops"] == 287

@@ -2,7 +2,6 @@
 
 import contextlib
 import io
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -173,47 +172,28 @@ def test_real_path_matches_complex_path_on_the_default_kdv_grid():
     assert np.abs(logabs - cplx[5]).max() <= 1e-14
 
 
-def _peak_mb(fn, *args):
-    """fn's result and its peak traced allocation above what was live."""
-    tracemalloc.reset_peak()
-    live = tracemalloc.get_traced_memory()[0]
-    out = fn(*args)
-    return out, (tracemalloc.get_traced_memory()[1] - live) / 2 ** 20
-
-
-@pytest.fixture
-def traced():
-    """tracemalloc on for the test, unless something else runs it."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    yield
-    if started:
-        tracemalloc.stop()
-
-
-def test_batch_peak_memory_stays_in_blocks(traced):
+def test_batch_peak_memory_stays_in_blocks(peak_mb):
     # 1000 loops at N = 32 (4.2 MB of coefficients) peaked 9.0 MB above
     # what was live to generate and 16.0 MB to factor, in blocks, against
     # 70.5 and 53.1 MB when each stage held the whole stack; the bounds
     # give the blocked peaks 2x and 1.5x
-    stack, generate = _peak_mb(tf.random_unimodular_stack,
-                               np.random.default_rng(1), 1000)
-    _, factor = _peak_mb(birkhoff.factorize_batch, stack)
+    stack, generate = peak_mb(tf.random_unimodular_stack,
+                              np.random.default_rng(1), 1000)
+    _, factor = peak_mb(birkhoff.factorize_batch, stack)
     assert generate <= 18.0
     assert factor <= 24.0
 
 
-def test_lu_block_memory_does_not_grow_with_the_order(traced):
+def test_lu_block_memory_does_not_grow_with_the_order(peak_mb):
     # 64 loops at N = 256: 64-loop blocks gathered 64 T_N of 514x514 and
     # peaked at 264 MB; one-loop blocks peak at 10.1 MB
     stack = tf.random_unimodular_stack(np.random.default_rng(2), 64,
                                        order=256)
-    _, factor = _peak_mb(birkhoff.factorize_batch, stack)
+    _, factor = peak_mb(birkhoff.factorize_batch, stack)
     assert factor < 20.0
 
 
-def test_streamed_run_memory_does_not_grow_with_the_count(traced,
+def test_streamed_run_memory_does_not_grow_with_the_count(peak_mb,
                                                           tmp_path):
     # the whole stacks a run held between its stages made the traced peak
     # 9.3 MB at --count 256 and 51.0 MB at 2560; block by block, both
@@ -224,8 +204,8 @@ def test_streamed_run_memory_does_not_grow_with_the_count(traced,
             assert cli.main(argv) == cli.EXIT_PASS
 
     run(8)
-    _, small = _peak_mb(run, 256)
-    _, large = _peak_mb(run, 2560)
+    _, small = peak_mb(run, 256)
+    _, large = peak_mb(run, 2560)
     assert large <= 1.2 * small
 
 

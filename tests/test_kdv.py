@@ -1,6 +1,8 @@
 """End-to-end checks for the KdV pipeline."""
 
+import contextlib
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -8,14 +10,24 @@ from scipy.linalg import lapack
 
 from tauforge import cli, kdv
 from tauforge import phase_space as ps
-from tauforge.birkhoff import BigCellError, factorize, factorize_batch
+from tauforge.birkhoff import (
+    FACTOR_TOL,
+    BigCellError,
+    factorize,
+    factorize_batch,
+    factorize_slogdet,
+)
 from tauforge.loops import (
+    DEFAULT_ORDER,
+    TAIL_THRESHOLD,
     MatrixLoop,
     ScalarLoop,
     TailMassError,
+    half_samples_to_coeffs,
     multiply,
     random_tangent,
     random_unimodular_loop,
+    samples_to_coeffs,
 )
 from tauforge.quadrature import (
     _stencil_weights,
@@ -495,13 +507,80 @@ class TestDeterminantRoute:
 
     def test_tail_mass_error_names_the_point(self):
         # at order 16, 13 of the default grid's nodes drop more than
-        # TAIL_THRESHOLD of their mass; the corner (1, 1) is the worst
+        # TAIL_THRESHOLD of their mass; the corner (1, 1) is the worst.
+        # The sweep's first node (-1, -1) fails too, so a tail check made
+        # block by block would stop in the first block and name it
+        seed = kdv.seed_one_pole(order=16)
+        with pytest.raises(TailMassError, match=r"1\.226e-08 in loop 0"):
+            kdv.pullback_coeff_batch(seed, [-1.0], [-1.0], 16)
         axis = np.linspace(-1, 1, 51)
         with pytest.raises(TailMassError, match=r"at \(x, t\) = "
                            r"\(1\.0000, 1\.0000\) exceeds 1\.0e-08") as err:
-            kdv.tau_grid(kdv.seed_one_pole(order=16), axis, axis, order=16)
+            kdv.tau_grid(seed, axis, axis, order=16)
         assert err.value.loop == 51 * 51 - 1
         assert err.value.mass == pytest.approx(1.445e-8, rel=1e-3)
+
+
+def same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+class TestStreamedSweep:
+    # the benchmark's kdv_wide grid: its 287 nodes fill four 64-point
+    # blocks and part of a fifth
+    WIDE = [a.ravel() for a in np.meshgrid(np.linspace(-1, 1, 41),
+                                           np.linspace(-0.15, 0.15, 7),
+                                           indexing="ij")]
+
+    @pytest.mark.parametrize("count", [1, 64, 65, 287])
+    @pytest.mark.parametrize("seed", [
+        kdv.seed_one_pole(pole=0.2505, strength=0.348),
+        kdv.seed_one_pole(pole=0.2 + 0.15j),
+    ], ids=["real", "complex"])
+    def test_sweep_equals_the_whole_stack(self, seed, count):
+        x, t = (a[:count] for a in self.WIDE)
+        coeffs = kdv.pullback_coeff_batch(seed, x, t)
+        # the pullback transformed whole, as before it streamed
+        real = not seed.p0.coeffs.imag.any()
+        to_coeffs = half_samples_to_coeffs if real else samples_to_coeffs
+        whole = to_coeffs(kdv._pullback_values(seed, x, t, DEFAULT_ORDER,
+                                               half=real),
+                          DEFAULT_ORDER, TAIL_THRESHOLD)
+        assert same_bits(coeffs, whole)
+        minus, _, residuals, ok, sign, logabs = factorize_slogdet(coeffs)
+        swept = kdv._node_sweep(seed, x, t, DEFAULT_ORDER, FACTOR_TOL)
+        for got, want in zip(swept, (minus, ok, residuals, sign, logabs)):
+            assert same_bits(got, want)
+
+    def test_grid_minus_is_a_view_of_the_sweep(self):
+        # the nodes lead the sweep, so the grid keeps no second copy of
+        # their minus factors; x = 0 and t = 0 are no nodes here, so the
+        # t = 0 row and the origin follow them
+        grid = kdv.tau_grid(kdv.seed_one_pole(), np.linspace(0.1, 0.6, 11),
+                            np.linspace(0.1, 0.4, 7))
+        assert grid.points_factored == 11 * 7 + 11 + 1
+        assert grid.minus.base is not None
+        assert grid.minus.base.shape[0] == grid.points_factored
+
+    def test_sweep_memory_does_not_grow_with_the_nodes(self, peak_mb,
+                                                       tmp_path):
+        # pulled back all at once, every node's samples, spectrum and
+        # tail temporaries were alive together: the default run's traced
+        # peak was 101.9 MiB, and a node added 39 KiB to it.  Streamed,
+        # the run peaks at 16.7 MiB and a node adds 4.8 KiB.  A first run
+        # fills the caches a run keeps.
+        def run(*grid):
+            argv = ["kdv", *grid, "--out", str(tmp_path)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                return cli.main(argv)
+
+        run("--grid=-1:1:11")
+        small_code, small = peak_mb(run, "--grid=-1:1:31")
+        code, default = peak_mb(run)
+        assert small_code == code == cli.EXIT_PASS
+        assert default <= 25.0
+        assert (default - small) * 2 ** 10 / (51 ** 2 - 31 ** 2) <= 8.0
 
 
 class TestFactorsOnFamily:

@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 import tauforge
-from tauforge import birkhoff, cli, quadrature
+from tauforge import cli
 
 SRC = Path(tauforge.__file__).parent
 
@@ -67,11 +67,11 @@ def _called(runs, out_dir) -> tuple[set, list]:
             called.add(f"{Path(code.co_filename).stem}.{code.co_qualname}")
 
     # a cached function runs its body only on its first call in a process
-    cli._parser.cache_clear()
-    cli._f17_powers.cache_clear()
-    cli._f17_layout.cache_clear()
-    quadrature._stencil_weights.cache_clear()
-    birkhoff._toeplitz_index.cache_clear()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tauforge."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
     codes = []
     sys.setprofile(profile)
     try:
