@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .loops import (
     DEFAULT_ORDER,
@@ -82,6 +81,10 @@ def _lu_block(cs: np.ndarray, order: int, n: int):
     the determinant.  A singular T_N gives X = 0, ok False, sign 0 and
     log|det| = -inf, without raising.
     """
+    # imported here, so that a run that factors nothing never loads
+    # scipy.linalg, most of a CLI process's import time
+    from scipy.linalg import lapack
+
     b, size = len(cs), n * (order + 1)
     dtype, gesv = ((complex, lapack.zgesv) if np.iscomplexobj(cs)
                    else (float, lapack.dgesv))

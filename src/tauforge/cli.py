@@ -66,11 +66,11 @@ RESIDUE_ROUTE_TOL = 1e-12
 LOOP_CLOSEDNESS_TOL = 1e-8
 CONFORMAL_CONSTANT_TOL = 1e-7
 # rows per block of the CSV writer; bounds what a block holds at once, its
-# byte matrix and the %.17g kernel's arrays: 3.5 MB at the peak for eight
-# float columns of distinct values.  On the 201x201 Ernst CSVs 2048 rows
-# wrote 10-17% faster but held 5.4 MB and raised the median peak RSS of six
-# Ernst calls in one process by 0.7 MB; 512 rows wrote 18-26% slower.
-CSV_BLOCK_ROWS = 1024
+# byte matrix and the %.17g kernel's arrays: 5.4 MB at the peak for eight
+# float columns of distinct values, and 7.5 MB of traced peak for a whole
+# 201x201 point-source Ernst call.  On those CSVs 1024 rows held 3.5 MB
+# but wrote 10-17% slower, and 512 rows 18-26% slower still
+CSV_BLOCK_ROWS = 2048
 # smallest trunc at which `birkhoff --preset random --count 1000` passes for
 # every rng seed 0-9 at the default strength; at 15 three seeds fail
 # round_trip_residual, and at 8-14 every seed fails it or tail_mass

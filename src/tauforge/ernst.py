@@ -20,7 +20,9 @@ with r J^-1 dJ, so both routes must agree to roundoff.  logtau_field
 integrates the 1-form from the base point (r, z) = (1, 0) by one
 refine_path_cells pass along r and one along z, which give both grid
 paths, r first and z first; the conformal side and the rectangle loop
-are arithmetic on the two.
+are arithmetic on the two.  Each pass evaluates its integrand once per
+Gauss rule, on the rule's nodes along the leg broadcast against the
+column of fixed coordinates, and sums the cells in real long double.
 """
 
 from __future__ import annotations
@@ -207,8 +209,11 @@ def _leg(sol: ErnstSolution, along: str, nodes, anchor: float, fixed,
     """Antiderivative of d log tau along r or z from anchor, at the nodes.
 
     Column j holds the other coordinate at fixed[j]; each interval between
-    nodes is one cell of refine_path_cells.  Returns (values (len(fixed),
-    len(nodes)), achieved level, final change).
+    nodes is one cell of refine_path_cells.  The integrand takes a rule's
+    nodes along the leg, shape (m,), and the column indices, shape
+    (len(fixed), 1), so fixed[cols] broadcasts against the nodes into the
+    (len(fixed), m) values of every column at once.  Returns (real values
+    (len(fixed), len(nodes)), achieved level, final change).
     """
     fixed = np.asarray(fixed, dtype=float)
     if along == "r":
@@ -239,8 +244,8 @@ def logtau_field(sol: ErnstSolution, rs, zs,
     gr, gz = np.meshgrid(rs, zs, indexing="ij")
     return ErnstTauField(
         rs=rs, zs=zs,
-        log_tau=(cum_r[0][:, None] + cum_z[1:]).real,
-        log_tau_z_first=(cum_z[0] + cum_r[1:].T).real,
+        log_tau=cum_r[0][:, None] + cum_z[1:],
+        log_tau_z_first=cum_z[0] + cum_r[1:].T,
         dlogtau_w=dlogtau(sol, gr, gz, "w"),
         levels={"r": level_r, "z": level_z},
         final_change={"r": change_r, "z": change_z})

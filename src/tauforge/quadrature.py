@@ -46,35 +46,43 @@ def validated_axes(*axes):
 def cumulative_from(breaks, cell_values, anchor: float):
     """Antiderivative at the breakpoints, zero at the breakpoint nearest anchor.
 
-    cell_values: (n_cols, n_cells) integrals over consecutive intervals.
+    cell_values: (n_cols, n_cells) integrals over consecutive intervals,
+    real or complex; the result keeps that kind.
     """
-    # an extended-precision running sum keeps its rounding off the result
-    cum = np.zeros((cell_values.shape[0], len(breaks)), dtype=np.clongdouble)
-    cum[:, 1:] = np.cumsum(cell_values, axis=1, dtype=np.clongdouble)
+    # an extended-precision running sum keeps its rounding off the result;
+    # a real sum is the real part of the complex one, bit for bit
+    wide, out = ((np.clongdouble, complex) if np.iscomplexobj(cell_values)
+                 else (np.longdouble, float))
+    cum = np.zeros((cell_values.shape[0], len(breaks)), dtype=wide)
+    cum[:, 1:] = np.cumsum(cell_values, axis=1, dtype=wide)
     idx = int(np.argmin(np.abs(breaks - anchor)))
-    return (cum - cum[:, idx][:, None]).astype(complex)
+    return (cum - cum[:, idx][:, None]).astype(out)
 
 
 def refine_path_cells(eval_fn, cells, n_cols: int, tol: float,
                       max_level: int = 6):
     """Per-cell integrals for n_cols independent integrands.
 
-    cells: (n_cells, 2) interval endpoints.  eval_fn(points, cols) must
-    return integrand values for flat arrays of points and column indices.
+    cells: (n_cells, 2) interval endpoints.  Each Gauss rule makes one call
+    eval_fn(points, cols), with points the rule's nodes in every cell, of
+    shape (n_cells n,), and cols = arange(n_cols)[:, None]; its values
+    broadcast to (n_cols, n_cells n), row j for integrand j.
     Returns (integrals (n_cols, n_cells), achieved level, final change).
     """
+    if max_level < 1:
+        raise ValueError(f"max_level must be at least 1, not {max_level}")
     cells = np.asarray(cells, dtype=float)
     n_cells = len(cells)
     if n_cells == 0:
         return np.zeros((n_cols, 0), dtype=complex), 0, 0.0
     mid = 0.5 * (cells[:, 0] + cells[:, 1])
     half = 0.5 * (cells[:, 1] - cells[:, 0])
+    cols = np.arange(n_cols)[:, None]
 
     def gauss(n):
         nodes, weights = np.polynomial.legendre.leggauss(n)
         pts = (mid[:, None] + half[:, None] * nodes).ravel()
-        vals = np.asarray(eval_fn(np.tile(pts, n_cols),
-                                  np.repeat(np.arange(n_cols), pts.size)))
+        vals = np.broadcast_to(eval_fn(pts, cols), (n_cols, pts.size))
         return half * (vals.reshape(n_cols, n_cells, n) @ weights)
 
     prev = gauss(BASE_NODES)

@@ -394,6 +394,18 @@ class TestErnstPipeline:
         # columns: z = 0 and the 11 grid z, r = 1 and the 16 grid r
         assert calls == [12, 17]
 
+    def test_run_leaves_scipy_linalg_unloaded(self, tmp_path):
+        # only a factorization needs LAPACK, and scipy.linalg is most of
+        # a CLI process's import time
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys\nfrom tauforge import cli\n"
+                f"code = cli.main(['ernst', '--out', {str(tmp_path)!r}])\n"
+                "print(code, 'scipy.linalg' in sys.modules)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+
     def test_trace_square_serves_only_the_residue_route(self, monkeypatch):
         def unused(*args):
             raise AssertionError("_trace_square called outside residue_check")

@@ -404,9 +404,14 @@ def path_route_log_tau(seed, xs, ts, cols, tol_path=1e-7):
     vals_x, _, _ = refine_path_cells(
         lambda pts, c: variation("x", pts, np.zeros_like(pts)),
         np.column_stack([x_breaks[:-1], x_breaks[1:]]), 1, tol_path)
+
+    def t_leg(pts, c):
+        x, t = np.broadcast_arrays(xs[cols][c], pts)
+        return variation("t", x.ravel(), t.ravel()).reshape(x.shape)
+
     vals_t, _, _ = refine_path_cells(
-        lambda pts, c: variation("t", xs[cols][c], pts),
-        np.column_stack([t_breaks[:-1], t_breaks[1:]]), len(cols), tol_path)
+        t_leg, np.column_stack([t_breaks[:-1], t_breaks[1:]]), len(cols),
+        tol_path)
     cum_x = cumulative_from(x_breaks, vals_x, 0.0)[0]
     cum_t = cumulative_from(t_breaks, vals_t, 0.0)
     return (cum_x[np.searchsorted(x_breaks, xs[cols])][:, None]

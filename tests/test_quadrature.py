@@ -16,6 +16,7 @@ from tauforge.quadrature import (
     BASE_NODES,
     PathRefinementError,
     cell_weights,
+    cumulative_from,
     derivative,
     derivative_width,
     refine_path_cells,
@@ -85,6 +86,44 @@ def test_tol_below_roundoff_raises():
 
     with pytest.raises(PathRefinementError, match="no convergence to 1.0e-30"):
         refine_path_cells(eval_fn, CELLS, 1, 1e-30)
+
+
+def test_one_broadcast_evaluation_per_rule():
+    # each rule evaluates every cell and column in one call: the rule's
+    # nodes flat, the column indices as a column, and an integrand of the
+    # points alone serves every column
+    calls = []
+
+    def eval_fn(points, cols):
+        calls.append((points.shape, cols.shape, cols.ravel().tolist()))
+        return points ** 3
+
+    vals, level, _ = refine_path_cells(eval_fn, CELLS, 3, 1e-14)
+    sizes = [len(CELLS) * (BASE_NODES << k) for k in range(level + 1)]
+    assert calls == [((size,), (3, 1), [0, 1, 2]) for size in sizes]
+    a, b = CELLS[:, 0], CELLS[:, 1]
+    assert vals.shape == (3, len(CELLS))
+    assert np.abs(vals - (b ** 4 - a ** 4) / 4).max() <= 1e-15
+
+
+@pytest.mark.parametrize("max_level", [0, -1])
+def test_max_level_below_one_raises_before_evaluating(max_level):
+    def eval_fn(points, cols):
+        raise AssertionError("evaluated")
+
+    with pytest.raises(ValueError, match="max_level must be at least 1"):
+        refine_path_cells(eval_fn, CELLS, 1, 1e-9, max_level=max_level)
+
+
+def test_real_running_sum_is_the_complex_one_bit_for_bit(rng):
+    values = (rng.standard_normal((5, 40))
+              * 10.0 ** rng.integers(-8, 9, (5, 40)))
+    breaks = np.linspace(-1.0, 1.0, 41)
+    real = cumulative_from(breaks, values, 0.3)
+    cplx = cumulative_from(breaks, values.astype(complex), 0.3)
+    assert real.dtype == np.float64 and cplx.dtype == np.complex128
+    assert np.array_equal(real.view(np.int64), cplx.real.view(np.int64))
+    assert not cplx.imag.any()
 
 
 def test_leggauss_only_in_quadrature():
@@ -192,9 +231,12 @@ def test_cell_rule_matches_gauss_on_default_kdv_cells():
     rule_x = (cell_weights(axis, x_cells, 8)
               @ variation("x", axis, np.full(51, axis[it0])))
 
+    def t_leg(pts, c):
+        x, t = np.broadcast_arrays(axis[cols][c], pts)
+        return variation("t", x.ravel(), t.ravel()).reshape(x.shape)
+
     gauss_t, _, _ = refine_path_cells(
-        lambda pts, c: variation("t", axis[cols][c], pts),
-        np.column_stack([axis[:-1], axis[1:]]), len(cols), 1e-12)
+        t_leg, np.column_stack([axis[:-1], axis[1:]]), len(cols), 1e-12)
     gauss_x, _, _ = refine_path_cells(
         lambda pts, c: variation("x", pts, np.full_like(pts, axis[it0])),
         np.column_stack([axis[x_cells], axis[x_cells + 1]]), 1, 1e-12)
