@@ -19,14 +19,12 @@ from functools import lru_cache
 import numpy as np
 
 from .loops import (
-    DEFAULT_ORDER,
-    DEFAULT_SAMPLES,
-    _BLOCK,
     MatrixLoop,
+    _block_loops,
     _by_block,
-    _fast_len,
     coeffs_to_half_samples,
     coeffs_to_samples,
+    default_sample_count,
     half_samples_to_coeffs,
     inverse_2x2,
     matmul_2x2,
@@ -59,15 +57,6 @@ def _toeplitz_index(order: int, n: int) -> np.ndarray:
     idx = idx.reshape(n * (order + 1), n * (order + 1))
     idx.flags.writeable = False
     return idx
-
-
-def _lu_block_loops(order: int) -> int:
-    """Loops per factorization block: as many as keep the block's gathered
-    T_N matrices, (N+1)^2 blocks each, at the size of a _BLOCK-loop block
-    at DEFAULT_ORDER, so a block's memory does not grow with N; never more
-    than _BLOCK, whose sample stack is sized for cache."""
-    return max(1, min(_BLOCK, _BLOCK * (DEFAULT_ORDER + 1) ** 2
-                      // (order + 1) ** 2))
 
 
 def _lu_block(cs: np.ndarray, order: int, n: int):
@@ -106,8 +95,7 @@ def _lu_block(cs: np.ndarray, order: int, n: int):
     return sol, ok, np.where(ok, sign, 0), np.where(ok, logabs, -np.inf)
 
 
-def factorize_slogdet(coeffs: np.ndarray, sample_count: int = DEFAULT_SAMPLES,
-                      tol: float = FACTOR_TOL):
+def factorize_slogdet(coeffs: np.ndarray, *, tol: float = FACTOR_TOL):
     """factorize_batch's four arrays, then (sign, log|det T_N|), all from
     one LU factorization per loop; a real stack has real factors, from
     real arithmetic (see _assemble).
@@ -125,16 +113,16 @@ def factorize_slogdet(coeffs: np.ndarray, sample_count: int = DEFAULT_SAMPLES,
     def block(cs):
         sol, good, sign, logabs = _lu_block(cs, order, 2)
         gm, gp, res = _assemble(cs, sol.reshape(len(cs), order + 1, 2, 2),
-                                order, sample_count)
+                                order)
         res[~np.isfinite(res)] = np.inf
         good &= res <= tol
         gm[~good] = gp[~good] = 0
         return gm, gp, res, good, sign, logabs
 
-    return _by_block(block, coeffs, _lu_block_loops(order))
+    return _by_block(block, coeffs, _block_loops(order))
 
 
-def factorize_batch(coeffs: np.ndarray, sample_count: int = DEFAULT_SAMPLES,
+def factorize_batch(coeffs: np.ndarray, sample_count: int | None = None,
                     tol: float = FACTOR_TOL):
     """Factor a stack of 2x2 loops given as (B, 2N+1, 2, 2) coefficient arrays.
 
@@ -142,17 +130,22 @@ def factorize_batch(coeffs: np.ndarray, sample_count: int = DEFAULT_SAMPLES,
     the first four arrays of factorize_slogdet.  Nodes whose system is
     singular or whose reconstruction residual exceeds tol are flagged
     ok = False instead of raising; the coefficient entries for failed nodes
-    are zero.  The stack is solved serially in blocks of loops, 64 at the
-    default order, fewer as N grows, so that a block's T_N matrices hold
-    as much memory at any order and its samples stay in cache; each loop
-    is LU-factored on its own, so a loop's result does not depend on the
+    are zero.  The stack is solved serially in blocks of _block_loops(N)
+    loops, 64 up to the default order, fewer as N grows; each loop is
+    LU-factored on its own, so a loop's result does not depend on the
     others in its block.  An empty stack gives empty arrays.  Loops of
     another matrix size raise ValueError.
+    sample_count, kept for callers that pass a manifest's "samples", must
+    be None or default_sample_count(N), the grid of every residual.
     """
-    return factorize_slogdet(coeffs, sample_count, tol)[:4]
+    m = default_sample_count((coeffs.shape[1] - 1) // 2)
+    if sample_count not in (None, m):
+        raise ValueError(f"sample_count = {sample_count}: these loops are "
+                         f"sampled at {m} points, the only value accepted")
+    return factorize_slogdet(coeffs, tol=tol)[:4]
 
 
-def _assemble(coeffs, plus, order, sample_count):
+def _assemble(coeffs, plus, order):
     """Normalize the factors and measure sup |gamma - g_minus g_plus^{-1}|.
 
     All sample algebra is the closed 2x2 form; a singular g_plus sample or
@@ -160,7 +153,7 @@ def _assemble(coeffs, plus, order, sample_count):
     Real loops are sampled on the upper half circle, as the lower half
     holds the conjugates, residual included.
     """
-    m = _fast_len(max(sample_count, 4 * order + 2))
+    m = default_sample_count(order)
     to_samples, to_coeffs = (
         (coeffs_to_samples, samples_to_coeffs) if np.iscomplexobj(coeffs)
         else (coeffs_to_half_samples, half_samples_to_coeffs))

@@ -189,9 +189,10 @@ def pullback_coeff_batch(seed: KdVSeed, x, t, order: int = DEFAULT_ORDER,
     with fn, fn's outputs (a tuple of arrays) over them; real P0, x and t
     give real loops, sampled on the upper half circle only.
 
-    The points stream through _stream_blocks one block of _BLOCK at a
-    time: each block is pulled back, transformed to coefficients and
-    handed to fn, so only fn's outputs and the tail fractions outlive it.
+    The points stream through _stream_blocks one block of
+    _block_loops(order) at a time: each block is pulled back, transformed
+    to coefficients and handed to fn whole, so only fn's outputs and the
+    tail fractions outlive it.
     The tail check runs once, over all points, and TailMassError names
     the worst point's index.
     """
@@ -247,7 +248,6 @@ class TauGrid:
     q: np.ndarray
     u: np.ndarray
     minus: np.ndarray
-    bigcell: np.ndarray
     points_factored: int
     factor_residuals: np.ndarray
     min_abs_det: float
@@ -338,11 +338,8 @@ def tau_grid(seed: KdVSeed, xs, ts, order: int = DEFAULT_ORDER,
         cols.size, rows.size, *minus.shape[1:])
     q = _q_of(minus)
     u = -2.0 * derivative(q, xs, 1)
-    # every node is a path point, and a path point off the big cell raised
-    bigcell = np.ones(q.shape, dtype=bool)
     return TauGrid(xs=xs, ts=ts, log_tau=log_tau, q=q, u=u, minus=minus,
-                   bigcell=bigcell, points_factored=len(at),
-                   factor_residuals=residuals,
+                   points_factored=len(at), factor_residuals=residuals,
                    min_abs_det=float(np.exp(logabs_n.min())))
 
 

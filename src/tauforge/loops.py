@@ -24,9 +24,9 @@ TANGENT_BAND = 8
 # damping of mode k of a random tangent, TANGENT_DECAY^|k|; it keeps exp of
 # the tangent inside the TAIL_THRESHOLD budget at order 32
 TANGENT_DECAY = 0.25
-# loops per block in every batch stage that _by_block runs: a block's
-# 256-point sample stack of 2x2 loops is 1 MB, so each stage works in L2
-# cache; 64 was the pick of a timing sweep over 32..512
+# loops per block of every batch stage up to DEFAULT_ORDER (_block_loops):
+# a block's 256-point sample stack of 2x2 loops is 1 MB, so each stage
+# works in L2 cache; 64 was the pick of a timing sweep over 32..512
 _BLOCK = 64
 # largest sample condition number inverse() accepts
 INVERSE_COND_MAX = 1e10
@@ -207,7 +207,17 @@ def _check_tail(fraction, tail_tol: float, what="discarded alias mass"):
         raise TailMassError(what, float(worst), tail_tol, loop)
 
 
-def _by_block(fn, stack, size: int = _BLOCK):
+def _block_loops(order: int) -> int:
+    """Loops per block of every batch stage at order N: _BLOCK up to
+    DEFAULT_ORDER, then as many as keep a block's gathered T_N matrices,
+    (N+1)^2 blocks each, at the size of a _BLOCK-loop block at
+    DEFAULT_ORDER, so a block's memory does not grow with N: 16 loops at
+    N = 64, 4 at 128 and 1 from 256 on."""
+    return max(1, min(_BLOCK, _BLOCK * (DEFAULT_ORDER + 1) ** 2
+                      // (order + 1) ** 2))
+
+
+def _by_block(fn, stack, size: int):
     """fn's outputs (a tuple of arrays) over blocks of size loops along
     axis 0, concatenated, the blocks in order; an empty stack still makes
     one (empty) block, which fixes the shapes.  The stack may be a range
@@ -222,7 +232,7 @@ def _by_block(fn, stack, size: int = _BLOCK):
 def _stream_blocks(make, items, order: int, fn, half: bool = False,
                    tail_tol: float | None = TAIL_THRESHOLD) -> tuple:
     """fn's outputs (a tuple of arrays) over loops made one block of
-    _BLOCK at a time.
+    _block_loops(order) at a time.
 
     items is a range of loop indices or an array with one row per loop;
     make(items[lo:hi]) returns the block's samples on the circle grid of
@@ -232,13 +242,14 @@ def _stream_blocks(make, items, order: int, fn, half: bool = False,
     fractions outlive the block.  Once every block has run, the worst
     tail mass over all loops raises TailMassError, which names its loop,
     unless tail_tol is None; fn must therefore take non-finite loops
-    quietly.
+    quietly.  A factorization in fn blocks by the same rule: it gets
+    each block whole.
     """
     def block(rows):
         coeffs, fraction = _coeffs_and_tail(make(rows), order, half=half)
         return (*fn(coeffs), fraction)
 
-    *out, fraction = _by_block(block, items)
+    *out, fraction = _by_block(block, items, _block_loops(order))
     if tail_tol is not None:
         _check_tail(fraction, tail_tol)
     return tuple(out)
@@ -539,47 +550,33 @@ def random_tangent_stack(rng: np.random.Generator, count: int, n: int = 2,
     TANGENT_DECAY^|k|, and each loop is scaled to sup norm amplitude on its
     circle grid.  The normals are drawn in one call, loop by loop and mode
     by mode (the real block, then the imaginary one), so the stack equals
-    count sequential random_tangent calls and leaves rng in the same state.
+    count sequential random_tangent calls, or any stacks drawn in turn
+    that add up to count, bit for bit, and leaves rng in the same state.
     Raises ValueError when the band does not fit the order.
     """
-    return _tangent_draw(rng, n, band, amplitude, order, antihermitian,
-                         traceless)(count)
-
-
-def _tangent_draw(rng, n=2, band=TANGENT_BAND, amplitude=0.5,
-                  order=DEFAULT_ORDER, antihermitian=False, traceless=True):
-    """The core of random_tangent_stack: a function that draws the normals
-    of its next count loops from rng, in one call, and returns their
-    tangent coefficients.  Draws made in turn equal one draw, bit for bit,
-    so a stack drawn block by block is the stack drawn whole."""
     if band > order:
         raise ValueError(f"tangent band {band} exceeds truncation order {order}")
     weights = np.array([TANGENT_DECAY ** abs(k)
                         for k in range(-band, band + 1)])
-    m = default_sample_count(order)
-
-    def tangent(count):
-        normals = rng.standard_normal((count, 2 * band + 1, 2, n, n))
-        coeffs = np.zeros((count, 2 * order + 1, n, n), dtype=complex)
-        coeffs[:, order - band:order + band + 1] = (
-            (normals[:, :, 0] + 1j * normals[:, :, 1])
-            * weights[:, None, None])
-        if antihermitian:
-            # enforce u(theta)^* = -u(theta): c_{-k} = -c_k^H
-            positive = coeffs[:, order + 1:order + band + 1]
-            coeffs[:, order - band:order] = (
-                -positive[:, ::-1].conj().swapaxes(-1, -2))
-            mode0 = coeffs[:, order]
-            coeffs[:, order] = 0.5 * (mode0 - mode0.conj().swapaxes(-1, -2))
-        if traceless:
-            idx = np.arange(n)
-            tr = np.trace(coeffs, axis1=-2, axis2=-1) / n
-            coeffs[..., idx, idx] -= tr[..., None]
-        sup = np.abs(coeffs_to_samples(coeffs, m)).max(axis=(1, 2, 3))
-        scale = amplitude / np.maximum(sup, np.finfo(float).tiny)
-        return coeffs * scale[:, None, None, None]
-
-    return tangent
+    normals = rng.standard_normal((count, 2 * band + 1, 2, n, n))
+    coeffs = np.zeros((count, 2 * order + 1, n, n), dtype=complex)
+    coeffs[:, order - band:order + band + 1] = (
+        (normals[:, :, 0] + 1j * normals[:, :, 1]) * weights[:, None, None])
+    if antihermitian:
+        # enforce u(theta)^* = -u(theta): c_{-k} = -c_k^H
+        positive = coeffs[:, order + 1:order + band + 1]
+        coeffs[:, order - band:order] = (
+            -positive[:, ::-1].conj().swapaxes(-1, -2))
+        mode0 = coeffs[:, order]
+        coeffs[:, order] = 0.5 * (mode0 - mode0.conj().swapaxes(-1, -2))
+    if traceless:
+        idx = np.arange(n)
+        tr = np.trace(coeffs, axis1=-2, axis2=-1) / n
+        coeffs[..., idx, idx] -= tr[..., None]
+    sup = np.abs(coeffs_to_samples(coeffs, default_sample_count(order))).max(
+        axis=(1, 2, 3))
+    scale = amplitude / np.maximum(sup, np.finfo(float).tiny)
+    return coeffs * scale[:, None, None, None]
 
 
 def random_unimodular_stack(rng: np.random.Generator, count: int,
@@ -599,25 +596,26 @@ def random_unimodular_stack(rng: np.random.Generator, count: int,
 def random_unimodular_blocks(rng: np.random.Generator, count: int, fn,
                              **kw) -> tuple:
     """fn's outputs (a tuple of arrays) over the count loops of
-    random_unimodular_stack, made by _stream_blocks one block of _BLOCK
-    loops at a time.
+    random_unimodular_stack, made by _stream_blocks one block of
+    _block_loops(order) loops at a time.
 
-    Each block draws its normals from rng in turn and goes through the
-    tangent, its samples and exp; fn gets its (B, 2N+1, 2, 2)
-    coefficients.  The draws in turn equal random_tangent_stack's one
-    draw, so the loops are that stack's, bit for bit, at any count.  Once
-    every block has run, the worst tail mass of exp over the whole stack
-    raises TailMassError, which names its loop.
+    Each block is one random_tangent_stack call, which draws its normals
+    from rng in turn, and goes through its samples and exp; fn gets its
+    (B, 2N+1, 2, 2) coefficients.  Draws in turn equal one draw, so the
+    loops are the whole stack's, bit for bit, at any count.  Once every
+    block has run, the worst tail mass of exp over the whole stack raises
+    TailMassError, which names its loop.
     """
     order = kw.get("order", DEFAULT_ORDER)
     m = default_sample_count(order)
-    tangent = _tangent_draw(rng, traceless=True, **kw)
 
     def samples(span):
         # a huge tangent overflows exp, and inf * 0 gives NaN; such loops
         # are left non-finite, without a warning, for the tail check
         with np.errstate(over="ignore", invalid="ignore"):
-            return _exp_samples(coeffs_to_samples(tangent(len(span)), m))
+            tangent = random_tangent_stack(rng, len(span), traceless=True,
+                                           **kw)
+            return _exp_samples(coeffs_to_samples(tangent, m))
 
     return _stream_blocks(samples, range(count), order, fn)
 

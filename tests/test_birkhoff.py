@@ -211,8 +211,29 @@ def test_streamed_run_memory_does_not_grow_with_the_count(peak_mb,
 
 def test_lu_blocks_are_sized_by_the_order():
     # the gathered T_N of a block hold what 64 loops hold at N = 32
-    assert [birkhoff._lu_block_loops(order)
+    assert [loops._block_loops(order)
             for order in (8, 32, 64, 128, 256, 512)] == [64, 64, 16, 4, 1, 1]
+
+
+@pytest.mark.parametrize("order", [16, 32])
+def test_sample_count_is_none_or_the_default_grid(order):
+    # the residual's grid is default_sample_count(N); the parameter stays
+    # for callers that pass a manifest's "samples" by position
+    stack = tf.random_unimodular_stack(np.random.default_rng(order), 5,
+                                       order=order)
+    default = birkhoff.factorize_batch(stack, None)
+    named = birkhoff.factorize_batch(stack, loops.default_sample_count(order))
+    for got, want in zip(named, default):
+        assert np.array_equal(got, want)
+    with pytest.raises(ValueError, match="sample_count = 512"):
+        birkhoff.factorize_batch(stack, 512)
+
+
+def test_slogdet_takes_tol_by_keyword_only():
+    # a caller that passes sample_count by position must fail, not set tol
+    stack = tf.random_unimodular_stack(np.random.default_rng(0), 2)
+    with pytest.raises(TypeError):
+        birkhoff.factorize_slogdet(stack, 1e-9)
 
 
 def test_toeplitz_index_is_built_once_and_read_only():

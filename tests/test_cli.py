@@ -161,6 +161,20 @@ class TestConfigHandling:
         assert manifest["samples"] == (
             cli.default_sample_count(config.trunc) if reads else None)
 
+    @pytest.mark.parametrize("pipeline, read", [
+        ("selftest", {}),
+        ("kdv", {"factor": 1e-9, "path": 1e-7, "residual": 2e-2,
+                 "headline": 1e-4}),
+        ("ernst", {"path": ernst.PATH_TOL}),
+        ("birkhoff", {"factor": 1e-9})])
+    def test_manifest_records_only_the_tolerances_read(self, pipeline, read):
+        # a tolerance the pipeline never reads is null, as a setting is
+        config = cli.ExperimentConfig(pipeline)
+        manifest = cli._manifest(config, [], {}, None, 0.0, cli.EXIT_PASS)
+        assert manifest["tolerances"] == {
+            key: read.get(key)
+            for key in ("factor", "path", "residual", "headline")}
+
     @pytest.mark.parametrize("trunc, samples", [(32, 256), (64, 512)])
     def test_manifest_samples_follow_trunc(self, tmp_path, trunc, samples):
         assert run_cli(["birkhoff", "--count", "5", "--trunc", str(trunc),
@@ -480,6 +494,27 @@ class TestBirkhoffPipeline:
         assert [len(f) for f in flags] == [
             min(loops._BLOCK, count - lo)
             for lo in range(0, count, loops._BLOCK)]
+
+    def test_generation_and_factorization_share_blocks_at_order_64(
+            self, monkeypatch, tmp_path):
+        # at N = 64 a block holds 16 loops, in the generator as in the LU,
+        # so the factorization never splits a streamed block again
+        exp_samples, lu_block = loops._exp_samples, birkhoff._lu_block
+        made, factored = [], []
+
+        def exp_spy(vals):
+            made.append(len(vals))
+            return exp_samples(vals)
+
+        def lu_spy(cs, order, n):
+            factored.append(len(cs))
+            return lu_block(cs, order, n)
+
+        monkeypatch.setattr(loops, "_exp_samples", exp_spy)
+        monkeypatch.setattr(birkhoff, "_lu_block", lu_spy)
+        assert run_cli(["birkhoff", "--trunc", "64", "--count", "40",
+                        "--out", str(tmp_path)]) == cli.EXIT_PASS
+        assert made == factored == [16, 16, 8]
 
     def test_tail_failure_names_the_loop_the_stack_names(self, monkeypatch,
                                                           capsys):

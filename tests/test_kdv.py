@@ -235,9 +235,6 @@ class TestTauGrid:
         mix_xt = derivative(vt, g.xs, 1)
         assert np.abs(mix_tq - mix_xt).max() < 1e-6
 
-    def test_all_nodes_in_big_cell(self, one_pole_grid):
-        assert one_pole_grid.bigcell.all()
-
     def test_u_is_scaled_x_derivative_of_q(self, one_pole_grid):
         g = one_pole_grid
         want = -2.0 * derivative(g.q, g.xs, 1)

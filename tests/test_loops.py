@@ -348,13 +348,13 @@ class TestRandomStacks:
         assert rng_stack.bit_generator.state == rng_loop.bit_generator.state
 
     def test_tangents_drawn_in_blocks_equal_one_draw(self):
-        # the generator's core draws each block's normals in turn; the
-        # blocks are the stack drawn in one call, and leave rng as it does
+        # stacks drawn in turn, as random_unimodular_blocks draws its
+        # blocks, are the stack drawn in one call, and leave rng as it does
         count = 2 * loops._BLOCK + 5
         rng_whole, rng_blocks = (np.random.default_rng(3) for _ in range(2))
         whole = tf.random_tangent_stack(rng_whole, count)
-        draw = loops._tangent_draw(rng_blocks)
-        blocks = [draw(min(loops._BLOCK, count - lo))
+        blocks = [tf.random_tangent_stack(rng_blocks,
+                                          min(loops._BLOCK, count - lo))
                   for lo in range(0, count, loops._BLOCK)]
         assert np.array_equal(np.concatenate(blocks), whole)
         assert rng_blocks.bit_generator.state == rng_whole.bit_generator.state
