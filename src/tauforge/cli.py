@@ -123,7 +123,8 @@ class ExperimentConfig:
     def resolved_tol_path(self) -> float:
         if self.tol_path is not None:
             return self.tol_path
-        return ernst.PATH_TOL if self.pipeline == "ernst" else 1e-7
+        return (ernst.PATH_TOL if self.pipeline == "ernst"
+                else kdv.CROSSCHECK_TOL)
 
     def resolved_preset(self) -> tuple[str, dict]:
         text = self.preset or DEFAULT_PRESETS[self.pipeline]
@@ -369,7 +370,6 @@ def _run_kdv(config: ExperimentConfig):
         "telemetry": {
             "points_factored": grid.points_factored,
             "min_abs_det_on_path": grid.min_abs_det,
-            "crosscheck_worst_cell": crosscheck,
             "crosscheck_points": {"x": points[0], "t": points[1]},
             "worst_factor_residual": worst,
             "factor_residual_margin": margin,
@@ -450,11 +450,8 @@ def _run_birkhoff(config: ExperimentConfig):
         Check("big_cell_fraction", float((~ok).mean()), 0.0),
     ]
     extra = {
-        "summary": {"loops": int(config.count), "max_residual": worst},
         "telemetry": {
-            "loops_factored": len(residuals),
             "not_ok": int((~ok).sum()),
-            "worst_residual": worst,
             "residual_margin": margin,
             "near_misses": near_misses,
         },
@@ -531,6 +528,16 @@ _DISPATCH = {
     "ernst": _run_ernst,
     "birkhoff": _run_birkhoff,
     "selftest": _run_selftest,
+}
+
+# exception a pipeline raises -> (check its [FAIL] line names, exit code);
+# run takes the first entry the exception is an instance of, so a
+# PathCrossesBadCellError is a BigCellError here
+_FAILURES = {
+    BigCellError: ("big_cell_required_node", EXIT_BIG_CELL),
+    PathRefinementError: ("path_refinement", EXIT_CHECK_FAILED),
+    TailMassError: ("tail_mass", EXIT_CHECK_FAILED),
+    NumericalInvariantError: ("numerical_invariant", EXIT_CHECK_FAILED),
 }
 
 
@@ -827,18 +834,11 @@ def run(config: ExperimentConfig) -> int:
 
     try:
         checks, header, columns, extra = _DISPATCH[config.pipeline](config)
-    except BigCellError as err:
-        print(f"[FAIL] big_cell_required_node: {err}")
-        return EXIT_BIG_CELL
-    except PathRefinementError as err:
-        print(f"[FAIL] path_refinement: {err}")
-        return EXIT_CHECK_FAILED
-    except TailMassError as err:
-        print(f"[FAIL] tail_mass: {err}")
-        return EXIT_CHECK_FAILED
-    except NumericalInvariantError as err:
-        print(f"[FAIL] numerical_invariant: {err}")
-        return EXIT_CHECK_FAILED
+    except tuple(_FAILURES) as err:
+        check, code = next(entry for kind, entry in _FAILURES.items()
+                           if isinstance(err, kind))
+        print(f"[FAIL] {check}: {err}")
+        return code
 
     elapsed = time.perf_counter() - start
     for c in checks:

@@ -1,7 +1,7 @@
 """Ernst pipeline: Weyl-class metrics, d log tau in closed form, tau fields.
 
-A solution is carried as an axisymmetric potential psi(r, z) with analytic
-first and second derivatives; the induced metric block is
+A solution is carried as the analytic first and second derivatives of an
+axisymmetric potential psi(r, z); the induced metric block is
 
     J(r, z) = diag(r e^psi, -r e^{-psi}),        det J = -r^2.
 
@@ -36,72 +36,65 @@ from .quadrature import cumulative_from, refine_path_cells, validated_axes
 from .twistor import ernst_frame
 
 BASE_POINT = (1.0, 0.0)
-# refinement cap of each path leg: at most 512 Gauss nodes per cell, since
-# computing n nodes costs O(n^3) and deeper levels would stall a failing run
-PATH_MAX_LEVEL = 8
 # default tolerance of both path legs
 PATH_TOL = 1e-9
+# s in d = (d_z + s d_r) / 2 for each direction, as w = z + i r
+_DIRECTION_SIGN = {"wbar": 1j, "w": -1j}
 
 
 @dataclass(frozen=True)
 class ErnstSolution:
-    """Weyl potential with analytic derivatives; see the module docstring."""
+    """Weyl potential psi by its analytic derivatives: first(r, z) gives
+    (psi_r, psi_z) and second(r, z) gives (psi_rr, psi_zz), each broadcast
+    to the shape of (r, z); see the module docstring."""
 
     label: str
-    psi: Callable
-    psi_r: Callable
-    psi_z: Callable
-    psi_rr: Callable
-    psi_zz: Callable
+    first: Callable
+    second: Callable
 
 
-def _zeros_like_pair(r, z):
-    return np.zeros(np.broadcast(np.asarray(r), np.asarray(z)).shape)
+def _radial(fn):
+    """Derivative pair (fn(r), 0) of a potential of r alone, broadcast to
+    the shape of (r, z)."""
+
+    def pair(r, z):
+        zero = np.zeros(np.broadcast(np.asarray(r), np.asarray(z)).shape)
+        return fn(r) + zero, zero
+
+    return pair
+
+
+_ZERO_PAIR = _radial(lambda r: 0.0)
 
 
 def flat() -> ErnstSolution:
-    z0 = _zeros_like_pair
-    return ErnstSolution("flat", psi=z0, psi_r=z0, psi_z=z0,
-                         psi_rr=z0, psi_zz=z0)
+    return ErnstSolution("flat", _ZERO_PAIR, _ZERO_PAIR)
 
 
 def kasner(a: float = 0.7) -> ErnstSolution:
     """psi = a log r; harmonic for every a."""
-    return ErnstSolution(
-        f"kasner({a:g})",
-        psi=lambda r, z: a * np.log(r) + _zeros_like_pair(r, z),
-        psi_r=lambda r, z: a / r + _zeros_like_pair(r, z),
-        psi_z=_zeros_like_pair,
-        psi_rr=lambda r, z: -a / r ** 2 + _zeros_like_pair(r, z),
-        psi_zz=_zeros_like_pair)
+    return ErnstSolution(f"kasner({a:g})", _radial(lambda r: a / r),
+                         _radial(lambda r: -a / r ** 2))
 
 
 def point_source(strength: float = 0.8, z0: float = -1.5) -> ErnstSolution:
     """psi = strength / sqrt(r^2 + (z - z0)^2), the axis monopole."""
 
-    def rad(r, z):
-        return np.sqrt(r ** 2 + (z - z0) ** 2)
+    def first(r, z):
+        rad = np.sqrt(r ** 2 + (z - z0) ** 2)
+        return -strength * r / rad ** 3, -strength * (z - z0) / rad ** 3
 
-    return ErnstSolution(
-        f"point_source({strength:g})",
-        psi=lambda r, z: strength / rad(r, z),
-        psi_r=lambda r, z: -strength * r / rad(r, z) ** 3,
-        psi_z=lambda r, z: -strength * (z - z0) / rad(r, z) ** 3,
-        psi_rr=lambda r, z: strength * (3 * r ** 2 / rad(r, z) ** 5
-                                        - 1.0 / rad(r, z) ** 3),
-        psi_zz=lambda r, z: strength * (3 * (z - z0) ** 2 / rad(r, z) ** 5
-                                        - 1.0 / rad(r, z) ** 3))
+    def second(r, z):
+        rad = np.sqrt(r ** 2 + (z - z0) ** 2)
+        return (strength * (3 * r ** 2 / rad ** 5 - 1.0 / rad ** 3),
+                strength * (3 * (z - z0) ** 2 / rad ** 5 - 1.0 / rad ** 3))
+
+    return ErnstSolution(f"point_source({strength:g})", first, second)
 
 
 def non_solution() -> ErnstSolution:
     """psi = r, deliberately non-harmonic; sensitivity control."""
-    return ErnstSolution(
-        "non_solution",
-        psi=lambda r, z: r + _zeros_like_pair(r, z),
-        psi_r=lambda r, z: 1.0 + _zeros_like_pair(r, z),
-        psi_z=_zeros_like_pair,
-        psi_rr=_zeros_like_pair,
-        psi_zz=_zeros_like_pair)
+    return ErnstSolution("non_solution", _radial(lambda r: 1.0), _ZERO_PAIR)
 
 
 # -- pointwise evaluations ----------------------------------------------
@@ -114,8 +107,9 @@ def field_residual(sol: ErnstSolution, r, z) -> float:
     Laplacian of psi; the entries are assembled from the analytic
     derivatives without cancelling terms by hand.
     """
-    lap = sol.psi_rr(r, z) + sol.psi_r(r, z) / np.asarray(r) + sol.psi_zz(r, z)
-    lap = np.asarray(lap)
+    pr, _ = sol.first(r, z)
+    prr, pzz = sol.second(r, z)
+    lap = np.asarray(prr + pr / np.asarray(r) + pzz)
     mat = np.zeros(lap.shape + (2, 2))
     mat[..., 0, 0] = lap
     mat[..., 1, 1] = -lap
@@ -128,22 +122,23 @@ def field_residual(sol: ErnstSolution, r, z) -> float:
 def _d_r_logtau(sol, r, z):
     """i (d/dw - d/dwbar) log tau = (r/2) (psi_r^2 - psi_z^2) + 1/(2 r)."""
     r = np.asarray(r, dtype=float)
-    pr, pz = sol.psi_r(r, z), sol.psi_z(r, z)
+    pr, pz = sol.first(r, z)
     return 0.5 * r * (pr * pr - pz * pz) + 0.5 / r
 
 
 def _d_z_logtau(sol, r, z):
     """(d/dw + d/dwbar) log tau = r psi_r psi_z."""
     r = np.asarray(r, dtype=float)
-    return r * sol.psi_r(r, z) * sol.psi_z(r, z)
+    pr, pz = sol.first(r, z)
+    return r * pr * pz
 
 
 def dlogtau(sol: ErnstSolution, r, z, direction: str = "wbar"):
     """Closed-form d log tau in the w or wbar direction, (d_z -+ i d_r)/2."""
-    if direction not in ("w", "wbar"):
+    if direction not in _DIRECTION_SIGN:
         raise ValueError("direction must be 'w' or 'wbar'")
-    s = {"wbar": 1j, "w": -1j}[direction]
-    val = 0.5 * (_d_z_logtau(sol, r, z) + s * _d_r_logtau(sol, r, z))
+    val = 0.5 * (_d_z_logtau(sol, r, z)
+                 + _DIRECTION_SIGN[direction] * _d_r_logtau(sol, r, z))
     return complex(val) if val.ndim == 0 else val
 
 
@@ -151,9 +146,8 @@ def _trace_square(sol: ErnstSolution, r, z, direction: str):
     """tr((J^-1 dJ)^2) for d = d/dw or d/dwbar at (r, z)."""
     r = np.asarray(r, dtype=float)
     z = np.asarray(z, dtype=float)
-    pr = sol.psi_r(r, z)
-    pz = sol.psi_z(r, z)
-    s = {"wbar": 1j, "w": -1j}[direction]
+    pr, pz = sol.first(r, z)
+    s = _DIRECTION_SIGN[direction]
     # diagonal entries of J^-1 dJ = d log(diagonal)
     d_top = 0.5 * (pz + s * (1.0 / r + pr))
     d_bot = 0.5 * (-pz + s * (1.0 / r - pr))
@@ -224,8 +218,7 @@ def _leg(sol: ErnstSolution, along: str, nodes, anchor: float, fixed,
             return _d_z_logtau(sol, fixed[cols], pts)
     breaks = np.union1d(nodes, [anchor])
     cells = np.column_stack([breaks[:-1], breaks[1:]])
-    vals, level, change = refine_path_cells(
-        integrand, cells, len(fixed), tol, max_level=PATH_MAX_LEVEL)
+    vals, level, change = refine_path_cells(integrand, cells, len(fixed), tol)
     cum = cumulative_from(breaks, vals, anchor)
     return cum[:, np.searchsorted(breaks, nodes)], level, change
 

@@ -78,6 +78,8 @@ from .twistor import SymmetryGenerator, decompose
 
 # nodes of the polynomial behind each cell integral of path_crosscheck
 CELL_RULE_POINTS = 8
+# default bound on path_crosscheck's worst per-cell difference
+CROSSCHECK_TOL = 1e-7
 
 # kdv_residual's margin of x nodes: u is one-sided within
 # derivative_width(1) // 2 nodes of the x edges, and the u_xxx stencil must

@@ -265,12 +265,11 @@ def curvature_mismatch(gamma: MatrixLoop, u, v) -> complex:
     def flow(direction, sign):
         return multiply(exp_pointwise(direction.scaled(sign * eps)), gamma)
 
-    def f(w, at):
-        return vacuum_logderiv_gauge(at, w)
-
-    du_fv = (f(v, flow(u, +1)) - f(v, flow(u, -1))) / (2 * eps)
-    dv_fu = (f(u, flow(v, +1)) - f(u, flow(v, -1))) / (2 * eps)
-    bracket = f(commutator(u, v), gamma)
+    du_fv = (vacuum_logderiv_gauge(flow(u, +1), v)
+             - vacuum_logderiv_gauge(flow(u, -1), v)) / (2 * eps)
+    dv_fu = (vacuum_logderiv_gauge(flow(v, +1), u)
+             - vacuum_logderiv_gauge(flow(v, -1), u)) / (2 * eps)
+    bracket = vacuum_logderiv_gauge(gamma, commutator(u, v))
     return complex(du_fv - dv_fu + bracket)
 
 

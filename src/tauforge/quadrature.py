@@ -27,6 +27,10 @@ import numpy as np
 
 # nodes per cell of the coarse rule at level 1
 BASE_NODES = 2
+# refinement cap of refine_path_cells: at most 512 Gauss nodes per cell,
+# since computing n nodes costs O(n^3) and deeper levels would stall a
+# failing run
+MAX_LEVEL = 8
 
 
 class PathRefinementError(Exception):
@@ -60,7 +64,7 @@ def cumulative_from(breaks, cell_values, anchor: float):
 
 
 def refine_path_cells(eval_fn, cells, n_cols: int, tol: float,
-                      max_level: int = 6):
+                      max_level: int = MAX_LEVEL):
     """Per-cell integrals for n_cols independent integrands.
 
     cells: (n_cells, 2) interval endpoints.  Each Gauss rule makes one call

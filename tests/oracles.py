@@ -4,12 +4,13 @@ The package evaluates every contour formula on sample stacks; these
 references work at coefficient level (or from samples alone), so they stay
 independent of the kernels they check.  The single-point routes for the
 KdV potential q and the twistor helpers are the tests' second routes: no
-pipeline runs them.
+pipeline runs them.  widom_det gives the N -> infinity limit of det T_N
+from Hankel blocks alone, with no factorization.
 """
 
 import numpy as np
 
-from tauforge import kdv
+from tauforge import ernst, kdv
 from tauforge.birkhoff import _toeplitz_index, factorize
 from tauforge.loops import DEFAULT_ORDER, MatrixLoop, adjugate_2x2
 from tauforge.phase_space import vacuum_logderiv_gauge
@@ -39,6 +40,33 @@ def toeplitz_matrix(loop: MatrixLoop) -> np.ndarray:
     """Dense T_N, the matrix the LU route factors; block (m, j) holds the
     loop's mode m - j."""
     return loop.coeffs.reshape(-1)[_toeplitz_index(loop.order, loop.n)]
+
+
+def widom_det(coeffs, K: int) -> complex:
+    """E_K = det(I - H_K(gamma) H~_K(gamma^-1)) of a 2x2 loop with det 1,
+    from its (2N+1, 2, 2) coefficients.
+
+    Widom's T(a b) = T(a) T(b) + H(a) H~(b) gives T(gamma) T(gamma^-1) =
+    I - H(gamma) H~(gamma^-1), whose determinant is the limit of det T_N
+    as N grows (Szego-Widom, with G(gamma) = 1).  H_K(gamma) has the 2x2
+    blocks gamma_{i+j+1} and H~_K(gamma^-1) the blocks
+    adj(gamma)_{-(i+j+1)}, i, j < K: for det gamma = 1 the modes of
+    gamma^-1 are the adjugates of gamma's.  A loop of order N has no Hankel
+    mode past N, so from K = N on E_K is E itself, with no finite section.
+    """
+    coeffs = np.asarray(coeffs)
+    order = (len(coeffs) - 1) // 2
+    ij = np.add.outer(np.arange(K), np.arange(K)) + 1
+
+    def hankel(modes, ks):
+        inside = np.abs(ks) <= order
+        blocks = np.where(inside[..., None, None],
+                          modes[np.where(inside, ks + order, 0)], 0)
+        return blocks.transpose(0, 2, 1, 3).reshape(2 * K, 2 * K)
+
+    h = hankel(coeffs, ij)
+    h_tilde = hankel(adjugate_2x2(coeffs), -ij)
+    return complex(np.linalg.det(np.eye(2 * K) - h @ h_tilde))
 
 
 # -- evaluation off the sample grid and mode projections -------------------
@@ -124,3 +152,22 @@ def decomposition_residual(dec, y, x, lams) -> float:
         rt = f1 + h * xt - yt
         worst = max(worst, abs(rv), abs(rx), abs(rt))
     return worst
+
+
+# -- Ernst ------------------------------------------------------------------
+
+
+def shear_solution() -> ernst.ErnstSolution:
+    """psi = r z: non-harmonic with a z-dependence, so it fails the field
+    equations and d log tau is not closed; the curl of the 1-form works
+    out to r z exactly."""
+
+    def first(r, z):
+        r, z = np.asarray(r), np.asarray(z)
+        return z + 0.0 * r, r + 0.0 * z
+
+    def second(r, z):
+        zero = np.zeros(np.broadcast(np.asarray(r), np.asarray(z)).shape)
+        return zero, zero
+
+    return ernst.ErnstSolution("shear", first, second)

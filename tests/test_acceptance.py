@@ -34,7 +34,7 @@ from tauforge.phase_space import (
 )
 from tauforge.quadrature import derivative
 
-from oracles import pullback_patching, q_contour, q_expansion
+from oracles import pullback_patching, q_contour, q_expansion, shear_solution
 
 AXIS_51 = np.linspace(-0.5, 0.5, 51)
 AXIS_101 = np.linspace(-0.5, 0.5, 101)
@@ -65,20 +65,6 @@ def twist_loop() -> MatrixLoop:
     coeffs[33, 0, 0] = 1.0
     coeffs[31, 1, 1] = 1.0
     return MatrixLoop(coeffs)
-
-
-def shear_solution() -> ernst.ErnstSolution:
-    """psi = r z: fails the field equations and has a non-closed 1-form."""
-
-    def zeros(r, z):
-        return np.zeros(np.broadcast(np.asarray(r), np.asarray(z)).shape)
-
-    return ernst.ErnstSolution(
-        "shear",
-        psi=lambda r, z: np.asarray(r) * np.asarray(z),
-        psi_r=lambda r, z: np.asarray(z) + 0.0 * np.asarray(r),
-        psi_z=lambda r, z: np.asarray(r) + 0.0 * np.asarray(z),
-        psi_rr=zeros, psi_zz=zeros)
 
 
 @pytest.fixture(scope="module")

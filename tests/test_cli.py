@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tauforge import birkhoff, cli, ernst, kdv, loops
+from tauforge import birkhoff, cli, ernst, kdv, loops, quadrature
 
 SMALL_KDV = ["--grid", "-0.4:0.4:11"]
 
@@ -283,9 +283,9 @@ class TestKdvPipeline:
         manifest = json.loads((tmp_path / "kdv_manifest.json").read_text())
         telemetry = manifest["extra"]["telemetry"]
         assert sorted(telemetry) == [
-            "crosscheck_points", "crosscheck_worst_cell",
-            "factor_residual_margin", "min_abs_det_on_path", "near_misses",
-            "points_factored", "worst_factor_residual"]
+            "crosscheck_points", "factor_residual_margin",
+            "min_abs_det_on_path", "near_misses", "points_factored",
+            "worst_factor_residual"]
         assert telemetry["crosscheck_points"] == {"x": 8, "t": 8}
         worst = telemetry["worst_factor_residual"]
         assert 0 < worst <= manifest["tolerances"]["factor"]
@@ -443,7 +443,7 @@ class TestErnstPipeline:
         for leg in ("r", "z"):
             level = telemetry["logtau_levels"][leg]
             assert isinstance(level, int)
-            assert 1 <= level <= ernst.PATH_MAX_LEVEL == 8
+            assert 1 <= level <= quadrature.MAX_LEVEL == 8
             assert 0 <= telemetry["logtau_final_change"][leg] <= tol
         assert sorted(telemetry["logtau_levels"]) == ["r", "z"]
         assert sorted(telemetry["logtau_final_change"]) == ["r", "z"]
@@ -559,16 +559,17 @@ class TestBirkhoffPipeline:
     def test_telemetry_keys(self, tmp_path):
         assert run_cli(["birkhoff", "--count", "30", "--out", str(tmp_path)]) == 0
         manifest = json.loads((tmp_path / "birkhoff_manifest.json").read_text())
+        # the loop count and the worst residual are the top-level count
+        # and the round_trip_residual check, and nowhere else
+        assert sorted(manifest["extra"]) == ["telemetry"]
         telemetry = manifest["extra"]["telemetry"]
-        assert sorted(telemetry) == [
-            "loops_factored", "near_misses", "not_ok", "residual_margin",
-            "worst_residual"]
+        assert sorted(telemetry) == ["near_misses", "not_ok", "residual_margin"]
         tol = manifest["tolerances"]["factor"]
-        assert telemetry["loops_factored"] == 30
+        assert manifest["count"] == 30
         assert telemetry["not_ok"] == 0
-        assert telemetry["worst_residual"] == manifest["extra"]["summary"][
-            "max_residual"]
-        assert telemetry["residual_margin"] == tol / telemetry["worst_residual"]
+        worst = next(c["value"] for c in manifest["checks"]
+                     if c["name"] == "round_trip_residual")
+        assert telemetry["residual_margin"] == tol / worst
         assert telemetry["residual_margin"] > 10
         assert telemetry["near_misses"] == 0
 

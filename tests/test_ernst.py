@@ -6,6 +6,8 @@ import pytest
 from tauforge import ernst
 from tauforge.twistor import ernst_frame
 
+from oracles import shear_solution
+
 POINTS = [(0.3, -0.4), (1.0, 0.0), (2.7, 1.1)]
 KASNER_SWEEP = [0.0, 0.3, 0.7, 1.2]
 
@@ -18,21 +20,6 @@ def axes():
 @pytest.fixture(scope="module")
 def source():
     return ernst.point_source(0.8, -1.5)
-
-
-def shear_solution():
-    """psi = r z: non-harmonic with a z-dependence, so d log tau is not
-    closed; the curl of the 1-form works out to r z exactly."""
-
-    def zeros(r, z):
-        return np.zeros(np.broadcast(np.asarray(r), np.asarray(z)).shape)
-
-    return ernst.ErnstSolution(
-        "shear",
-        psi=lambda r, z: np.asarray(r) * np.asarray(z),
-        psi_r=lambda r, z: np.asarray(z) + 0.0 * np.asarray(r),
-        psi_z=lambda r, z: np.asarray(r) + 0.0 * np.asarray(z),
-        psi_rr=zeros, psi_zz=zeros)
 
 
 class TestSolutions:

@@ -84,7 +84,9 @@ def test_tol_below_roundoff_raises():
     def eval_fn(points, cols):
         return np.exp(3j * points) / (points - (0.5 + 0.1j))
 
-    with pytest.raises(PathRefinementError, match="no convergence to 1.0e-30"):
+    # the default cap is quadrature's MAX_LEVEL, the one every caller gets
+    with pytest.raises(PathRefinementError,
+                       match="no convergence to 1.0e-30 within 8 levels"):
         refine_path_cells(eval_fn, CELLS, 1, 1e-30)
 
 

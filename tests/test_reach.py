@@ -33,7 +33,6 @@ ALLOWED = {
     "phase_space.hamiltonian_diffeo": 11,
     "phase_space.curvature_mismatch": 11,
     "phase_space.curvature_mismatch.<locals>.flow": 11,
-    "phase_space.curvature_mismatch.<locals>.f": 11,
 }
 
 
