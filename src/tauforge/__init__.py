@@ -10,12 +10,10 @@ from .loops import (
     TAIL_THRESHOLD,
     MatrixLoop,
     NumericalInvariantError,
-    ScalarLoop,
     SingularLoopError,
     TailMassError,
     exp_pointwise,
     inverse,
-    mean_theta,
     monomial,
     multiply,
     random_tangent,
@@ -77,66 +75,3 @@ from .ernst import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_ORDER",
-    "TAIL_THRESHOLD",
-    "BigCellError",
-    "BirkhoffFactors",
-    "ConformalFactorReport",
-    "DegenerateFrameError",
-    "DirectionDecomposition",
-    "ErnstSolution",
-    "ErnstTauField",
-    "KdVSeed",
-    "LoopTangent",
-    "MatrixLoop",
-    "NumericalInvariantError",
-    "PathCrossesBadCellError",
-    "PathRefinementError",
-    "RationalFunction",
-    "ScalarLoop",
-    "SingularLoopError",
-    "SymmetryGenerator",
-    "TailMassError",
-    "TauGrid",
-    "cocycle",
-    "conformal_factor_check",
-    "curvature_mismatch",
-    "decompose",
-    "dlogtau",
-    "ernst_frame",
-    "exp_pointwise",
-    "factorize",
-    "factorize_batch",
-    "field_residual",
-    "flat",
-    "hamiltonian_diffeo",
-    "hamiltonian_gauge",
-    "inverse",
-    "kasner",
-    "kdv_residual",
-    "logtau_field",
-    "mean_theta",
-    "monomial",
-    "multiply",
-    "non_solution",
-    "phi_normal_form",
-    "point_source",
-    "poisson_anomaly",
-    "pullback_coeff_batch",
-    "random_tangent",
-    "random_tangent_stack",
-    "random_unimodular_loop",
-    "random_unimodular_stack",
-    "rectangle_loop_integral",
-    "refine_path_cells",
-    "reduced_symplectic",
-    "residue_check",
-    "seed_one_pole",
-    "seed_vacuum",
-    "tau_grid",
-    "vacuum_logderiv_diffeo",
-    "vacuum_logderiv_gauge",
-    "__version__",
-]

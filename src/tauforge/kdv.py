@@ -56,7 +56,6 @@ from .loops import (
     DEFAULT_ORDER,
     TAIL_THRESHOLD,
     MatrixLoop,
-    ScalarLoop,
     TailMassError,
     _stream_blocks,
     circle_points,
@@ -176,7 +175,7 @@ def _pullback_values(seed: KdVSeed, x, t, order: int, half=False):
     lam = circle_points(m)[:keep]
     x = np.atleast_1d(np.asarray(x, dtype=complex))[:, None]
     t = np.atleast_1d(np.asarray(t, dtype=complex))[:, None]
-    p0 = np.moveaxis(MatrixLoop.samples(seed.p0, m), -3, -1)[..., :keep]
+    p0 = np.moveaxis(seed.p0.samples(m), -3, -1)[..., :keep]
     phi_p0 = np.stack([p0[1] / lam, p0[0]])
     with np.errstate(over="ignore", invalid="ignore"):
         c, mu_s = _exp_minus_mu_phi(lam * x + lam ** 2 * t, lam)
@@ -217,9 +216,11 @@ def _direction_u(direction: str) -> MatrixLoop:
     """u = h(lambda) Phi(lambda), h the multiplier of the x or t direction."""
     y = {"x": SymmetryGenerator.d_x, "t": SymmetryGenerator.d_t}[direction]()
     h = decompose(y, SymmetryGenerator.d_v()).h
-    # h is a polynomial of degree <= 2, held exactly at order 2
-    return multiply(ScalarLoop.from_scalar_function(h.eval, order=2),
-                    phi_normal_form(order=2))
+    # h is a polynomial of degree <= 2, held exactly at order 2 as a 1x1 loop
+    lam = circle_points(default_sample_count(2))
+    h_loop = MatrixLoop.from_samples(h.eval(lam)[:, None, None], 2,
+                                     tail_tol=TAIL_THRESHOLD)
+    return multiply(h_loop, phi_normal_form(order=2))
 
 
 def _q_of(minus):

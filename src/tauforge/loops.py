@@ -257,7 +257,8 @@ def _stream_blocks(make, items, order: int, fn, half: bool = False,
 
 class MatrixLoop:
     """Matrix-valued loop with modes -order..order; its circle grid has
-    default_sample_count(order) points."""
+    default_sample_count(order) points.  The one loop class: a scalar
+    multiplier is its n = 1 case, which 1-D coefficients also give."""
 
     def __init__(self, coeffs):
         coeffs = np.asarray(coeffs, dtype=complex)
@@ -322,58 +323,38 @@ class MatrixLoop:
         if order >= self.order:
             coeffs = np.zeros((2 * order + 1, self.n, self.n), dtype=complex)
             coeffs[order - self.order:order + self.order + 1] = self.coeffs
-            return type(self)(coeffs)
+            return MatrixLoop(coeffs)
         ks = np.arange(-self.order, self.order + 1)
         dropped = _tail_fraction(self.coeffs, np.abs(ks) <= order)
         _check_tail(dropped, TAIL_THRESHOLD,
                     f"mass dropped by truncation to order {order}")
         sl = slice(self.order - order, self.order + order + 1)
-        return type(self)(self.coeffs[sl].copy())
+        return MatrixLoop(self.coeffs[sl].copy())
 
     def derivative_theta(self) -> "MatrixLoop":
         ks = np.arange(-self.order, self.order + 1)
-        return type(self)(1j * ks[:, None, None] * self.coeffs)
+        return MatrixLoop(1j * ks[:, None, None] * self.coeffs)
 
-    def trace(self) -> "ScalarLoop":
-        return ScalarLoop(np.trace(self.coeffs, axis1=1, axis2=2))
+    def trace(self) -> "MatrixLoop":
+        return MatrixLoop(np.trace(self.coeffs, axis1=1, axis2=2))
 
     def scaled(self, factor: complex) -> "MatrixLoop":
-        return type(self)(self.coeffs * factor)
+        return MatrixLoop(self.coeffs * factor)
 
     def __add__(self, other):
         order = max(self.order, other.order)
         a, b = self.truncate(order), other.truncate(order)
-        cls = ScalarLoop if isinstance(self, ScalarLoop) and isinstance(other, ScalarLoop) \
-            else MatrixLoop
-        return cls(a.coeffs + b.coeffs)
+        return MatrixLoop(a.coeffs + b.coeffs)
 
     def __sub__(self, other):
         return self + other.scaled(-1.0)
-
-
-class ScalarLoop(MatrixLoop):
-    """Scalar loop (n = 1), held as 1x1 blocks: the multiplier of a 2x2
-    loop in a product."""
-
-    def __init__(self, coeffs):
-        super().__init__(coeffs)
-        if self.n != 1:
-            raise ValueError("ScalarLoop requires n = 1")
-
-    @classmethod
-    def from_scalar_function(cls, fn,
-                             order: int = DEFAULT_ORDER) -> "ScalarLoop":
-        m = default_sample_count(order)
-        vals = np.asarray(fn(circle_points(m)), dtype=complex)[:, None, None]
-        return cls.from_samples(vals, order, tail_tol=TAIL_THRESHOLD)
 
 
 def monomial(k: int, block, order: int | None = None) -> MatrixLoop:
     """Single-mode loop block * lambda^k."""
     block = np.atleast_2d(np.asarray(block, dtype=complex))
     order = order if order is not None else max(abs(k), 1)
-    cls = ScalarLoop if block.shape == (1, 1) else MatrixLoop
-    return cls.from_modes({k: block}, n=block.shape[0], order=order)
+    return MatrixLoop.from_modes({k: block}, n=block.shape[0], order=order)
 
 
 # -- pointwise algebra ---------------------------------------------------
@@ -381,20 +362,14 @@ def monomial(k: int, block, order: int | None = None) -> MatrixLoop:
 def multiply(a: MatrixLoop, b: MatrixLoop) -> MatrixLoop:
     """Dealiased product; exact at truncation order_a + order_b.
 
-    Scalar factors broadcast against matrix factors.
+    A 1x1 factor broadcasts against the other as a scalar multiplier.
     """
     exact_order = a.order + b.order
     m = _fast_len(4 * exact_order + 2)
     sa = coeffs_to_samples(a.coeffs, m)
     sb = coeffs_to_samples(b.coeffs, m)
-    if a.n == 1 and b.n > 1:
-        prod = sa[:, 0, 0][:, None, None] * sb
-    elif b.n == 1 and a.n > 1:
-        prod = sa * sb[:, 0, 0][:, None, None]
-    else:
-        prod = sa @ sb
-    cls = ScalarLoop if prod.shape[1] == 1 else MatrixLoop
-    return cls(samples_to_coeffs(prod, exact_order))
+    prod = sa * sb if 1 in (a.n, b.n) else sa @ sb
+    return MatrixLoop(samples_to_coeffs(prod, exact_order))
 
 
 def inverse(a: MatrixLoop) -> MatrixLoop:
@@ -526,11 +501,6 @@ def exp_pointwise(a: MatrixLoop) -> MatrixLoop:
     """
     exp_vals = _exp_samples(a.samples())
     return MatrixLoop.from_samples(exp_vals, a.order, tail_tol=TAIL_THRESHOLD)
-
-
-def mean_theta(f: ScalarLoop) -> complex:
-    """(1/2 pi) integral of f dtheta = mode-0 coefficient."""
-    return complex(f.coeff(0)[0, 0])
 
 
 def commutator(a: MatrixLoop, b: MatrixLoop) -> MatrixLoop:

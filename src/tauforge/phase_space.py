@@ -21,7 +21,6 @@ from .birkhoff import BirkhoffFactors, factorize
 from .loops import (
     MatrixLoop,
     NumericalInvariantError,
-    ScalarLoop,
     adjugate_2x2,
     check_sample_condition,
     circle_points,
@@ -31,7 +30,6 @@ from .loops import (
     det_2x2,
     exp_pointwise,
     matmul_2x2,
-    mean_theta,
     multiply,
 )
 
@@ -55,11 +53,11 @@ class LoopTangent:
     traceless: bool = False
 
     def antihermitian_defect(self) -> float:
-        vals = MatrixLoop.samples(self.loop)
+        vals = self.loop.samples()
         return float(np.abs(vals + vals.conj().transpose(0, 2, 1)).max())
 
     def trace_defect(self) -> float:
-        vals = MatrixLoop.samples(self.loop)
+        vals = self.loop.samples()
         return float(np.abs(np.trace(vals, axis1=1, axis2=2)).max())
 
     def validate(self) -> "LoopTangent":
@@ -118,7 +116,7 @@ def hamiltonian_gauge(gamma: MatrixLoop, u, check_real: bool | None = None):
     return _maybe_real(value, check_real, default=default)
 
 
-def hamiltonian_diffeo(gamma: MatrixLoop, xi: ScalarLoop,
+def hamiltonian_diffeo(gamma: MatrixLoop, xi: MatrixLoop,
                        check_real: bool = False):
     """H_xi(gamma) = (1/4 pi) contour xi tr((gamma' gamma^-1)^2) dtheta.
 
@@ -134,7 +132,7 @@ def hamiltonian_diffeo(gamma: MatrixLoop, xi: ScalarLoop,
 def cocycle(u, v) -> complex:
     """Central-extension cocycle c(u, v) = (1/2 pi) contour tr(u dv)."""
     u, v = _as_loop(u), _as_loop(v)
-    return mean_theta(multiply(u, v.derivative_theta()).trace())
+    return complex(multiply(u, v.derivative_theta()).trace().coeff(0)[0, 0])
 
 
 def poisson_anomaly(gamma: MatrixLoop, u, v, eps: float = 1e-4) -> complex:
@@ -228,7 +226,7 @@ def vacuum_logderiv_gauge(gamma_or_factors, u) -> complex:
     return complex(gauge_variation(g.coeffs, u.samples(m)))
 
 
-def vacuum_logderiv_diffeo(gamma_or_factors, xi10: ScalarLoop) -> complex:
+def vacuum_logderiv_diffeo(gamma_or_factors, xi10: MatrixLoop) -> complex:
     """Reparametrization part of d log tau for the lifted field xi10 d/dlambda.
 
     -(1/4 pi i) contour xi10 [tr((dg g^-1)^2) - tr((dg+ g+^-1)^2)] dlambda,

@@ -63,18 +63,16 @@ def cumulative_from(breaks, cell_values, anchor: float):
     return (cum - cum[:, idx][:, None]).astype(out)
 
 
-def refine_path_cells(eval_fn, cells, n_cols: int, tol: float,
-                      max_level: int = MAX_LEVEL):
+def refine_path_cells(eval_fn, cells, n_cols: int, tol: float):
     """Per-cell integrals for n_cols independent integrands.
 
     cells: (n_cells, 2) interval endpoints.  Each Gauss rule makes one call
     eval_fn(points, cols), with points the rule's nodes in every cell, of
     shape (n_cells n,), and cols = arange(n_cols)[:, None]; its values
     broadcast to (n_cols, n_cells n), row j for integrand j.
+    A tolerance not met by level MAX_LEVEL raises PathRefinementError.
     Returns (integrals (n_cols, n_cells), achieved level, final change).
     """
-    if max_level < 1:
-        raise ValueError(f"max_level must be at least 1, not {max_level}")
     cells = np.asarray(cells, dtype=float)
     n_cells = len(cells)
     if n_cells == 0:
@@ -90,7 +88,7 @@ def refine_path_cells(eval_fn, cells, n_cols: int, tol: float,
         return half * (vals.reshape(n_cols, n_cells, n) @ weights)
 
     prev = gauss(BASE_NODES)
-    for level in range(1, max_level + 1):
+    for level in range(1, MAX_LEVEL + 1):
         current = gauss(BASE_NODES << level)
         change = float(np.abs(current - prev).max())
         if change <= tol:
@@ -98,7 +96,7 @@ def refine_path_cells(eval_fn, cells, n_cols: int, tol: float,
         prev = current
 
     raise PathRefinementError(
-        f"no convergence to {tol:.1e} within {max_level} levels "
+        f"no convergence to {tol:.1e} within {MAX_LEVEL} levels "
         f"(last change {change:.3e})")
 
 

@@ -21,7 +21,6 @@ from tauforge.loops import (
     DEFAULT_ORDER,
     TAIL_THRESHOLD,
     MatrixLoop,
-    ScalarLoop,
     TailMassError,
     half_samples_to_coeffs,
     multiply,
@@ -372,7 +371,7 @@ class TestOneContourKernel:
     def test_diffeo_formulas_move_with_the_quadratic_kernel(self,
                                                             monkeypatch, rng):
         gamma = random_unimodular_loop(rng)
-        xi = ScalarLoop.from_modes({2: 1.0}, n=1, order=2)  # lambda^2
+        xi = MatrixLoop.from_modes({2: 1.0}, n=1, order=2)  # lambda^2
 
         def values():
             return np.array([ps.hamiltonian_diffeo(gamma, xi),

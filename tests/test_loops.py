@@ -5,7 +5,7 @@ import pytest
 
 import tauforge as tf
 from tauforge import loops
-from tauforge.loops import MatrixLoop, ScalarLoop
+from tauforge.loops import MatrixLoop
 
 from oracles import (
     adjugate_inverse,
@@ -124,7 +124,7 @@ class TestTransforms:
         assert unimodular_defect(tf.random_unimodular_loop(rng)) <= 1e-10
 
     def test_imag_defect_of_real_loop(self):
-        xi = ScalarLoop.from_modes({0: 0.5, 1: 0.2 - 0.1j, -1: 0.2 + 0.1j},
+        xi = MatrixLoop.from_modes({0: 0.5, 1: 0.2 - 0.1j, -1: 0.2 + 0.1j},
                                    n=1, order=4)
         assert np.abs(xi.samples().imag).max() <= 1e-12
 
@@ -154,7 +154,7 @@ class TestProducts:
         assert np.abs(left.samples(512) - right.samples(512)).max() <= 1e-11
 
     def test_scalar_matrix_broadcast(self, rng):
-        h = ScalarLoop.from_modes({1: 2.0, -1: 0.5}, n=1, order=4)
+        h = MatrixLoop.from_modes({1: 2.0, -1: 0.5}, n=1, order=4)
         a = random_loop(rng, order=4)
         prod = tf.multiply(h, a)
         direct = h.samples(256) * a.samples(256)
@@ -298,7 +298,7 @@ class TestExponential:
 
     def test_nilpotent_exponential(self, rng):
         # strictly upper triangular per sample: exp = I + a
-        f = ScalarLoop.from_modes({1: 0.4, -2: 0.1}, n=1, order=4)
+        f = MatrixLoop.from_modes({1: 0.4, -2: 0.1}, n=1, order=4)
         a = tf.multiply(f, tf.monomial(0, np.array([[0.0, 1.0], [0.0, 0.0]]), order=4))
         e = tf.exp_pointwise(a)
         direct = np.eye(2) + a.samples()
@@ -323,7 +323,7 @@ class TestExponential:
             with pytest.raises(ValueError, match="got 3x3"):
                 tf.random_unimodular_stack(rng, count, n=3, order=16)
         with pytest.raises(ValueError, match="got 1x1"):
-            tf.exp_pointwise(ScalarLoop.from_modes({0: 0.5}, n=1, order=2))
+            tf.exp_pointwise(MatrixLoop.from_modes({0: 0.5}, n=1, order=2))
 
     def test_band_wider_than_order_rejected(self, rng):
         with pytest.raises(ValueError):

@@ -2,11 +2,12 @@
 
 loops owns the batch path's circle grid (DEFAULT_SAMPLES, _fast_len) and
 loops per block (_BLOCK), read elsewhere through default_sample_count and
-_block_loops; quadrature owns the Gauss refinement cap (MAX_LEVEL, the
-default of refine_path_cells' max_level).  A second module that imports or
-reads one of these names, or passes max_level, makes a second rule, which
-can drift from the first.  The package is read with ast, as test_reach.py
-reads it.
+_block_loops; quadrature owns the Gauss refinement cap (MAX_LEVEL, which
+refine_path_cells reads).  A second module that imports or reads one of
+these names makes a second rule, which can drift from the first.
+MatrixLoop is the one loop class, a scalar loop being its n = 1 case: a
+subclass would bring back the type picks of its constructors and products.
+The package is read with ast, as test_reach.py reads it.
 """
 
 import ast
@@ -21,13 +22,12 @@ OWNERS = {
     "DEFAULT_SAMPLES": "loops",
     "_fast_len": "loops",
     "MAX_LEVEL": "quadrature",
-    "max_level": "quadrature",
 }
 
 
 def _readers() -> dict:
-    """module -> the owned names it imports, reads off another module or
-    passes as a keyword, other than its own."""
+    """module -> the owned names it imports or reads off another module,
+    other than its own."""
     found = {}
     for path in SRC.glob("*.py"):
         names = set()
@@ -36,8 +36,6 @@ def _readers() -> dict:
                 names |= {alias.name for alias in node.names}
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-            elif isinstance(node, ast.keyword):
-                names.add(node.arg)
         names = {name for name in names
                  if OWNERS.get(name, path.stem) != path.stem}
         if names:
@@ -47,3 +45,13 @@ def _readers() -> dict:
 
 def test_only_the_owner_reads_each_owned_name():
     assert _readers() == {}
+
+
+def test_no_class_subclasses_matrix_loop():
+    subclasses = [f"{path.stem}.{node.name}"
+                  for path in SRC.glob("*.py")
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.ClassDef)
+                  and any(ast.unparse(base).split(".")[-1] == "MatrixLoop"
+                          for base in node.bases)]
+    assert subclasses == []

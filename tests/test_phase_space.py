@@ -13,7 +13,6 @@ from tauforge import birkhoff
 from tauforge import phase_space as ps
 from tauforge.loops import (
     MatrixLoop,
-    ScalarLoop,
     circle_points,
     default_sample_count,
 )
@@ -186,25 +185,25 @@ class TestHamiltonians:
         # gamma is built from its coefficients, as exp takes only 2x2
         u = tf.random_tangent(rng, n=3)
         gamma = MatrixLoop.identity(n=3) + u.scaled(0.5)
-        xi = ScalarLoop.from_modes({0: 1.0}, n=1, order=2)
+        xi = MatrixLoop.from_modes({0: 1.0}, n=1, order=2)
         with pytest.raises(ValueError, match="2x2"):
             ps.hamiltonian_gauge(gamma, u)
         with pytest.raises(ValueError, match="2x2"):
             ps.hamiltonian_diffeo(gamma, xi)
 
     def test_diffeo_vanishes_at_identity(self):
-        xi = ScalarLoop.from_modes({0: 1.0}, n=1, order=2)
+        xi = MatrixLoop.from_modes({0: 1.0}, n=1, order=2)
         assert ps.hamiltonian_diffeo(MatrixLoop.identity(), xi,
                                      check_real=True) == 0.0
 
     def test_diffeo_zero_field(self, rng):
         gamma = unitary_loop(rng)
-        xi = ScalarLoop.from_modes({}, n=1, order=2)
+        xi = MatrixLoop.from_modes({}, n=1, order=2)
         assert ps.hamiltonian_diffeo(gamma, xi, check_real=True) == 0.0
 
     def test_diffeo_quadrature_oracle(self, rng):
         gamma = unitary_loop(rng)
-        xi = ScalarLoop.from_modes({1: 0.5, -1: 0.5}, n=1, order=4)  # cos(theta)
+        xi = MatrixLoop.from_modes({1: 0.5, -1: 0.5}, n=1, order=4)  # cos(theta)
         val = ps.hamiltonian_diffeo(gamma, xi, check_real=True)
         assert isinstance(val, float)
         w = tf.multiply(gamma.derivative_theta(), tf.inverse(gamma))
@@ -323,7 +322,7 @@ class TestNonUnimodularLoop:
         u = tf.random_tangent(rng)
         # tr((dg g^-1)^2) of the minus factor has modes <= -4, so xi needs
         # a mode >= 3 for the residue to see it
-        xi = ScalarLoop.from_modes({3: 1.0, 4: 0.5}, n=1, order=4)
+        xi = MatrixLoop.from_modes({3: 1.0, 4: 0.5}, n=1, order=4)
         fac = birkhoff.factorize(gamma)
 
         w_minus = self._log_derivative(fac.g_minus)
@@ -342,7 +341,7 @@ class TestNonUnimodularLoop:
         gamma = MatrixLoop.from_modes({0: np.eye(2), 1: np.diag([1.0, 0.0])},
                                       order=4)
         u = tf.random_tangent(rng, band=4)
-        xi = ScalarLoop.from_modes({1: 0.5, -1: 0.5}, n=1, order=4)
+        xi = MatrixLoop.from_modes({1: 0.5, -1: 0.5}, n=1, order=4)
         with pytest.raises(tf.SingularLoopError):
             ps.hamiltonian_gauge(gamma, u)
         with pytest.raises(tf.SingularLoopError):
@@ -354,17 +353,17 @@ class TestNonUnimodularLoop:
 class TestVacuumLogderivDiffeo:
     def test_zero_field(self, rng):
         gamma = tf.random_unimodular_loop(rng)
-        xi = ScalarLoop.from_modes({}, n=1, order=2)
+        xi = MatrixLoop.from_modes({}, n=1, order=2)
         assert ps.vacuum_logderiv_diffeo(gamma, xi) == 0.0
 
     def test_identity_base_point(self):
-        xi = ScalarLoop.from_modes({2: 1.0}, n=1, order=2)
+        xi = MatrixLoop.from_modes({2: 1.0}, n=1, order=2)
         assert abs(ps.vacuum_logderiv_diffeo(MatrixLoop.identity(), xi)) <= 1e-14
 
     def test_disc_holomorphic_field_drops_plus_term(self, rng):
         gamma = tf.random_unimodular_loop(rng)
         fac = birkhoff.factorize(gamma)
-        xi = ScalarLoop.from_modes({2: 1.0}, n=1, order=2)  # lambda^2
+        xi = MatrixLoop.from_modes({2: 1.0}, n=1, order=2)  # lambda^2
         m = default_sample_count(fac.g_minus.order + xi.order)
         minus_term, plus_term = ps.quadratic_variation(
             np.stack([fac.g_minus.coeffs, fac.g_plus.coeffs]),
@@ -382,7 +381,7 @@ class TestVacuumLogderivDiffeo:
         z0 = 2j
         order = 24
         modes = {k: -((1 / z0) ** (k + 1)) for k in range(order + 1)}
-        xi = ScalarLoop.from_modes(modes, n=1, order=order)
+        xi = MatrixLoop.from_modes(modes, n=1, order=order)
         val = ps.vacuum_logderiv_diffeo(fac, xi)
         gm = fac.g_minus
         w = tf.multiply(derivative_lambda(gm), adjugate_inverse(gm))

@@ -239,7 +239,7 @@ product_params = st.fixed_dictionaries({
 def _gaussian_loop(rng, order, n):
     shape = (2 * order + 1, n, n)
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return tf.ScalarLoop(coeffs) if n == 1 else tf.MatrixLoop(coeffs)
+    return tf.MatrixLoop(coeffs)
 
 
 @SETTINGS

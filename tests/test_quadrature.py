@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tauforge import kdv
+from tauforge import kdv, quadrature
 from tauforge.birkhoff import factorize_batch
 from tauforge.phase_space import gauge_variation
 from tauforge.quadrature import (
@@ -73,10 +73,11 @@ def test_empty_cells():
     assert (level, change) == (0, 0.0)
 
 
-def test_nan_integrand_raises():
+def test_nan_integrand_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_LEVEL", 4)
     with pytest.raises(PathRefinementError, match="within 4 levels"):
         refine_path_cells(lambda p, c: np.full(p.shape, np.nan), CELLS, 1,
-                          1e-9, max_level=4)
+                          1e-9)
 
 
 def test_tol_below_roundoff_raises():
@@ -84,7 +85,7 @@ def test_tol_below_roundoff_raises():
     def eval_fn(points, cols):
         return np.exp(3j * points) / (points - (0.5 + 0.1j))
 
-    # the default cap is quadrature's MAX_LEVEL, the one every caller gets
+    # the cap is quadrature's MAX_LEVEL, the one every caller gets
     with pytest.raises(PathRefinementError,
                        match="no convergence to 1.0e-30 within 8 levels"):
         refine_path_cells(eval_fn, CELLS, 1, 1e-30)
@@ -106,15 +107,6 @@ def test_one_broadcast_evaluation_per_rule():
     a, b = CELLS[:, 0], CELLS[:, 1]
     assert vals.shape == (3, len(CELLS))
     assert np.abs(vals - (b ** 4 - a ** 4) / 4).max() <= 1e-15
-
-
-@pytest.mark.parametrize("max_level", [0, -1])
-def test_max_level_below_one_raises_before_evaluating(max_level):
-    def eval_fn(points, cols):
-        raise AssertionError("evaluated")
-
-    with pytest.raises(ValueError, match="max_level must be at least 1"):
-        refine_path_cells(eval_fn, CELLS, 1, 1e-9, max_level=max_level)
 
 
 def test_real_running_sum_is_the_complex_one_bit_for_bit(rng):
