@@ -59,7 +59,6 @@ from .kdv import (
     tau_grid,
 )
 from .ernst import (
-    ConformalFactorReport,
     ErnstSolution,
     ErnstTauField,
     conformal_factor_check,

@@ -19,10 +19,13 @@ the frame pole, and the Lax substitution replaces the frame derivative
 with r J^-1 dJ, so both routes must agree to roundoff.  logtau_field
 integrates the 1-form from the base point (r, z) = (1, 0) by one
 refine_path_cells pass along r and one along z, which give both grid
-paths, r first and z first; the conformal side and the rectangle loop
-are arithmetic on the two.  Each pass evaluates its integrand once per
-Gauss rule, on the rule's nodes along the leg broadcast against the
-column of fixed coordinates, and sums the cells in real long double.
+paths, r first and z first; the rectangle loop is arithmetic on the
+two.  Each pass evaluates its integrand once per Gauss rule, on the
+rule's nodes along the leg broadcast against the column of fixed
+coordinates, and sums the cells in real long double.  The 1-form is
+d((1/2) log r + G) with G_r = (r/2)(psi_r^2 - psi_z^2), G_z = r psi_r psi_z:
+Weyl's line integral for gamma = G/2 at psi = 2U.  Each preset carries G
+in closed form, and conformal_factor_check holds both paths to it.
 """
 
 from __future__ import annotations
@@ -45,12 +48,14 @@ _DIRECTION_SIGN = {"wbar": 1j, "w": -1j}
 @dataclass(frozen=True)
 class ErnstSolution:
     """Weyl potential psi by its analytic derivatives: first(r, z) gives
-    (psi_r, psi_z) and second(r, z) gives (psi_rr, psi_zz), each broadcast
-    to the shape of (r, z); see the module docstring."""
+    (psi_r, psi_z) and second(r, z) gives (psi_rr, psi_zz); weyl(r, z)
+    gives the closed-form G of log tau = (1/2) log r + G.  Each is
+    broadcast to the shape of (r, z); see the module docstring."""
 
     label: str
     first: Callable
     second: Callable
+    weyl: Callable
 
 
 def _radial(fn):
@@ -64,21 +69,30 @@ def _radial(fn):
     return pair
 
 
+def _radial_value(fn):
+    """fn(r) of r alone, broadcast to the shape of (r, z)."""
+    pair = _radial(fn)
+    return lambda r, z: pair(r, z)[0]
+
+
 _ZERO_PAIR = _radial(lambda r: 0.0)
 
 
 def flat() -> ErnstSolution:
-    return ErnstSolution("flat", _ZERO_PAIR, _ZERO_PAIR)
+    return ErnstSolution("flat", _ZERO_PAIR, _ZERO_PAIR,
+                         _radial_value(lambda r: 0.0))
 
 
 def kasner(a: float = 0.7) -> ErnstSolution:
-    """psi = a log r; harmonic for every a."""
+    """psi = a log r; harmonic for every a.  G = (a^2 / 2) log r."""
     return ErnstSolution(f"kasner({a:g})", _radial(lambda r: a / r),
-                         _radial(lambda r: -a / r ** 2))
+                         _radial(lambda r: -a / r ** 2),
+                         _radial_value(lambda r: 0.5 * a * a * np.log(r)))
 
 
 def point_source(strength: float = 0.8, z0: float = -1.5) -> ErnstSolution:
-    """psi = strength / sqrt(r^2 + (z - z0)^2), the axis monopole."""
+    """psi = strength / R, R = sqrt(r^2 + (z - z0)^2), the axis monopole;
+    G = -strength^2 r^2 / (4 R^4), Curzon's."""
 
     def first(r, z):
         rad = np.sqrt(r ** 2 + (z - z0) ** 2)
@@ -89,12 +103,17 @@ def point_source(strength: float = 0.8, z0: float = -1.5) -> ErnstSolution:
         return (strength * (3 * r ** 2 / rad ** 5 - 1.0 / rad ** 3),
                 strength * (3 * (z - z0) ** 2 / rad ** 5 - 1.0 / rad ** 3))
 
-    return ErnstSolution(f"point_source({strength:g})", first, second)
+    def weyl(r, z):
+        rad2 = r ** 2 + (z - z0) ** 2
+        return -strength ** 2 * r ** 2 / (4 * rad2 ** 2)
+
+    return ErnstSolution(f"point_source({strength:g})", first, second, weyl)
 
 
 def non_solution() -> ErnstSolution:
-    """psi = r, deliberately non-harmonic; sensitivity control."""
-    return ErnstSolution("non_solution", _radial(lambda r: 1.0), _ZERO_PAIR)
+    """psi = r, deliberately non-harmonic, yet G = r^2 / 4 exists."""
+    return ErnstSolution("non_solution", _radial(lambda r: 1.0), _ZERO_PAIR,
+                         _radial_value(lambda r: 0.25 * r ** 2))
 
 
 # -- pointwise evaluations ----------------------------------------------
@@ -259,37 +278,14 @@ def rectangle_loop_integral(field: ErnstTauField) -> complex:
 # -- conformal factor ----------------------------------------------------
 
 
-@dataclass
-class ConformalFactorReport:
-    """Constancy data for the two candidate tau / conformal-factor links."""
+def conformal_factor_check(sol: ErnstSolution, field: ErnstTauField) -> float:
+    """Worst |log tau - ((1/2) log r + G)| at every node of both paths of
+    field = logtau_field(sol, rs, zs), with G = sol.weyl normalized to 0
+    at the base point as the paths are."""
+    def closed(r, z):
+        return 0.5 * np.log(r) + sol.weyl(r, z)
 
-    candidate1: np.ndarray
-    candidate2: np.ndarray
-    candidate1_std: float
-    candidate2_std: float
-    constant_candidate: str
-
-
-def conformal_factor_check(field: ErnstTauField) -> ConformalFactorReport:
-    """Compare log tau with the conformal factor over field's grid.
-
-    field is logtau_field(sol, rs, zs).  The displayed equation for
-    log(r Omega^2) has the same Wirtinger derivatives as log tau, so
-    log(r Omega^2), normalized to 0 at the base point, is the 1-form
-    integrated along the other path, field.log_tau_z_first.  Candidate
-    1 = log tau - log(r Omega^2) is then grid-constant only where the
-    1-form is closed between the two paths; candidate 2 = log tau +
-    log(r^2 Omega) is reported alongside for comparison.
-    """
-    log_romega2 = field.log_tau_z_first
-    log_r = np.log(field.rs)[:, None]
-    candidate1 = field.log_tau - log_romega2
-    candidate2 = field.log_tau + 1.5 * log_r + 0.5 * log_romega2
-    std1 = float(candidate1.std())
-    std2 = float(candidate2.std())
-    which = ("log_tau - log(r Omega^2)" if std1 <= std2
-             else "log_tau + log(r^2 Omega)")
-    return ConformalFactorReport(
-        candidate1=candidate1, candidate2=candidate2,
-        candidate1_std=std1, candidate2_std=std2,
-        constant_candidate=which)
+    gr, gz = np.meshgrid(field.rs, field.zs, indexing="ij")
+    exact = closed(gr, gz) - closed(*BASE_POINT)
+    return float(max(np.abs(field.log_tau - exact).max(),
+                     np.abs(field.log_tau_z_first - exact).max()))

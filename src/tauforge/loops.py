@@ -342,6 +342,9 @@ class MatrixLoop:
         return MatrixLoop(self.coeffs * factor)
 
     def __add__(self, other):
+        if self.n != other.n:
+            raise ValueError(f"cannot add a {self.n}x{self.n} loop and a "
+                             f"{other.n}x{other.n} loop")
         order = max(self.order, other.order)
         a, b = self.truncate(order), other.truncate(order)
         return MatrixLoop(a.coeffs + b.coeffs)

@@ -157,10 +157,38 @@ def decomposition_residual(dec, y, x, lams) -> float:
 # -- Ernst ------------------------------------------------------------------
 
 
+def weyl_log_tau(preset, r, z, **params):
+    """log tau = (1/2) log r + G on the (r, z) grid, 0 at (1, 0), from
+    Weyl's metric function G = 2 gamma of psi = 2U, written out here:
+
+    flat                      G = 0
+    kasner(a), psi = a log r  G = (a^2 / 2) log r
+    point_source(s, z0)       G = -s^2 r^2 / (4 R^4), R^2 = r^2 + (z - z0)^2
+    non_solution, psi = r     G = r^2 / 4
+
+    each the integral of G_r = (r/2)(psi_r^2 - psi_z^2), G_z = r psi_r psi_z.
+    """
+    def g(r, z):
+        r, z = np.broadcast_arrays(np.asarray(r, dtype=float),
+                                   np.asarray(z, dtype=float))
+        if preset == "flat":
+            return np.zeros(r.shape)
+        if preset == "kasner":
+            return params["a"] ** 2 / 2 * np.log(r)
+        if preset == "point_source":
+            rad2 = r ** 2 + (z - params["z0"]) ** 2
+            return -params["strength"] ** 2 * r ** 2 / (4 * rad2 ** 2)
+        if preset == "non_solution":
+            return r ** 2 / 4
+        raise ValueError(f"no closed form for {preset}")
+
+    return 0.5 * np.log(r) + g(r, z) - g(1.0, 0.0)
+
+
 def shear_solution() -> ernst.ErnstSolution:
     """psi = r z: non-harmonic with a z-dependence, so it fails the field
     equations and d log tau is not closed; the curl of the 1-form works
-    out to r z exactly."""
+    out to r z exactly, and no G exists."""
 
     def first(r, z):
         r, z = np.asarray(r), np.asarray(z)
@@ -170,4 +198,4 @@ def shear_solution() -> ernst.ErnstSolution:
         zero = np.zeros(np.broadcast(np.asarray(r), np.asarray(z)).shape)
         return zero, zero
 
-    return ernst.ErnstSolution("shear", first, second)
+    return ernst.ErnstSolution("shear", first, second, weyl=None)

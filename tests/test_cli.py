@@ -343,13 +343,14 @@ class TestErnstPipeline:
         assert code == 0
         lines = (tmp_path / "ernst.csv").read_text().splitlines()
         assert lines[0] == ("r,z,log_tau,dlogtau_w_re,dlogtau_w_im,"
-                            "field_residual,candidate1_const,candidate2_const")
+                            "field_residual")
         assert len(lines) == 1 + 16 * 11
         manifest = json.loads((tmp_path / "ernst_manifest.json").read_text())
-        summary = manifest["extra"]["summary"]
-        assert summary["constant_candidate"] == "log_tau - log(r Omega^2)"
-        assert summary["candidate1_std"] < 1e-7
-        assert summary["candidate2_std"] > 1e-2
+        assert set(manifest["extra"]) == {"solution", "telemetry"}
+        conformal, = (c for c in manifest["checks"]
+                      if c["name"] == "conformal_constant")
+        assert conformal["value"] <= 1e-15
+        assert conformal["threshold"] == 1e-10
 
     def test_non_solution_detected(self, capsys):
         assert run_cli(["ernst", "--preset", "non_solution"]) == cli.EXIT_CHECK_FAILED
@@ -357,8 +358,8 @@ class TestErnstPipeline:
 
     def test_non_closed_one_form_fails_conformal_constant(self, monkeypatch,
                                                           capsys):
-        # d_z + 1e-6 r has curl 1e-6: log tau (r first) and the conformal
-        # side (z first) then differ by 1e-6 z (r - 1) across the grid
+        # d_z + 1e-6 r has curl 1e-6: log tau (r first) then runs 1e-6 r z
+        # and the z-first path 1e-6 z off the Weyl closed form
         d_z = ernst._d_z_logtau
         monkeypatch.setattr(ernst, "_d_z_logtau",
                             lambda sol, r, z: d_z(sol, r, z) + 1e-6 * r)
@@ -394,8 +395,8 @@ class TestErnstPipeline:
         assert "[FAIL] residue_route" in capsys.readouterr().out
 
     def test_one_run_makes_two_path_passes(self, monkeypatch):
-        # one pass along r, one along z; the conformal side and the loop
-        # are arithmetic on the two antiderivatives
+        # one pass along r, one along z; the conformal check and the loop
+        # read the two antiderivatives
         calls = []
         refine = ernst.refine_path_cells
 

@@ -6,7 +6,7 @@ import pytest
 from tauforge import ernst
 from tauforge.twistor import ernst_frame
 
-from oracles import shear_solution
+from oracles import shear_solution, weyl_log_tau
 
 POINTS = [(0.3, -0.4), (1.0, 0.0), (2.7, 1.1)]
 KASNER_SWEEP = [0.0, 0.3, 0.7, 1.2]
@@ -222,20 +222,52 @@ class TestClosedness:
         assert ernst.field_residual(sol, 1.2, 0.4) > 0.1
 
 
-class TestConformalFactor:
-    def test_constant_candidate_identified(self, axes, source):
-        rs, zs = axes
-        for sol in (ernst.kasner(0.0), ernst.kasner(0.7), source):
-            report = ernst.conformal_factor_check(
-                ernst.logtau_field(sol, rs, zs))
-            assert report.candidate1_std < 1e-8
-            assert report.candidate2_std > 1e-2
-            assert report.constant_candidate == "log_tau - log(r Omega^2)"
+# each preset with a parameter set off its default, for the closed forms
+WEYL_PRESETS = [("flat", {}), ("kasner", {"a": 0.9}),
+                ("point_source", {"strength": 0.75, "z0": -1.9}),
+                ("non_solution", {})]
+GRIDS = {"16x11": (np.linspace(0.5, 2.0, 16), np.linspace(-0.5, 0.5, 11)),
+         "201x201": (np.linspace(0.5, 2.0, 201),
+                     np.linspace(-0.5, 0.5, 201))}
 
-    def test_kasner_zero_anchor(self, axes):
-        rs, zs = axes
-        sol = ernst.kasner(0.0)
+
+class TestConformalFactor:
+    """Both paths of logtau_field against (1/2) log r + G, with Weyl's G
+    written out in tests/oracles.py; each measured at most 2.2e-16."""
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("preset, params", WEYL_PRESETS,
+                             ids=[preset for preset, _ in WEYL_PRESETS])
+    def test_both_paths_match_the_weyl_closed_form(self, preset, params,
+                                                   grid):
+        rs, zs = GRIDS[grid]
+        sol = getattr(ernst, preset)(**params)
         field = ernst.logtau_field(sol, rs, zs)
-        report = ernst.conformal_factor_check(field)
-        log_romega2 = field.log_tau - report.candidate1
-        assert np.abs(log_romega2 - 0.5 * np.log(rs)[:, None]).max() < 1e-8
+        gr, gz = np.meshgrid(rs, zs, indexing="ij")
+        exact = weyl_log_tau(preset, gr, gz, **params)
+        assert np.abs(field.log_tau - exact).max() < 1e-13
+        assert np.abs(field.log_tau_z_first - exact).max() < 1e-13
+        assert ernst.conformal_factor_check(sol, field) < 1e-15
+
+    @pytest.mark.parametrize("preset, params, key", [
+        ("kasner", {"a": 0.9}, "a"),
+        ("point_source", {"strength": 0.75, "z0": -1.9}, "strength")],
+        ids=["kasner", "point_source"])
+    def test_parameter_error_in_the_integrand_is_seen(self, axes, preset,
+                                                      params, key):
+        # the integrand of a parameter 1 + 1e-8 off stays closed and
+        # harmonic, so only the closed form tells it apart
+        true = getattr(ernst, preset)(**params)
+        wrong = getattr(ernst, preset)(**{**params,
+                                          key: params[key] * (1 + 1e-8)})
+        sol = ernst.ErnstSolution(true.label, wrong.first, wrong.second,
+                                  true.weyl)
+        rs, zs = axes
+        field = ernst.logtau_field(sol, rs, zs)
+        gr, gz = np.meshgrid(rs, zs, indexing="ij")
+        exact = weyl_log_tau(preset, gr, gz, **params)
+        gap = max(np.abs(field.log_tau - exact).max(),
+                  np.abs(field.log_tau_z_first - exact).max())
+        assert gap > 1e-10
+        assert ernst.conformal_factor_check(sol, field) == pytest.approx(
+            gap, rel=1e-4)

@@ -160,6 +160,18 @@ class TestProducts:
         direct = h.samples(256) * a.samples(256)
         assert np.abs(prod.samples(256) - direct).max() <= 1e-12
 
+    @pytest.mark.parametrize("combine", [MatrixLoop.__add__,
+                                         MatrixLoop.__sub__])
+    def test_sum_of_different_sizes_rejected(self, combine):
+        # numpy would broadcast the 1x1 loop into every entry: identity + 1
+        # had mode 0 [[2, 1], [1, 2]]
+        square = MatrixLoop.identity(order=2)
+        scalar = MatrixLoop.from_modes({0: 1.0}, n=1, order=2)
+        with pytest.raises(ValueError, match="2x2 loop and a 1x1"):
+            combine(square, scalar)
+        with pytest.raises(ValueError, match="1x1 loop and a 2x2"):
+            combine(scalar, square)
+
     def test_retruncation_tail_check(self, rng):
         a = tf.monomial(6, np.eye(2), order=6)
         b = tf.monomial(6, np.eye(2), order=6)

@@ -6,6 +6,8 @@ below a routine's detection floor, that the defect passes every check, so
 the floor README states stays measured.
 """
 
+import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -14,6 +16,8 @@ import pytest
 from tauforge import cli, kdv
 
 SMALL_KDV = ["kdv", "--grid", "-0.4:0.4:11"]
+# the Ernst grid of cli.SELFTEST_CONFIGS
+SMALL_ERNST = ["ernst", "--grid", "0.3:2.7:7,-0.4:1.1:7"]
 
 
 def run_checks(tmp_path, args):
@@ -95,3 +99,32 @@ class TestPotential:
         failed = {name for name, (_, passed) in checks.items() if not passed}
         assert failed == ({"logtau_q_consistency"} if fails else set())
         assert code == (cli.EXIT_CHECK_FAILED if fails else 0)
+
+
+class TestErnstIntegrand:
+    """conformal_constant holds both paths of log tau to Weyl's closed form
+    (1/2) log r + G.  A preset parameter 1 + 1e-8 off in psi's derivatives
+    alone leaves the integrand closed and harmonic, and residue_route reads
+    the same psi, so only the closed form sees it."""
+
+    @pytest.mark.parametrize("preset, key, param, value", [
+        ("kasner", "a", 0.7, 5.9e-9),
+        ("point_source", "strength", 0.8, 3.6e-10)])
+    def test_relative_parameter_error(self, tmp_path, monkeypatch, preset,
+                                      key, param, value):
+        real = cli._PRESETS["ernst", preset]
+
+        @functools.wraps(real)  # the CLI reads the preset's parameters
+        def off(**params):
+            wrong = real(**{**params, key: params[key] * (1 + 1e-8)})
+            return dataclasses.replace(real(**params), first=wrong.first,
+                                       second=wrong.second)
+
+        monkeypatch.setitem(cli._PRESETS, ("ernst", preset), off)
+        code, checks = run_checks(
+            tmp_path, SMALL_ERNST + ["--preset", f"{preset}:{key}={param}"])
+        assert checks["conformal_constant"][0] == pytest.approx(value,
+                                                                rel=0.05)
+        failed = {name for name, (_, passed) in checks.items() if not passed}
+        assert failed == {"conformal_constant"}
+        assert code == cli.EXIT_CHECK_FAILED
