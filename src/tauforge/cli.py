@@ -387,8 +387,7 @@ def _run_ernst(config: ExperimentConfig):
     rs, zs = config.axes()
     field = ernst.logtau_field(sol, rs, zs,
                                tol_path=config.resolved_tol_path())
-    gr, gz = np.meshgrid(rs, zs, indexing="ij")
-    residuals = np.atleast_1d(ernst.field_residual(sol, gr, gz))
+    residuals = np.atleast_1d(ernst.field_residual(sol, field.r, field.z))
     z_sample = zs[:: max(1, len(zs) // 6)]
     residue_worst = max(ernst.residue_check(sol, r, z_sample)
                         for r in rs[:: max(1, len(rs) // 6)])
@@ -404,7 +403,7 @@ def _run_ernst(config: ExperimentConfig):
 
     header = ["r", "z", "log_tau", "dlogtau_w_re", "dlogtau_w_im",
               "field_residual"]
-    columns = [gr, gz, field.log_tau, field.dlogtau_w.real,
+    columns = [field.r, field.z, field.log_tau, field.dlogtau_w.real,
                field.dlogtau_w.imag, residuals]
     extra = {
         "solution": {"label": sol.label, **params},

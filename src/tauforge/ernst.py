@@ -17,15 +17,15 @@ re-derives the trace squares through the rational frame coefficient of
 the rotational symmetry: the contour integral collapses to the residue at
 the frame pole, and the Lax substitution replaces the frame derivative
 with r J^-1 dJ, so both routes must agree to roundoff.  logtau_field
-integrates the 1-form from the base point (r, z) = (1, 0) by one
-refine_path_cells pass along r and one along z, which give both grid
-paths, r first and z first; the rectangle loop is arithmetic on the
-two.  Each pass evaluates its integrand once per Gauss rule, on the
-rule's nodes along the leg broadcast against the column of fixed
-coordinates, and sums the cells in real long double.  The 1-form is
-d((1/2) log r + G) with G_r = (r/2)(psi_r^2 - psi_z^2), G_z = r psi_r psi_z:
-Weyl's line integral for gamma = G/2 at psi = 2U.  Each preset carries G
-in closed form, and conformal_factor_check holds both paths to it.
+integrates the 1-form from the base point (r, z) = (1, 0) on one path, r
+first, by one refine_path_cells pass along r (also on the grid's bottom
+and top rows, for the loop around the grid) and one along z.  Each pass
+evaluates its integrand once per Gauss rule, on the rule's nodes along
+the leg broadcast against the column of fixed coordinates, and sums the
+cells in real long double.  The 1-form is d((1/2) log r + G) with
+G_r = (r/2)(psi_r^2 - psi_z^2), G_z = r psi_r psi_z: Weyl's line integral
+for gamma = G/2 at psi = 2U.  Each preset carries G in closed form, and
+conformal_factor_check holds log tau to it.
 """
 
 from __future__ import annotations
@@ -203,15 +203,15 @@ class ErnstTauField:
     """Grid data over (r, z); arrays indexed [ir, iz]; log_tau real.
 
     log_tau integrates d log tau from the base point first in r at z = 0,
-    then in z; log_tau_z_first first in z at r = 1, then in r.  levels and
-    final_change hold, per path leg ("r", "z"), the Gauss level reached
-    and the worst per-cell difference of its two rules.
+    then in z; edges (2, n_r) holds the r leg along the bottom and top
+    rows.  levels and final_change hold, per path leg ("r", "z"), the
+    Gauss level reached and the worst per-cell difference of its two rules.
     """
 
-    rs: np.ndarray
-    zs: np.ndarray
+    r: np.ndarray
+    z: np.ndarray
     log_tau: np.ndarray
-    log_tau_z_first: np.ndarray
+    edges: np.ndarray
     dlogtau_w: np.ndarray
     levels: dict
     final_change: dict
@@ -244,48 +244,46 @@ def _leg(sol: ErnstSolution, along: str, nodes, anchor: float, fixed,
 
 def logtau_field(sol: ErnstSolution, rs, zs,
                  tol_path: float = PATH_TOL) -> ErnstTauField:
-    """Path-integrate d log tau from (1, 0), r first and z first; the r leg
-    runs at z = 0 and every grid z, the z leg at r = 1 and every grid r."""
+    """Path-integrate d log tau from (1, 0), r first; the r leg runs at
+    z = 0, zs[0] and zs[-1], the z leg at every grid r."""
     rs, zs = validated_axes(rs, zs)
     if rs[0] <= 0:
         raise ValueError("grid must stay in the r > 0 half plane")
     r0, z0 = BASE_POINT
-    cum_r, level_r, change_r = _leg(sol, "r", rs, r0, np.r_[z0, zs], tol_path)
-    cum_z, level_z, change_z = _leg(sol, "z", zs, z0, np.r_[r0, rs], tol_path)
+    cum_r, level_r, change_r = _leg(sol, "r", rs, r0, [z0, zs[0], zs[-1]],
+                                    tol_path)
+    cum_z, level_z, change_z = _leg(sol, "z", zs, z0, rs, tol_path)
 
-    gr, gz = np.meshgrid(rs, zs, indexing="ij")
+    r, z = np.meshgrid(rs, zs, indexing="ij")
     return ErnstTauField(
-        rs=rs, zs=zs,
-        log_tau=cum_r[0][:, None] + cum_z[1:],
-        log_tau_z_first=cum_z[0] + cum_r[1:].T,
-        dlogtau_w=dlogtau(sol, gr, gz, "w"),
+        r=r, z=z,
+        log_tau=cum_r[0][:, None] + cum_z, edges=cum_r[1:],
+        dlogtau_w=dlogtau(sol, r, z, "w"),
         levels={"r": level_r, "z": level_z},
         final_change={"r": change_r, "z": change_z})
 
 
 def rectangle_loop_integral(field: ErnstTauField) -> complex:
-    """Loop integral of d log tau around the rectangle of field's grid.
+    """Counterclockwise loop integral of d log tau around field's grid.
 
-    At each node the two paths of field differ by the loop around the
-    rectangle between that node and the base point, so the loop around
-    the grid is that difference combined over the four corners.  Closed
-    for genuine solutions.
+    The bottom and top rows are the r leg's edges; the left and right
+    columns are log_tau's, which changes along z at fixed r only by the
+    z leg.  Closed for genuine solutions.
     """
-    diff = field.log_tau - field.log_tau_z_first
-    return complex(diff[-1, -1] - diff[0, -1] - diff[-1, 0] + diff[0, 0])
+    (bottom, top), lt = field.edges, field.log_tau
+    return complex((bottom[-1] - bottom[0]) + (lt[-1, -1] - lt[-1, 0])
+                   - (top[-1] - top[0]) - (lt[0, -1] - lt[0, 0]))
 
 
 # -- conformal factor ----------------------------------------------------
 
 
 def conformal_factor_check(sol: ErnstSolution, field: ErnstTauField) -> float:
-    """Worst |log tau - ((1/2) log r + G)| at every node of both paths of
+    """Worst |log tau - ((1/2) log r + G)| over the nodes of
     field = logtau_field(sol, rs, zs), with G = sol.weyl normalized to 0
-    at the base point as the paths are."""
+    at the base point as log tau is."""
     def closed(r, z):
         return 0.5 * np.log(r) + sol.weyl(r, z)
 
-    gr, gz = np.meshgrid(field.rs, field.zs, indexing="ij")
-    exact = closed(gr, gz) - closed(*BASE_POINT)
-    return float(max(np.abs(field.log_tau - exact).max(),
-                     np.abs(field.log_tau_z_first - exact).max()))
+    exact = closed(field.r, field.z) - closed(*BASE_POINT)
+    return float(np.abs(field.log_tau - exact).max())

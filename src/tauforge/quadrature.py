@@ -34,7 +34,7 @@ MAX_LEVEL = 8
 
 
 class PathRefinementError(Exception):
-    """Refinement hit the level cap before meeting the tolerance."""
+    """Refinement met a non-finite integrand, or hit the level cap first."""
 
 
 def validated_axes(*axes):
@@ -70,7 +70,8 @@ def refine_path_cells(eval_fn, cells, n_cols: int, tol: float):
     eval_fn(points, cols), with points the rule's nodes in every cell, of
     shape (n_cells n,), and cols = arange(n_cols)[:, None]; its values
     broadcast to (n_cols, n_cells n), row j for integrand j.
-    A tolerance not met by level MAX_LEVEL raises PathRefinementError.
+    A non-finite change between the rules of a level, or a tolerance not
+    met by level MAX_LEVEL, raises PathRefinementError.
     Returns (integrals (n_cols, n_cells), achieved level, final change).
     """
     cells = np.asarray(cells, dtype=float)
@@ -91,6 +92,9 @@ def refine_path_cells(eval_fn, cells, n_cols: int, tol: float):
     for level in range(1, MAX_LEVEL + 1):
         current = gauss(BASE_NODES << level)
         change = float(np.abs(current - prev).max())
+        if not np.isfinite(change):
+            raise PathRefinementError(
+                f"integrand is not finite (change {change} at level {level})")
         if change <= tol:
             return current, level, change
         prev = current

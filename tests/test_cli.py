@@ -358,8 +358,9 @@ class TestErnstPipeline:
 
     def test_non_closed_one_form_fails_conformal_constant(self, monkeypatch,
                                                           capsys):
-        # d_z + 1e-6 r has curl 1e-6: log tau (r first) then runs 1e-6 r z
-        # and the z-first path 1e-6 z off the Weyl closed form
+        # d_z + 1e-6 r has curl 1e-6: the loop reads curl x area, and log
+        # tau, whose z leg carries the error, runs 1e-6 r z off the Weyl
+        # closed form
         d_z = ernst._d_z_logtau
         monkeypatch.setattr(ernst, "_d_z_logtau",
                             lambda sol, r, z: d_z(sol, r, z) + 1e-6 * r)
@@ -374,8 +375,8 @@ class TestErnstPipeline:
         ["ernst", "--preset", "point_source"], ["selftest"]])
     def test_closed_perturbation_fails_residue_route(self, args, monkeypatch,
                                                      capsys):
-        # 2e-6 r dr is closed: both paths and the loop still agree, and
-        # only the trace-square route of residue_check sees it
+        # 2e-6 r dr is closed: the loop still closes, and the
+        # trace-square route of residue_check sees it
         d_r = ernst._d_r_logtau
         monkeypatch.setattr(ernst, "_d_r_logtau",
                             lambda sol, r, z: d_r(sol, r, z) + 2e-6 * r)
@@ -395,8 +396,8 @@ class TestErnstPipeline:
         assert "[FAIL] residue_route" in capsys.readouterr().out
 
     def test_one_run_makes_two_path_passes(self, monkeypatch):
-        # one pass along r, one along z; the conformal check and the loop
-        # read the two antiderivatives
+        # one pass along r, one along z; log tau, the conformal check and
+        # the loop read the two antiderivatives
         calls = []
         refine = ernst.refine_path_cells
 
@@ -406,8 +407,8 @@ class TestErnstPipeline:
 
         monkeypatch.setattr(ernst, "refine_path_cells", counted)
         assert run_cli(["ernst"]) == 0
-        # columns: z = 0 and the 11 grid z, r = 1 and the 16 grid r
-        assert calls == [12, 17]
+        # columns: z = 0 and the bottom and top rows, then the 16 grid r
+        assert calls == [3, 16]
 
     def test_run_leaves_scipy_linalg_unloaded(self, tmp_path):
         # only a factorization needs LAPACK, and scipy.linalg is most of
@@ -432,6 +433,31 @@ class TestErnstPipeline:
     def test_path_tolerance_below_roundoff_exits_2(self, capsys):
         assert run_cli(["ernst", "--tol-path", "1e-30"]) == cli.EXIT_CHECK_FAILED
         assert "[FAIL] path_refinement" in capsys.readouterr().out
+
+    # the overflow of psi_r^2 is this input's defect, not the test's
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_integrand_exits_2_at_the_first_level(self,
+                                                             monkeypatch,
+                                                             capsys):
+        # the strength passes validation, but psi_r^2 overflows, so the
+        # integrand is NaN: refinement stops at level 1, two Gauss rules
+        calls = []
+        refine = ernst.refine_path_cells
+
+        def counted(eval_fn, *args):
+            def counted_eval(points, cols):
+                calls.append(len(points))
+                return eval_fn(points, cols)
+            return refine(counted_eval, *args)
+
+        monkeypatch.setattr(ernst, "refine_path_cells", counted)
+        assert run_cli(["ernst", "--preset", "point_source:strength=1e200",
+                        "--grid=0.5:2:201,-0.5:0.5:201"]) \
+            == cli.EXIT_CHECK_FAILED
+        out = capsys.readouterr().out
+        assert "[FAIL] path_refinement: integrand is not finite" in out
+        assert len(calls) == 2
 
     def test_telemetry_keys(self, tmp_path):
         assert run_cli(["ernst", "--out", str(tmp_path)]) == 0

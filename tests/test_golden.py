@@ -9,7 +9,13 @@ output bits rewrites the record with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and lists each moved run.  The failing runs write no file today.
+and lists each moved run.  The failing runs write no file today.  To see
+how far a CSV moved, write the runs of one tree under DIR/<run> and
+compare another tree's against them, per CSV column, by the worst |delta|
+and the count of values that moved:
+
+    PYTHONPATH=<old tree>/src python tests/test_golden.py --out DIR
+    PYTHONPATH=src python tests/test_golden.py --against DIR
 """
 
 import contextlib
@@ -19,6 +25,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tauforge import cli
@@ -69,10 +76,56 @@ def test_run_matches_the_record(name, tmp_path):
     assert record(name, tmp_path / name) == json.loads(GOLDEN.read_text())[name]
 
 
+def column_moves(path: Path, old: Path):
+    """(column, worst |delta|, values moved, values) per column of two
+    CSVs of one header."""
+    header = path.read_text().partition("\n")[0].split(",")
+    if old.read_text().partition("\n")[0].split(",") != header:
+        raise ValueError(f"{path.name}: headers differ")
+    new, was = (np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)
+                for p in (path, old))
+    if new.shape != was.shape:
+        raise ValueError(f"{path.name}: {new.shape} rows x columns against "
+                         f"{was.shape}")
+    moved = ~((new == was) | (np.isnan(new) & np.isnan(was)))
+    delta = np.where(moved, np.abs(new - was), 0.0)
+    return [(name, float(delta[:, j].max(initial=0.0)),
+             int(moved[:, j].sum()), len(new))
+            for j, name in enumerate(header)]
+
+
 if __name__ == "__main__":
+    import argparse
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
-        golden = {name: record(name, Path(tmp) / name) for name in RUNS}
-    GOLDEN.write_text(json.dumps(golden, indent=2) + "\n")
-    print(f"wrote {GOLDEN}")
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    action = parser.add_mutually_exclusive_group()
+    action.add_argument("--out", type=Path,
+                        help="write each run's files under OUT/<run>")
+    action.add_argument("--against", type=Path,
+                        help="compare each run's CSVs with DIR/<run>")
+    args = parser.parse_args()
+    if args.out:
+        for name in RUNS:
+            record(name, args.out / name)
+        print(f"wrote the runs under {args.out}")
+    elif args.against:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in RUNS:
+                record(name, Path(tmp) / name)
+                for path in sorted((Path(tmp) / name).glob("*.csv")):
+                    old = args.against / name / path.name
+                    if not old.exists():
+                        print(f"{name}/{path.name}: not in {args.against}")
+                        continue
+                    same = old.read_bytes() == path.read_bytes()
+                    print(f"{name}/{path.name}: "
+                          f"{'bytes identical' if same else 'bytes differ'}")
+                    for column, worst, moved, total in column_moves(path, old):
+                        print(f"  {column:<16} worst |delta| {worst:.3e}  "
+                              f"moved {moved}/{total}")
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            golden = {name: record(name, Path(tmp) / name) for name in RUNS}
+        GOLDEN.write_text(json.dumps(golden, indent=2) + "\n")
+        print(f"wrote {GOLDEN}")

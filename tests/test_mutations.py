@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from tauforge import cli, kdv
+from tauforge import cli, ernst, kdv
 
 SMALL_KDV = ["kdv", "--grid", "-0.4:0.4:11"]
 # the Ernst grid of cli.SELFTEST_CONFIGS
@@ -102,7 +102,7 @@ class TestPotential:
 
 
 class TestErnstIntegrand:
-    """conformal_constant holds both paths of log tau to Weyl's closed form
+    """conformal_constant holds log tau to Weyl's closed form
     (1/2) log r + G.  A preset parameter 1 + 1e-8 off in psi's derivatives
     alone leaves the integrand closed and harmonic, and residue_route reads
     the same psi, so only the closed form sees it."""
@@ -127,4 +127,67 @@ class TestErnstIntegrand:
                                                                 rel=0.05)
         failed = {name for name, (_, passed) in checks.items() if not passed}
         assert failed == {"conformal_constant"}
+        assert code == cli.EXIT_CHECK_FAILED
+
+
+ERNST_PRESETS = ["kasner", "point_source"]
+
+
+class TestErnstChecks:
+    """One defect per Ernst routine on SMALL_ERNST, and the exact set of
+    checks it fails, with the value one of them reads on kasner and on
+    point_source; every Ernst check is in some set.  The loop reads
+    curl x area = 1e-6 x 3.6 for both 1-form defects.  _d_r_logtau
+    + 1e-6 z reaches log tau only at z = 0, where it vanishes, so
+    conformal_constant passes it."""
+
+    @pytest.mark.parametrize("routine, defect, failing, check, values", [
+        pytest.param(
+            "_d_z_logtau", lambda f: lambda sol, r, z: f(sol, r, z) + 1e-6 * r,
+            {"residue_route", "loop_closedness", "conformal_constant"},
+            "loop_closedness", (3.6e-6, 3.6e-6), id="_d_z_logtau"),
+        pytest.param(
+            "_d_r_logtau", lambda f: lambda sol, r, z: f(sol, r, z) + 1e-6 * z,
+            {"residue_route", "loop_closedness"},
+            "loop_closedness", (3.6e-6, 3.6e-6), id="_d_r_logtau"),
+        pytest.param(
+            "dlogtau", lambda f: lambda *args: f(*args) * (1 + 1e-9),
+            {"residue_route"}, "residue_route", (1.24e-9, 8.3e-10),
+            id="dlogtau"),
+        pytest.param(
+            "cumulative_from", lambda f: lambda *args: f(*args) * (1 + 1e-9),
+            {"conformal_constant"}, "conformal_constant", (9.0e-10, 6.0e-10),
+            id="cumulative_from"),
+    ])
+    @pytest.mark.parametrize("preset", ERNST_PRESETS)
+    def test_routine_defect(self, tmp_path, monkeypatch, preset, routine,
+                            defect, failing, check, values):
+        monkeypatch.setattr(ernst, routine, defect(getattr(ernst, routine)))
+        code, checks = run_checks(tmp_path,
+                                  SMALL_ERNST + ["--preset", preset])
+        assert checks[check][0] == pytest.approx(
+            values[ERNST_PRESETS.index(preset)], rel=0.05)
+        assert {name for name, (_, passed) in checks.items()
+                if not passed} == failing
+        assert code == cli.EXIT_CHECK_FAILED
+
+    @pytest.mark.parametrize("preset, value", [("kasner", 1.1e-7),
+                                               ("point_source", 7.6e-9)])
+    def test_second_derivative_defect(self, tmp_path, monkeypatch, preset,
+                                      value):
+        # psi_rr and psi_zz 1 + 1e-8 off: only the field equations read them
+        real = cli._PRESETS["ernst", preset]
+
+        @functools.wraps(real)  # the CLI reads the preset's parameters
+        def off(**params):
+            sol = real(**params)
+            return dataclasses.replace(sol, second=lambda r, z: tuple(
+                d * (1 + 1e-8) for d in sol.second(r, z)))
+
+        monkeypatch.setitem(cli._PRESETS, ("ernst", preset), off)
+        code, checks = run_checks(tmp_path,
+                                  SMALL_ERNST + ["--preset", preset])
+        assert checks["field_equations"][0] == pytest.approx(value, rel=0.05)
+        assert {name for name, (_, passed) in checks.items()
+                if not passed} == {"field_equations"}
         assert code == cli.EXIT_CHECK_FAILED

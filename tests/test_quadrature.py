@@ -73,11 +73,17 @@ def test_empty_cells():
     assert (level, change) == (0, 0.0)
 
 
-def test_nan_integrand_raises(monkeypatch):
-    monkeypatch.setattr(quadrature, "MAX_LEVEL", 4)
-    with pytest.raises(PathRefinementError, match="within 4 levels"):
-        refine_path_cells(lambda p, c: np.full(p.shape, np.nan), CELLS, 1,
-                          1e-9)
+def test_nan_integrand_raises():
+    # the first level's two rules already give a NaN change
+    calls = []
+
+    def eval_fn(points, cols):
+        calls.append(len(points))
+        return np.full(points.shape, np.nan)
+
+    with pytest.raises(PathRefinementError, match="integrand is not finite"):
+        refine_path_cells(eval_fn, CELLS, 1, 1e-9)
+    assert len(calls) == 2
 
 
 def test_tol_below_roundoff_raises():
