@@ -160,9 +160,9 @@ def _exp_minus_mu_phi(mu, lam):
 
 
 def _pullback_values(seed: KdVSeed, x, t, order: int, half=False):
-    """Translated loops at v = 0 on the circle grid of their order,
-    (B, M, 2, 2), or with half only at its M/2 + 1 points on the upper
-    half circle.
+    """Translated loops at v = 0 on the circle grid of the larger of their
+    order and P0's, which holds every mode of P0, (B, M, 2, 2), or with
+    half only at its M/2 + 1 points on the upper half circle.
 
     exp(-mu Phi) P0 = C P0 - (mu S) Phi P0, where Phi P0 is P0 with its
     rows swapped and the new top row divided by lambda.  The stack is
@@ -170,7 +170,7 @@ def _pullback_values(seed: KdVSeed, x, t, order: int, half=False):
     overflows and inf * 0 gives NaN; such loops are left non-finite, without
     a warning, for the tail-mass check to reject.
     """
-    m = default_sample_count(order)
+    m = default_sample_count(max(order, seed.p0.order))
     keep = m // 2 + 1 if half else m
     lam = circle_points(m)[:keep]
     x = np.atleast_1d(np.asarray(x, dtype=complex))[:, None]
@@ -188,7 +188,9 @@ def pullback_coeff_batch(seed: KdVSeed, x, t, order: int = DEFAULT_ORDER,
                          tail_tol: float | None = TAIL_THRESHOLD, fn=None):
     """Coefficients (B, 2N+1, 2, 2) of the translated loops at v = 0, or
     with fn, fn's outputs (a tuple of arrays) over them; real P0, x and t
-    give real loops, sampled on the upper half circle only.
+    give real loops, sampled on the upper half circle only.  P0 may be of
+    any order: modes -N..N are recovered from the samples, and the tail
+    check covers what lies beyond them.
 
     The points stream through _stream_blocks one block of
     _block_loops(order) at a time: each block is pulled back, transformed

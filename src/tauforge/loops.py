@@ -3,9 +3,11 @@
 A loop is the trigonometric polynomial f(lambda) = sum_{k=-N}^{N} c_k lambda^k
 with lambda = exp(i theta), stored by its coefficient stack c_k (each an n x n
 complex matrix); its sample grid theta_j = 2 pi j / M has the M that
-default_sample_count derives from N.  The pipelines' loops are 2x2, and
-the inverse and the exponential take only those; a scalar loop (n = 1)
-enters only as the multiplier of a product.
+default_sample_count derives from N: the fewest points, a power of two,
+on which the widest product the batch path keeps, gamma g_plus in the
+factorization, loses no kept mode to aliasing.  The pipelines' loops are
+2x2, and the inverse and the exponential take only those; a scalar loop
+(n = 1) enters only as the multiplier of a product.
 A loop with real coefficients is fixed by its samples on the upper half
 circle, which coeffs_to_half_samples and half_samples_to_coeffs carry.
 Products are dealiased by zero-padding to an exact grid; nothing is ever
@@ -18,15 +20,17 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_ORDER = 32
-DEFAULT_SAMPLES = 256
+DEFAULT_SAMPLES = 128
 TAIL_THRESHOLD = 1e-8
 TANGENT_BAND = 8
 # damping of mode k of a random tangent, TANGENT_DECAY^|k|; it keeps exp of
 # the tangent inside the TAIL_THRESHOLD budget at order 32
 TANGENT_DECAY = 0.25
 # loops per block of every batch stage up to DEFAULT_ORDER (_block_loops):
-# a block's 256-point sample stack of 2x2 loops is 1 MB, so each stage
-# works in L2 cache; 64 was the pick of a timing sweep over 32..512
+# a block's 128-point sample stack of 2x2 loops is 0.5 MB, so each stage
+# works in L2 cache; 64 was the pick of a timing sweep over 32..512 on the
+# 256-point grid, and on the 128-point grid 128 loops gained no resolved
+# speed over it at 5-8% more peak RSS
 _BLOCK = 64
 # largest sample condition number inverse() accepts
 INVERSE_COND_MAX = 1e10
@@ -63,9 +67,20 @@ def _fast_len(m: int) -> int:
     return 1 << (int(m) - 1).bit_length()
 
 
-def default_sample_count(order: int) -> int:
-    """Grid size M for modes -order..order: M >= 4N+2, FFT-friendly, >= 256."""
-    return max(DEFAULT_SAMPLES, _fast_len(4 * order + 2))
+def default_sample_count(order: int, points: int = 0) -> int:
+    """Grid size M for loops of modes -N..N, N = order: the smallest power
+    of two with M >= 3N + 2 and M >= points, and at least DEFAULT_SAMPLES.
+
+    Only the modes a product keeps must be free of aliasing (Orszag's
+    rule): gamma g_plus in the factorization has modes -N..2N and keeps
+    -N..N, exact on M >= 3N + 1, and gauge_variation with a direction of
+    order K <= N needs M >= 2N + K + 2 <= 3N + 2.  points is a caller's own
+    bound when it needs more, as quadratic_variation does.  The floor
+    keeps at least 128 - (2N + 1) alias bins under watch at low orders, so
+    that the tail checks of exp and of the KdV pullback still see a slowly
+    decaying spectrum instead of folding it onto the kept modes.
+    """
+    return max(DEFAULT_SAMPLES, _fast_len(max(3 * order + 2, points)))
 
 
 def circle_points(m: int):

@@ -84,10 +84,9 @@ def _factors_of(gamma_or_factors) -> BirkhoffFactors:
     return factorize(gamma_or_factors)
 
 
-def _checked_grid(gamma: MatrixLoop, order: int) -> int:
-    """The circle grid of default_sample_count(order), once every sample of
-    gamma on it passes inverse's condition check (SingularLoopError)."""
-    m = default_sample_count(order)
+def _checked_grid(gamma: MatrixLoop, m: int) -> int:
+    """m, once every sample of gamma on the M-point circle grid passes
+    inverse's condition check (SingularLoopError)."""
     check_sample_condition(gamma.samples(m))
     return m
 
@@ -110,7 +109,7 @@ def hamiltonian_gauge(gamma: MatrixLoop, u, check_real: bool | None = None):
     """H_u(gamma) = -(1/2 pi) contour tr(dgamma gamma^-1 u) = i gauge_variation."""
     tangent = u
     u = _as_loop(u)
-    m = _checked_grid(gamma, max(gamma.order, u.order))
+    m = _checked_grid(gamma, default_sample_count(max(gamma.order, u.order)))
     value = 1j * gauge_variation(gamma.coeffs, u.samples(m))
     default = isinstance(tangent, LoopTangent)
     return _maybe_real(value, check_real, default=default)
@@ -121,9 +120,11 @@ def hamiltonian_diffeo(gamma: MatrixLoop, xi: MatrixLoop,
     """H_xi(gamma) = (1/4 pi) contour xi tr((gamma' gamma^-1)^2) dtheta.
 
     With gamma' = i lambda dgamma/dlambda this is -(1/2) quadratic_variation
-    of gamma against lambda xi, which is formed on the samples.
+    of gamma against lambda xi, which is formed on the samples of a grid
+    that meets quadratic_variation's bound M >= 4N + K + 2.
     """
-    m = _checked_grid(gamma, gamma.order + xi.order)
+    n = gamma.order
+    m = _checked_grid(gamma, default_sample_count(n, 4 * n + xi.order + 2))
     lam_xi = circle_points(m) * xi.samples(m)[:, 0, 0]
     value = -0.5 * quadratic_variation(gamma.coeffs, lam_xi)
     return _maybe_real(value, check_real, default=False)
@@ -237,7 +238,9 @@ def vacuum_logderiv_diffeo(gamma_or_factors, xi10: MatrixLoop) -> complex:
     """
     factors = _factors_of(gamma_or_factors)
     g_minus, g_plus = factors.g_minus, factors.g_plus
-    m = default_sample_count(g_minus.order + xi10.order)
+    # quadratic_variation's bound, M >= 4N + K + 2
+    n = g_minus.order
+    m = default_sample_count(n, 4 * n + xi10.order + 2)
     minus_term, plus_term = quadratic_variation(
         np.stack([g_minus.coeffs, g_plus.coeffs]), xi10.samples(m)[:, 0, 0])
     # the contour integral of the g_plus term is 2 pi i plus_term

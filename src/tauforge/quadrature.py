@@ -71,7 +71,9 @@ def refine_path_cells(eval_fn, cells, n_cols: int, tol: float):
     shape (n_cells n,), and cols = arange(n_cols)[:, None]; its values
     broadcast to (n_cols, n_cells n), row j for integrand j.
     A non-finite change between the rules of a level, or a tolerance not
-    met by level MAX_LEVEL, raises PathRefinementError.
+    met by level MAX_LEVEL, raises PathRefinementError.  The integrand and
+    the change are evaluated quietly: an overflow gives inf or NaN without
+    a warning, and the change rejects it.
     Returns (integrals (n_cols, n_cells), achieved level, final change).
     """
     cells = np.asarray(cells, dtype=float)
@@ -85,13 +87,15 @@ def refine_path_cells(eval_fn, cells, n_cols: int, tol: float):
     def gauss(n):
         nodes, weights = np.polynomial.legendre.leggauss(n)
         pts = (mid[:, None] + half[:, None] * nodes).ravel()
-        vals = np.broadcast_to(eval_fn(pts, cols), (n_cols, pts.size))
-        return half * (vals.reshape(n_cols, n_cells, n) @ weights)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.broadcast_to(eval_fn(pts, cols), (n_cols, pts.size))
+            return half * (vals.reshape(n_cols, n_cells, n) @ weights)
 
     prev = gauss(BASE_NODES)
     for level in range(1, MAX_LEVEL + 1):
         current = gauss(BASE_NODES << level)
-        change = float(np.abs(current - prev).max())
+        with np.errstate(invalid="ignore"):
+            change = float(np.abs(current - prev).max())
         if not np.isfinite(change):
             raise PathRefinementError(
                 f"integrand is not finite (change {change} at level {level})")

@@ -38,7 +38,7 @@ from oracles import pullback_patching, q_contour, q_expansion, shear_solution
 
 AXIS_51 = np.linspace(-0.5, 0.5, 51)
 AXIS_101 = np.linspace(-0.5, 0.5, 101)
-SAMPLES = 256
+SAMPLES = 128
 
 
 @pytest.fixture

@@ -229,6 +229,34 @@ def test_sample_count_is_none_or_the_default_grid(order):
         birkhoff.factorize_batch(stack, 512)
 
 
+@pytest.mark.parametrize("order", [8, 32, 42, 43, 64])
+def test_default_grid_factors_as_twice_the_grid(order, monkeypatch):
+    # gamma g_plus has modes -N..2N and _assemble keeps -N..N, which take
+    # no alias on M >= 3N + 1; 42 and 43 sit either side of the step from
+    # 128 to 256 points.  I + flat random modes is not factored to
+    # convergence at N, so modes N+1..2N of gamma g_plus are large: on
+    # 3N points the factors move by about 1e-3.  tol = inf keeps them.
+    # The one-pole pullbacks are real loops, on the half-circle route.
+    rng = np.random.default_rng(order)
+    flat = 0.3 * (rng.standard_normal((4, 2 * order + 1, 2, 2))
+                  + 1j * rng.standard_normal((4, 2 * order + 1, 2, 2)))
+    flat /= np.abs(flat).sum(axis=1).max(axis=(1, 2))[:, None, None, None]
+    flat[:, order] += np.eye(2)
+    seed = kdv.seed_one_pole(pole=-0.6, strength=0.9, order=order)
+    pulled = kdv.pullback_coeff_batch(seed, [0.3, -0.4], [0.1, 0.2], order,
+                                      tail_tol=None)
+    twice = 2 * loops.default_sample_count(order)
+    for stack in (flat, pulled):
+        default = birkhoff.factorize_slogdet(stack, tol=np.inf)
+        with monkeypatch.context() as patch:
+            patch.setattr(birkhoff, "default_sample_count", lambda n: twice)
+            fine = birkhoff.factorize_slogdet(stack, tol=np.inf)
+        assert default[3].all()
+        for got, want in zip(default[:2], fine[:2]):
+            assert np.abs(got - want).max() <= 1e-13
+        assert np.array_equal(default[5], fine[5])
+
+
 def test_slogdet_takes_tol_by_keyword_only():
     # a caller that passes sample_count by position must fail, not set tol
     stack = tf.random_unimodular_stack(np.random.default_rng(0), 2)

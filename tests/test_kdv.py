@@ -142,6 +142,18 @@ class TestPullback:
         neg = loop.coeffs[:loop.order]
         assert np.abs(neg).max() < 1e-12
 
+    @pytest.mark.parametrize("order", [16, 32])
+    def test_seed_of_higher_order_than_the_run(self, order):
+        # P0 is sampled on a grid that holds all its modes, so a seed of
+        # order 200 gives the order-64 seed's loops: |pole|^64 is below
+        # rounding.  Both are real loops, on the half-circle route
+        x, t = [0.1, -0.3], [0.05, 0.1]
+        want = kdv.pullback_coeff_batch(kdv.seed_one_pole(order=64), x, t,
+                                        order)
+        got = kdv.pullback_coeff_batch(kdv.seed_one_pole(order=200), x, t,
+                                       order)
+        assert np.abs(got - want).max() <= 1e-15
+
     def test_tail_error_for_large_point(self, one_pole_seed):
         with pytest.raises(TailMassError):
             kdv.pullback_coeff_batch(one_pole_seed,

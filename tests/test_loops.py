@@ -28,6 +28,19 @@ def random_loop(rng, order=8, n=2, scale=0.5):
 
 
 class TestTransforms:
+    def test_default_grid_is_the_smallest_exact_power_of_two(self):
+        # gamma g_plus keeps modes -N..N of -N..2N: exact on M >= 3N + 1,
+        # and 3N + 2 also covers gauge_variation up to a direction of order N
+        for order in range(1, 513):
+            m = loops.default_sample_count(order)
+            assert m & (m - 1) == 0
+            assert m >= max(3 * order + 2, 128)
+            assert m == 128 or m // 2 < 3 * order + 2
+        assert loops.default_sample_count(32) == 128
+        assert loops.default_sample_count(64) == 256
+        # a caller's own bound, as quadratic_variation's 4N + K + 2
+        assert loops.default_sample_count(32, 131) == 256
+
     def test_sample_coefficient_round_trip(self, rng):
         loop = random_loop(rng)
         vals = loop.samples()

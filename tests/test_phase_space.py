@@ -351,6 +351,40 @@ class TestNonUnimodularLoop:
 
 
 class TestVacuumLogderivDiffeo:
+    @pytest.mark.parametrize("order, xi_order", [(16, 1), (32, 1), (32, 6)])
+    def test_quadratic_routes_sample_on_their_exact_grid(self, order,
+                                                         xi_order,
+                                                         monkeypatch):
+        # quadratic_variation's bound is M >= 4N + K + 2; at N = 32,
+        # K = 1 the default grid of the larger order has 128 points, not
+        # the 131 needed.  Both routes must ask for enough, and give the
+        # value of a grid four times as fine
+        rng = np.random.default_rng(order + xi_order)
+        gamma = tf.random_unimodular_loop(rng, order=order)
+        fac = birkhoff.factorize(gamma)
+        xi = MatrixLoop(rng.standard_normal(2 * xi_order + 1)
+                        + 1j * rng.standard_normal(2 * xi_order + 1))
+
+        def routes():
+            return np.array([ps.hamiltonian_diffeo(gamma, xi),
+                             ps.vacuum_logderiv_diffeo(fac, xi)])
+
+        real, grids = ps.quadratic_variation, []
+
+        def recorded(g, xi_samples):
+            grids.append(len(xi_samples))
+            return real(g, xi_samples)
+
+        monkeypatch.setattr(ps, "quadratic_variation", recorded)
+        values = routes()
+        assert len(grids) == 2
+        assert min(grids) >= 4 * order + xi_order + 2
+        grid = ps.default_sample_count
+        monkeypatch.setattr(ps, "default_sample_count",
+                            lambda n, points=0: 4 * grid(n, points))
+        assert np.abs(routes() - values).max() <= 1e-13
+        assert min(grids[2:]) == 4 * min(grids)
+
     def test_zero_field(self, rng):
         gamma = tf.random_unimodular_loop(rng)
         xi = MatrixLoop.from_modes({}, n=1, order=2)
@@ -364,7 +398,8 @@ class TestVacuumLogderivDiffeo:
         gamma = tf.random_unimodular_loop(rng)
         fac = birkhoff.factorize(gamma)
         xi = MatrixLoop.from_modes({2: 1.0}, n=1, order=2)  # lambda^2
-        m = default_sample_count(fac.g_minus.order + xi.order)
+        n = fac.g_minus.order  # the program's grid, M >= 4N + K + 2
+        m = default_sample_count(n, 4 * n + xi.order + 2)
         minus_term, plus_term = ps.quadratic_variation(
             np.stack([fac.g_minus.coeffs, fac.g_plus.coeffs]),
             xi.samples(m)[:, 0, 0])
