@@ -62,25 +62,21 @@ class NumericalInvariantError(ValueError):
     vanishing defect); the CLI reports it as a failed check, exit 2."""
 
 
-def _fast_len(m: int) -> int:
-    # next power of two; keeps numpy's FFT on its fastest path
-    return 1 << (int(m) - 1).bit_length()
-
-
-def default_sample_count(order: int, points: int = 0) -> int:
+def default_sample_count(order: int) -> int:
     """Grid size M for loops of modes -N..N, N = order: the smallest power
-    of two with M >= 3N + 2 and M >= points, and at least DEFAULT_SAMPLES.
+    of two with M >= 3N + 2, and at least DEFAULT_SAMPLES; every circle
+    grid is this function of the largest order involved.
 
     Only the modes a product keeps must be free of aliasing (Orszag's
     rule): gamma g_plus in the factorization has modes -N..2N and keeps
     -N..N, exact on M >= 3N + 1, and gauge_variation with a direction of
-    order K <= N needs M >= 2N + K + 2 <= 3N + 2.  points is a caller's own
-    bound when it needs more, as quadratic_variation does.  The floor
-    keeps at least 128 - (2N + 1) alias bins under watch at low orders, so
-    that the tail checks of exp and of the KdV pullback still see a slowly
+    order K <= N needs M >= 2N + K + 2 <= 3N + 2.  The floor keeps at
+    least 128 - (2N + 1) alias bins under watch at low orders, so that
+    the tail checks of exp and of the KdV pullback still see a slowly
     decaying spectrum instead of folding it onto the kept modes.
     """
-    return max(DEFAULT_SAMPLES, _fast_len(max(3 * order + 2, points)))
+    # a power of two keeps numpy's FFT on its fastest path
+    return max(DEFAULT_SAMPLES, 1 << (3 * int(order) + 1).bit_length())
 
 
 def circle_points(m: int):
@@ -378,12 +374,12 @@ def monomial(k: int, block, order: int | None = None) -> MatrixLoop:
 # -- pointwise algebra ---------------------------------------------------
 
 def multiply(a: MatrixLoop, b: MatrixLoop) -> MatrixLoop:
-    """Dealiased product; exact at truncation order_a + order_b.
-
-    A 1x1 factor broadcasts against the other as a scalar multiplier.
+    """Dealiased product, exact at truncation order_a + order_b on the grid
+    default_sample_count(order_a + order_b); a 1x1 factor broadcasts
+    against the other as a scalar multiplier.
     """
     exact_order = a.order + b.order
-    m = _fast_len(4 * exact_order + 2)
+    m = default_sample_count(exact_order)
     sa = coeffs_to_samples(a.coeffs, m)
     sb = coeffs_to_samples(b.coeffs, m)
     prod = sa * sb if 1 in (a.n, b.n) else sa @ sb

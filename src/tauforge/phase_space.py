@@ -84,13 +84,6 @@ def _factors_of(gamma_or_factors) -> BirkhoffFactors:
     return factorize(gamma_or_factors)
 
 
-def _checked_grid(gamma: MatrixLoop, m: int) -> int:
-    """m, once every sample of gamma on the M-point circle grid passes
-    inverse's condition check (SingularLoopError)."""
-    check_sample_condition(gamma.samples(m))
-    return m
-
-
 def reduced_symplectic(gamma: MatrixLoop, u, v, check_real: bool | None = None) -> float:
     """Omega(u gamma, v gamma) = (1/2 pi) contour tr(ubar d vbar), ubar = gamma^-1 u gamma.
 
@@ -109,7 +102,8 @@ def hamiltonian_gauge(gamma: MatrixLoop, u, check_real: bool | None = None):
     """H_u(gamma) = -(1/2 pi) contour tr(dgamma gamma^-1 u) = i gauge_variation."""
     tangent = u
     u = _as_loop(u)
-    m = _checked_grid(gamma, default_sample_count(max(gamma.order, u.order)))
+    m = default_sample_count(max(gamma.order, u.order))
+    check_sample_condition(gamma.samples(m))
     value = 1j * gauge_variation(gamma.coeffs, u.samples(m))
     default = isinstance(tangent, LoopTangent)
     return _maybe_real(value, check_real, default=default)
@@ -120,11 +114,13 @@ def hamiltonian_diffeo(gamma: MatrixLoop, xi: MatrixLoop,
     """H_xi(gamma) = (1/4 pi) contour xi tr((gamma' gamma^-1)^2) dtheta.
 
     With gamma' = i lambda dgamma/dlambda this is -(1/2) quadratic_variation
-    of gamma against lambda xi, which is formed on the samples of a grid
-    that meets quadratic_variation's bound M >= 4N + K + 2.
+    of gamma against lambda xi, on the circle grid of the larger order of
+    gamma and the scalar loop xi, which meets quadratic_variation's bound.
     """
-    n = gamma.order
-    m = _checked_grid(gamma, default_sample_count(n, 4 * n + xi.order + 2))
+    if xi.n != 1:
+        raise ValueError(f"xi must be a 1x1 loop, got {xi.n}x{xi.n}")
+    m = default_sample_count(max(gamma.order, xi.order))
+    check_sample_condition(gamma.samples(m))
     lam_xi = circle_points(m) * xi.samples(m)[:, 0, 0]
     value = -0.5 * quadratic_variation(gamma.coeffs, lam_xi)
     return _maybe_real(value, check_real, default=False)
@@ -202,9 +198,10 @@ def quadratic_variation(g, xi_samples):
 
     g: (..., 2N+1, 2, 2) coefficients with modes -N..N; xi_samples: (M,)
     values of xi, of modes -K..K, on the M-point circle grid.  With det g
-    constant the residue pick is exact for M >= 4N + K + 2, the integrand
-    having modes -4N-K-2..4N+K-2; lambda xi (modes -K+1..K+1) needs
-    M >= 4N + K + 1.
+    constant, dg g^-1 is traceless and tr((dg g^-1)^2) = -2 det(dg) / det g
+    has modes -2N-2..2N-2, so the residue pick is exact for M >= 2N + K + 2
+    (lambda xi, of modes -K+1..K+1: M >= 2N + K + 1), which
+    default_sample_count(max(N, K)) >= 3 max(N, K) + 2 meets.
     """
     m = len(xi_samples)
     a, det = _log_derivative_planes(g, m)
@@ -236,11 +233,11 @@ def vacuum_logderiv_diffeo(gamma_or_factors, xi10: MatrixLoop) -> complex:
     g_plus term vanishes by Cauchy's theorem; that cancellation is checked
     rather than assumed, and a violation raises NumericalInvariantError.
     """
+    if xi10.n != 1:
+        raise ValueError(f"xi10 must be a 1x1 loop, got {xi10.n}x{xi10.n}")
     factors = _factors_of(gamma_or_factors)
     g_minus, g_plus = factors.g_minus, factors.g_plus
-    # quadratic_variation's bound, M >= 4N + K + 2
-    n = g_minus.order
-    m = default_sample_count(n, 4 * n + xi10.order + 2)
+    m = default_sample_count(max(g_minus.order, xi10.order))
     minus_term, plus_term = quadratic_variation(
         np.stack([g_minus.coeffs, g_plus.coeffs]), xi10.samples(m)[:, 0, 0])
     # the contour integral of the g_plus term is 2 pi i plus_term

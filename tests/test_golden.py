@@ -10,9 +10,10 @@ output bits rewrites the record with
     PYTHONPATH=src python tests/test_golden.py
 
 and lists each moved run.  The failing runs write no file today.  To see
-how far a CSV moved, write the runs of one tree under DIR/<run> and
-compare another tree's against them, per CSV column, by the worst |delta|
-and the count of values that moved:
+how far a run moved, write the runs of one tree under DIR/<run> and
+compare another tree's against them: each CSV per column, by the worst
+|delta| and the count of values that moved, and each manifest by the
+checks whose value or verdict moved, old and new:
 
     PYTHONPATH=<old tree>/src python tests/test_golden.py --out DIR
     PYTHONPATH=src python tests/test_golden.py --against DIR
@@ -94,6 +95,25 @@ def column_moves(path: Path, old: Path):
             for j, name in enumerate(header)]
 
 
+def _verdict(check) -> str:
+    if check is None:
+        return "absent"
+    value, passed = check
+    return f"{value:.17g} {'PASS' if passed else 'FAIL'}"
+
+
+def check_moves(path: Path, old: Path):
+    """(check, old (value, pass), new (value, pass)) of each check of two
+    manifests whose value or verdict moved; a check only one of them has
+    reads None on the other side."""
+    new, was = ({c["name"]: (c["value"], c["pass"])
+                 for c in json.loads(p.read_text())["checks"]}
+                for p in (path, old))
+    return [(name, was.get(name), new.get(name))
+            for name in list(was) + [n for n in new if n not in was]
+            if was.get(name) != new.get(name)]
+
+
 if __name__ == "__main__":
     import argparse
     import tempfile
@@ -103,7 +123,8 @@ if __name__ == "__main__":
     action.add_argument("--out", type=Path,
                         help="write each run's files under OUT/<run>")
     action.add_argument("--against", type=Path,
-                        help="compare each run's CSVs with DIR/<run>")
+                        help="compare each run's CSVs and manifests "
+                             "with DIR/<run>")
     args = parser.parse_args()
     if args.out:
         for name in RUNS:
@@ -112,7 +133,8 @@ if __name__ == "__main__":
     elif args.against:
         with tempfile.TemporaryDirectory() as tmp:
             for name in RUNS:
-                record(name, Path(tmp) / name)
+                if not record(name, Path(tmp) / name)["sha256"]:
+                    print(f"{name}: writes no file")
                 for path in sorted((Path(tmp) / name).glob("*.csv")):
                     old = args.against / name / path.name
                     if not old.exists():
@@ -124,6 +146,16 @@ if __name__ == "__main__":
                     for column, worst, moved, total in column_moves(path, old):
                         print(f"  {column:<16} worst |delta| {worst:.3e}  "
                               f"moved {moved}/{total}")
+                for path in sorted((Path(tmp) / name).glob("*.json")):
+                    old = args.against / name / path.name
+                    if not old.exists():
+                        print(f"{name}/{path.name}: not in {args.against}")
+                        continue
+                    moves = check_moves(path, old)
+                    print(f"{name}/{path.name}: checks moved: {len(moves)}")
+                    for check, was, now in moves:
+                        print(f"  {check:<40} {_verdict(was)} -> "
+                              f"{_verdict(now)}")
     else:
         with tempfile.TemporaryDirectory() as tmp:
             golden = {name: record(name, Path(tmp) / name) for name in RUNS}

@@ -38,8 +38,6 @@ class TestTransforms:
             assert m == 128 or m // 2 < 3 * order + 2
         assert loops.default_sample_count(32) == 128
         assert loops.default_sample_count(64) == 256
-        # a caller's own bound, as quadratic_variation's 4N + K + 2
-        assert loops.default_sample_count(32, 131) == 256
 
     def test_sample_coefficient_round_trip(self, rng):
         loop = random_loop(rng)
@@ -155,10 +153,14 @@ class TestProducts:
         assert np.abs(prod.samples() - a.samples()).max() <= 1e-13
 
     def test_pointwise_product_agreement(self, rng):
-        a, b = random_loop(rng), random_loop(rng)
-        prod = tf.multiply(a, b)
-        direct = np.einsum("mij,mjk->mik", a.samples(512), b.samples(512))
-        assert np.abs(prod.samples(512) - direct).max() <= 1e-12
+        # at 32 x 32 the product is sampled on default_sample_count(64),
+        # 256 points, and checked on four times as many
+        for order in (8, 32):
+            a, b = random_loop(rng, order), random_loop(rng, order)
+            prod = tf.multiply(a, b)
+            direct = np.einsum("mij,mjk->mik",
+                               a.samples(1024), b.samples(1024))
+            assert np.abs(prod.samples(1024) - direct).max() <= 1e-12
 
     def test_associativity(self, rng):
         a, b, c = (random_loop(rng, order=6) for _ in range(3))

@@ -1,8 +1,7 @@
 """Each owned decision is read in its owning module alone.
 
-loops owns the batch path's circle grid (DEFAULT_SAMPLES, _fast_len) and
-loops per block (_BLOCK), read elsewhere through default_sample_count and
-_block_loops; quadrature owns the Gauss refinement cap (MAX_LEVEL, which
+loops owns the circle grid (DEFAULT_SAMPLES) and loops per block
+(_BLOCK), read elsewhere through default_sample_count and _block_loops; quadrature owns the Gauss refinement cap (MAX_LEVEL, which
 refine_path_cells reads).  A second module that imports or reads one of
 these names makes a second rule, which can drift from the first.
 MatrixLoop is the one loop class, a scalar loop being its n = 1 case: a
@@ -20,7 +19,6 @@ SRC = Path(tauforge.__file__).parent
 OWNERS = {
     "_BLOCK": "loops",
     "DEFAULT_SAMPLES": "loops",
-    "_fast_len": "loops",
     "MAX_LEVEL": "quadrature",
 }
 

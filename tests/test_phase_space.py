@@ -351,14 +351,16 @@ class TestNonUnimodularLoop:
 
 
 class TestVacuumLogderivDiffeo:
-    @pytest.mark.parametrize("order, xi_order", [(16, 1), (32, 1), (32, 6)])
+    @pytest.mark.parametrize("order, xi_order",
+                             [(16, 1), (32, 1), (32, 6), (16, 40)])
     def test_quadratic_routes_sample_on_their_exact_grid(self, order,
                                                          xi_order,
                                                          monkeypatch):
-        # quadratic_variation's bound is M >= 4N + K + 2; at N = 32,
-        # K = 1 the default grid of the larger order has 128 points, not
-        # the 131 needed.  Both routes must ask for enough, and give the
-        # value of a grid four times as fine
+        # with det g constant tr((dg g^-1)^2) has modes -2N-2..2N-2, so
+        # quadratic_variation is exact on M >= 2N + K + 2, which the grid
+        # of the larger order meets for K above N too.  Both routes must
+        # sample on that grid, and give the value of a grid four times as
+        # fine
         rng = np.random.default_rng(order + xi_order)
         gamma = tf.random_unimodular_loop(rng, order=order)
         fac = birkhoff.factorize(gamma)
@@ -377,13 +379,24 @@ class TestVacuumLogderivDiffeo:
 
         monkeypatch.setattr(ps, "quadratic_variation", recorded)
         values = routes()
-        assert len(grids) == 2
-        assert min(grids) >= 4 * order + xi_order + 2
+        assert grids == [default_sample_count(max(order, xi_order))] * 2
+        assert min(grids) >= 2 * order + xi_order + 2
         grid = ps.default_sample_count
         monkeypatch.setattr(ps, "default_sample_count",
-                            lambda n, points=0: 4 * grid(n, points))
+                            lambda n: 4 * grid(n))
         assert np.abs(routes() - values).max() <= 1e-13
-        assert min(grids[2:]) == 4 * min(grids)
+        assert grids[2:] == [4 * grids[0]] * 2
+
+    @pytest.mark.parametrize("route", ["hamiltonian_diffeo",
+                                       "vacuum_logderiv_diffeo"])
+    def test_matrix_xi_rejected(self, route):
+        # read as its (0, 0) entry, diag(0.5, 7) lambda + diag(0.5, -3) / lambda
+        # gave the value of the scalar 0.5 (lambda + 1/lambda)
+        gamma = tf.random_unimodular_loop(np.random.default_rng(4))
+        xi = MatrixLoop.from_modes({1: np.diag([0.5, 7.0]),
+                                    -1: np.diag([0.5, -3.0])}, order=1)
+        with pytest.raises(ValueError, match="must be a 1x1 loop, got 2x2"):
+            getattr(ps, route)(gamma, xi)
 
     def test_zero_field(self, rng):
         gamma = tf.random_unimodular_loop(rng)
@@ -398,8 +411,7 @@ class TestVacuumLogderivDiffeo:
         gamma = tf.random_unimodular_loop(rng)
         fac = birkhoff.factorize(gamma)
         xi = MatrixLoop.from_modes({2: 1.0}, n=1, order=2)  # lambda^2
-        n = fac.g_minus.order  # the program's grid, M >= 4N + K + 2
-        m = default_sample_count(n, 4 * n + xi.order + 2)
+        m = default_sample_count(fac.g_minus.order)  # the program's grid
         minus_term, plus_term = ps.quadratic_variation(
             np.stack([fac.g_minus.coeffs, fac.g_plus.coeffs]),
             xi.samples(m)[:, 0, 0])
