@@ -13,8 +13,12 @@ partial indices) make T_N singular and are reported as BigCellError.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
+from pathlib import Path
 
 import numpy as np
 
@@ -59,6 +63,30 @@ def _toeplitz_index(order: int, n: int) -> np.ndarray:
     return idx
 
 
+@lru_cache(maxsize=None)
+def _flapack():
+    """scipy's f2py LAPACK extension, which holds dgesv and zgesv, loaded
+    from scipy's linalg directory without importing the scipy.linalg
+    package, whose import is mostly modules no run uses and most of a CLI
+    process's start-up.  An extension scipy.linalg has loaded already is
+    taken as it is; if the file is missing or does not load,
+    scipy.linalg.lapack stands in.  The loaded module is not registered
+    in sys.modules."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    path = (Path(find_spec("scipy").origin).parent / "linalg"
+            / f"_flapack{EXTENSION_SUFFIXES[0]}")
+    try:
+        spec = spec_from_file_location(name, path)
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError:
+        from scipy.linalg import lapack
+        return lapack
+    return module
+
+
 def _lu_block(cs: np.ndarray, order: int, n: int):
     """(X, ok, sign, log|det T_N|) for a (B, 2N+1, n, n) block from one
     LAPACK gesv per loop, dgesv for a real block and zgesv otherwise; X
@@ -70,10 +98,7 @@ def _lu_block(cs: np.ndarray, order: int, n: int):
     the determinant.  A singular T_N gives X = 0, ok False, sign 0 and
     log|det| = -inf, without raising.
     """
-    # imported here, so that a run that factors nothing never loads
-    # scipy.linalg, most of a CLI process's import time
-    from scipy.linalg import lapack
-
+    lapack = _flapack()
     b, size = len(cs), n * (order + 1)
     dtype, gesv = ((complex, lapack.zgesv) if np.iscomplexobj(cs)
                    else (float, lapack.dgesv))

@@ -376,13 +376,15 @@ def monomial(k: int, block, order: int | None = None) -> MatrixLoop:
 def multiply(a: MatrixLoop, b: MatrixLoop) -> MatrixLoop:
     """Dealiased product, exact at truncation order_a + order_b on the grid
     default_sample_count(order_a + order_b); a 1x1 factor broadcasts
-    against the other as a scalar multiplier.
+    against the other as a scalar multiplier; other pairs must be 2x2, or
+    raise ValueError.
     """
     exact_order = a.order + b.order
     m = default_sample_count(exact_order)
     sa = coeffs_to_samples(a.coeffs, m)
     sb = coeffs_to_samples(b.coeffs, m)
-    prod = sa * sb if 1 in (a.n, b.n) else sa @ sb
+    prod = (sa * sb if 1 in (a.n, b.n)
+            else matmul_2x2(_require_2x2(sa), _require_2x2(sb)))
     return MatrixLoop(samples_to_coeffs(prod, exact_order))
 
 
@@ -478,8 +480,8 @@ def cosh_sinhc(z):
 def _require_2x2(vals):
     """vals, a (..., n, n) stack, once n is 2; other sizes raise ValueError."""
     if vals.shape[-2:] != (2, 2):
-        raise ValueError("only 2x2 loops are inverted or exponentiated, "
-                         f"got {vals.shape[-2]}x{vals.shape[-1]}")
+        raise ValueError("only 2x2 loops are multiplied, inverted or "
+                         f"exponentiated, got {vals.shape[-2]}x{vals.shape[-1]}")
     return vals
 
 
@@ -523,12 +525,10 @@ def commutator(a: MatrixLoop, b: MatrixLoop) -> MatrixLoop:
 
 # -- random smooth loops (shared by tests, selftest, CLI) ----------------
 
-def random_tangent_stack(rng: np.random.Generator, count: int, n: int = 2,
-                         band: int = TANGENT_BAND, amplitude: float = 0.5,
-                         order: int = DEFAULT_ORDER,
-                         antihermitian: bool = False,
-                         traceless: bool = True) -> np.ndarray:
-    """Coefficients (count, 2N+1, n, n) of random smooth loops.
+def random_tangent_stack(rng: np.random.Generator, count: int,
+                         amplitude: float = 0.5,
+                         order: int = DEFAULT_ORDER) -> np.ndarray:
+    """Coefficients (count, 2N+1, 2, 2) of random smooth traceless loops.
 
     Modes -band..band are complex Gaussian blocks damped by
     TANGENT_DECAY^|k|, and each loop is scaled to sup norm amplitude on its
@@ -538,25 +538,17 @@ def random_tangent_stack(rng: np.random.Generator, count: int, n: int = 2,
     that add up to count, bit for bit, and leaves rng in the same state.
     Raises ValueError when the band does not fit the order.
     """
+    band = TANGENT_BAND
     if band > order:
         raise ValueError(f"tangent band {band} exceeds truncation order {order}")
     weights = np.array([TANGENT_DECAY ** abs(k)
                         for k in range(-band, band + 1)])
-    normals = rng.standard_normal((count, 2 * band + 1, 2, n, n))
-    coeffs = np.zeros((count, 2 * order + 1, n, n), dtype=complex)
+    normals = rng.standard_normal((count, 2 * band + 1, 2, 2, 2))
+    coeffs = np.zeros((count, 2 * order + 1, 2, 2), dtype=complex)
     coeffs[:, order - band:order + band + 1] = (
         (normals[:, :, 0] + 1j * normals[:, :, 1]) * weights[:, None, None])
-    if antihermitian:
-        # enforce u(theta)^* = -u(theta): c_{-k} = -c_k^H
-        positive = coeffs[:, order + 1:order + band + 1]
-        coeffs[:, order - band:order] = (
-            -positive[:, ::-1].conj().swapaxes(-1, -2))
-        mode0 = coeffs[:, order]
-        coeffs[:, order] = 0.5 * (mode0 - mode0.conj().swapaxes(-1, -2))
-    if traceless:
-        idx = np.arange(n)
-        tr = np.trace(coeffs, axis1=-2, axis2=-1) / n
-        coeffs[..., idx, idx] -= tr[..., None]
+    tr = np.trace(coeffs, axis1=-2, axis2=-1) / 2
+    coeffs[..., [0, 1], [0, 1]] -= tr[..., None]
     sup = np.abs(coeffs_to_samples(coeffs, default_sample_count(order))).max(
         axis=(1, 2, 3))
     scale = amplitude / np.maximum(sup, np.finfo(float).tiny)
@@ -567,8 +559,8 @@ def random_unimodular_stack(rng: np.random.Generator, count: int,
                             **kw) -> np.ndarray:
     """exp of count random traceless tangents, (count, 2N+1, 2, 2).
 
-    Unimodular by construction; the keywords are random_tangent_stack's
-    except traceless, and n other than 2 raises ValueError.  The stack is
+    Unimodular by construction; the keywords are random_tangent_stack's.
+    The stack is
     random_unimodular_blocks' run with nothing done to its blocks: the
     tail mass of exp is checked loop by loop, and the worst loop of the
     whole stack raises TailMassError, which names its index.
@@ -597,8 +589,7 @@ def random_unimodular_blocks(rng: np.random.Generator, count: int, fn,
         # a huge tangent overflows exp, and inf * 0 gives NaN; such loops
         # are left non-finite, without a warning, for the tail check
         with np.errstate(over="ignore", invalid="ignore"):
-            tangent = random_tangent_stack(rng, len(span), traceless=True,
-                                           **kw)
+            tangent = random_tangent_stack(rng, len(span), **kw)
             return _exp_samples(coeffs_to_samples(tangent, m))
 
     return _stream_blocks(samples, range(count), order, fn)

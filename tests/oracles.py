@@ -12,7 +12,13 @@ import numpy as np
 
 from tauforge import ernst, kdv
 from tauforge.birkhoff import _toeplitz_index, factorize
-from tauforge.loops import DEFAULT_ORDER, MatrixLoop, adjugate_2x2
+from tauforge.loops import (
+    DEFAULT_ORDER,
+    TANGENT_BAND,
+    TANGENT_DECAY,
+    MatrixLoop,
+    adjugate_2x2,
+)
 from tauforge.phase_space import vacuum_logderiv_gauge
 
 
@@ -67,6 +73,33 @@ def widom_det(coeffs, K: int) -> complex:
     h = hankel(coeffs, ij)
     h_tilde = hankel(adjugate_2x2(coeffs), -ij)
     return complex(np.linalg.det(np.eye(2 * K) - h @ h_tilde))
+
+
+# -- random tangents beyond the package's 2x2 traceless ones ----------------
+
+
+def reference_tangent(rng, n=2, band=TANGENT_BAND, amplitude=0.5,
+                      order=DEFAULT_ORDER, antihermitian=False,
+                      traceless=True) -> MatrixLoop:
+    """One loop, drawn mode by mode: the per-loop generator the stack
+    form replaced, kept as the reference for its draw order.  With the
+    defaults it draws random_tangent's loop, bit for bit; the options give
+    the other sizes, bands and symmetries some tests need."""
+    coeffs = np.zeros((2 * order + 1, n, n), dtype=complex)
+    for k in range(-band, band + 1):
+        block = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        coeffs[k + order] = block * TANGENT_DECAY ** abs(k)
+    if antihermitian:
+        for k in range(1, band + 1):
+            coeffs[-k + order] = -coeffs[k + order].conj().T
+        coeffs[order] = 0.5 * (coeffs[order] - coeffs[order].conj().T)
+    if traceless:
+        idx = np.arange(n)
+        tr = np.trace(coeffs, axis1=1, axis2=2) / n
+        coeffs[:, idx, idx] -= tr[:, None]
+    loop = MatrixLoop(coeffs)
+    scale = amplitude / max(np.abs(loop.samples()).max(), np.finfo(float).tiny)
+    return MatrixLoop(coeffs * scale)
 
 
 # -- evaluation off the sample grid and mode projections -------------------
@@ -183,6 +216,18 @@ def weyl_log_tau(preset, r, z, **params):
         raise ValueError(f"no closed form for {preset}")
 
     return 0.5 * np.log(r) + g(r, z) - g(1.0, 0.0)
+
+
+def dense_field_residual(sol, r, z):
+    """ernst.field_residual by np.linalg.norm of the assembled (..., 2, 2)
+    matrices diag(L, -L): the dense route the closed form replaced."""
+    pr, _ = sol.first(r, z)
+    prr, pzz = sol.second(r, z)
+    lap = np.asarray(prr + pr / np.asarray(r) + pzz)
+    mat = np.zeros(lap.shape + (2, 2))
+    mat[..., 0, 0] = lap
+    mat[..., 1, 1] = -lap
+    return np.linalg.norm(mat, axis=(-2, -1))
 
 
 def shear_solution() -> ernst.ErnstSolution:

@@ -2,11 +2,17 @@
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import warnings
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import tauforge as tf
 from tauforge import birkhoff, cli, kdv, loops
@@ -387,3 +393,71 @@ def test_lu_determinant_matches_widom_on_one_pole_loops(pole, strength):
     assert errors[16] <= WIDOM_BOUND_AT_16[(pole, strength)]
     assert errors[24] <= 1e-13
     assert errors[8] >= 1e3 * errors[24]
+
+
+# -- the LAPACK extension, loaded without the scipy.linalg package -----------
+
+@pytest.fixture
+def fresh_flapack():
+    """birkhoff._flapack with its cache cleared before and after."""
+    birkhoff._flapack.cache_clear()
+    yield birkhoff._flapack
+    birkhoff._flapack.cache_clear()
+
+
+def test_flapack_is_scipys_extension_once_scipy_linalg_is_loaded(
+        fresh_flapack):
+    module = fresh_flapack()
+    assert module.__name__ == "scipy.linalg._flapack"
+    assert (module.dgesv, module.zgesv) == (lapack.dgesv, lapack.zgesv)
+
+
+@pytest.mark.parametrize("content", [None, b"not an extension"])
+def test_flapack_falls_back_to_scipy_linalg_lapack(fresh_flapack, monkeypatch,
+                                                    tmp_path, content):
+    # the extension file missing, or there but not loadable
+    stack = tf.random_unimodular_stack(np.random.default_rng(3), 4)
+    want = birkhoff.factorize_slogdet(stack)
+    if content is not None:
+        (tmp_path / "linalg").mkdir()
+        (tmp_path / "linalg" / f"_flapack{EXTENSION_SUFFIXES[0]}").write_bytes(
+            content)
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(birkhoff, "find_spec", lambda name: SimpleNamespace(
+        origin=str(tmp_path / "__init__.py")))
+    fresh_flapack.cache_clear()  # the reference factorization filled it
+    assert fresh_flapack() is lapack
+    got = birkhoff.factorize_slogdet(stack)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+# the run, then whether scipy.linalg is loaded, then whether the extension
+# loaded on its own solves as scipy.linalg.lapack does, bit for bit
+_FRESH_RUN = """\
+import sys
+import numpy as np
+from tauforge import birkhoff, cli
+code = cli.main({argv!r})
+loaded = 'scipy.linalg' in sys.modules
+from scipy.linalg import lapack
+alone = birkhoff._flapack()
+rng = np.random.default_rng(0)
+a = rng.standard_normal((6, 6))
+b = rng.standard_normal((6, 2))
+same = alone is not lapack and all(
+    all(np.array_equal(x, y) for x, y in zip(
+        getattr(alone, name)(m, b), getattr(lapack, name)(m, b)))
+    for name, m in (("dgesv", a), ("zgesv", a + 1j * a.T)))
+print(code, loaded, same)
+"""
+
+
+@pytest.mark.parametrize("argv", [["kdv"], ["birkhoff"], ["selftest"]],
+                         ids=lambda argv: argv[0])
+def test_cli_run_loads_lapack_without_scipy_linalg(argv, tmp_path):
+    src = str(Path(birkhoff.__file__).resolve().parents[1])
+    code = _FRESH_RUN.format(argv=argv + ["--out", str(tmp_path)])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.splitlines()[-1] == "0 False True", proc.stderr

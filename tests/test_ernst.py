@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from tauforge import ernst
+from tauforge import cli, ernst
 from tauforge.twistor import ernst_frame
 
-from oracles import shear_solution, weyl_log_tau
+from oracles import dense_field_residual, shear_solution, weyl_log_tau
 
 POINTS = [(0.3, -0.4), (1.0, 0.0), (2.7, 1.1)]
 KASNER_SWEEP = [0.0, 0.3, 0.7, 1.2]
@@ -50,6 +50,16 @@ class TestSolutions:
         batch = ernst.field_residual(source, rs, zs)
         single = [ernst.field_residual(source, r, z) for r, z in zip(rs, zs)]
         assert np.allclose(batch, single, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("preset", sorted(
+        name for pipeline, name in cli._PRESETS if pipeline == "ernst"))
+    def test_field_residual_is_the_dense_frobenius_norm(self, preset):
+        # bit for bit on the 201 x 201 grid of the Ernst golden runs
+        r, z = np.meshgrid(np.linspace(0.5, 2, 201),
+                           np.linspace(-0.5, 0.5, 201), indexing="ij")
+        sol = cli._PRESETS["ernst", preset]()
+        assert np.array_equal(ernst.field_residual(sol, r, z),
+                              dense_field_residual(sol, r, z))
 
 
 class TestDlogtau:

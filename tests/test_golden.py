@@ -4,8 +4,11 @@ Each run is made in process.  The record holds, per run, the argv, the
 exit code, stdout with the run time masked, and the SHA-256 of every file
 the run writes; a manifest is hashed without `elapsed_seconds` and with
 its keys sorted.  Manifests carry the numpy and scipy versions, so a
-version change shows as a moved hash too.  A change that means to move
-output bits rewrites the record with
+version change shows as a moved hash too.  The record also names the
+OpenBLAS builds of numpy and scipy it was written with, version and
+target core: their kernels fix the last bits of an LU or a product, so a
+failing run says so when the running builds differ.  A change that means
+to move output bits rewrites the record with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -28,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from tauforge import cli
 
@@ -45,6 +49,14 @@ RUNS = {
     "birkhoff_twist": ["birkhoff", "--preset", "twist"],
     "ernst_tol_path_1e-30": ["ernst", "--tol-path", "1e-30"],
 }
+
+
+def blas_build() -> dict:
+    """Each library's OpenBLAS configuration, as np.show_config and
+    scipy.show_config give it: version, options and target core."""
+    return {lib.__name__: lib.show_config(mode="dicts")["Build Dependencies"]
+            [dep].get("openblas configuration")
+            for lib, dep in ((np, "blas"), (scipy, "lapack"))}
 
 
 def _digest(path: Path) -> str:
@@ -74,7 +86,12 @@ def record(name: str, out: Path) -> dict:
 
 @pytest.mark.parametrize("name", list(RUNS))
 def test_run_matches_the_record(name, tmp_path):
-    assert record(name, tmp_path / name) == json.loads(GOLDEN.read_text())[name]
+    golden = json.loads(GOLDEN.read_text())
+    running = blas_build()
+    note = ("" if golden["blas_build"] == running else
+            f"the record was written with {golden['blas_build']}, and this "
+            f"process runs {running}: other kernels may move the last bits")
+    assert record(name, tmp_path / name) == golden[name], note
 
 
 def column_moves(path: Path, old: Path):
@@ -159,5 +176,6 @@ if __name__ == "__main__":
     else:
         with tempfile.TemporaryDirectory() as tmp:
             golden = {name: record(name, Path(tmp) / name) for name in RUNS}
+        golden["blas_build"] = blas_build()
         GOLDEN.write_text(json.dumps(golden, indent=2) + "\n")
         print(f"wrote {GOLDEN}")

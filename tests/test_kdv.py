@@ -6,9 +6,8 @@ import io
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
 
-from tauforge import cli, kdv
+from tauforge import birkhoff, cli, kdv
 from tauforge import phase_space as ps
 from tauforge.birkhoff import (
     FACTOR_TOL,
@@ -24,7 +23,6 @@ from tauforge.loops import (
     TailMassError,
     half_samples_to_coeffs,
     multiply,
-    random_tangent,
     random_unimodular_loop,
     samples_to_coeffs,
 )
@@ -35,7 +33,13 @@ from tauforge.quadrature import (
     refine_path_cells,
 )
 
-from oracles import eval_theta, pullback_patching, q_contour, q_expansion
+from oracles import (
+    eval_theta,
+    pullback_patching,
+    q_contour,
+    q_expansion,
+    reference_tangent,
+)
 
 
 def minus_factors(seed, x, t):
@@ -366,7 +370,7 @@ class TestOneContourKernel:
     def test_phase_space_moves_with_the_kernel(self, bumped_kernel,
                                                monkeypatch, rng):
         gamma = random_unimodular_loop(rng)
-        u, v = (random_tangent(rng, band=4) for _ in range(2))
+        u, v = (reference_tangent(rng, band=4) for _ in range(2))
 
         def values():
             return np.array([
@@ -483,6 +487,7 @@ class TestDeterminantRoute:
                 return fn(*args, **kwargs)
             return wrapper
 
+        lapack = birkhoff._flapack()
         for name in ("dgesv", "zgesv"):
             monkeypatch.setattr(lapack, name,
                                 counted(name, getattr(lapack, name)))

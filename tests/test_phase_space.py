@@ -23,12 +23,13 @@ from oracles import (
     eval_point,
     eval_theta,
     project,
+    reference_tangent,
     unimodular_defect,
 )
 
 
 def unitary_loop(rng, amplitude=0.5):
-    gamma = tf.exp_pointwise(tf.random_tangent(rng, antihermitian=True,
+    gamma = tf.exp_pointwise(reference_tangent(rng, antihermitian=True,
                                                amplitude=amplitude))
     return gamma
 
@@ -41,14 +42,14 @@ def quadrature_mean(fn, points=4096):
 
 class TestLoopTangent:
     def test_flag_validation(self, rng):
-        u = tf.random_tangent(rng, antihermitian=True, traceless=True)
+        u = reference_tangent(rng, antihermitian=True, traceless=True)
         tangent = ps.LoopTangent(u, antihermitian=True, traceless=True)
         tangent.validate()
         assert tangent.antihermitian_defect() <= 1e-10
         assert tangent.trace_defect() <= 1e-10
 
     def test_complexified_tangent_fails_hermitian_check(self, rng):
-        u = tf.random_tangent(rng, antihermitian=False)
+        u = reference_tangent(rng, antihermitian=False)
         tangent = ps.LoopTangent(u, antihermitian=True)
         with pytest.raises(ValueError):
             tangent.validate()
@@ -58,13 +59,13 @@ class TestLoopTangent:
 class TestSymplecticForm:
     def test_diagonal_vanishes(self, rng):
         gamma = unitary_loop(rng)
-        u = tf.random_tangent(rng, antihermitian=True, band=4)
+        u = reference_tangent(rng, antihermitian=True, band=4)
         assert abs(ps.reduced_symplectic(gamma, u, u)) <= 1e-15
 
     def test_antisymmetry_exact(self, rng):
         gamma = unitary_loop(rng)
-        u = tf.random_tangent(rng, antihermitian=True, band=4)
-        v = tf.random_tangent(rng, antihermitian=True, band=4)
+        u = reference_tangent(rng, antihermitian=True, band=4)
+        v = reference_tangent(rng, antihermitian=True, band=4)
         a = ps.reduced_symplectic(gamma, u, v)
         b = ps.reduced_symplectic(gamma, v, u)
         assert a == -b
@@ -74,11 +75,12 @@ class TestSymplecticForm:
         # python -O strips assert statements, so the guard must not be one
         code = (
             "import numpy as np, tauforge as tf\n"
+            "from oracles import reference_tangent\n"
             "from tauforge import phase_space as ps\n"
             "rng = np.random.default_rng(0)\n"
-            "gamma = tf.exp_pointwise(tf.random_tangent(rng, antihermitian=True))\n"
-            "u = tf.random_tangent(rng, antihermitian=False, band=4)\n"
-            "v = tf.random_tangent(rng, antihermitian=False, band=4)\n"
+            "gamma = tf.exp_pointwise(reference_tangent(rng, antihermitian=True))\n"
+            "u = reference_tangent(rng, antihermitian=False, band=4)\n"
+            "v = reference_tangent(rng, antihermitian=False, band=4)\n"
             "try:\n"
             "    ps.reduced_symplectic(gamma, u, v, check_real=True)\n"
             "except ValueError:\n"
@@ -87,7 +89,8 @@ class TestSymplecticForm:
         src = str(Path(tf.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
+            p for p in (src, str(Path(__file__).parent),
+                        env.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -115,12 +118,12 @@ class TestSymplecticForm:
         m = 1024
         if unitary:
             gamma = unitary_loop(rng)
-            u, v = (tf.random_tangent(rng, antihermitian=True, band=4)
+            u, v = (reference_tangent(rng, antihermitian=True, band=4)
                     for _ in range(2))
         else:
-            gamma = tf.exp_pointwise(tf.random_tangent(
+            gamma = tf.exp_pointwise(reference_tangent(
                 rng, traceless=False, amplitude=0.4))
-            u, v = (tf.random_tangent(rng, band=4, traceless=False)
+            u, v = (reference_tangent(rng, band=4, traceless=False)
                     for _ in range(2))
             assert unimodular_defect(gamma) > 1e-3
         g, dg = gamma.samples(m), gamma.derivative_theta().samples(m)
@@ -142,14 +145,14 @@ class TestSymplecticForm:
             rng = np.random.default_rng(seed)
             if unimodular:
                 gamma = unitary_loop(rng)
-                u = tf.random_tangent(rng, antihermitian=True, band=4)
-                v = tf.random_tangent(rng, antihermitian=True, band=4)
+                u = reference_tangent(rng, antihermitian=True, band=4)
+                v = reference_tangent(rng, antihermitian=True, band=4)
                 check_real = None
             else:
-                gamma = tf.exp_pointwise(tf.random_tangent(
+                gamma = tf.exp_pointwise(reference_tangent(
                     rng, traceless=False, amplitude=0.4))
-                u = tf.random_tangent(rng, band=4, traceless=False)
-                v = tf.random_tangent(rng, band=4, traceless=False)
+                u = reference_tangent(rng, band=4, traceless=False)
+                v = reference_tangent(rng, band=4, traceless=False)
                 check_real = False
             assert (unimodular_defect(gamma) <= 1e-10) is unimodular
             a = ps.reduced_symplectic(gamma, u, v, check_real=check_real)
@@ -160,7 +163,7 @@ class TestSymplecticForm:
 
 class TestHamiltonians:
     def test_gauge_vanishes_at_identity(self, rng):
-        u = tf.random_tangent(rng, antihermitian=True)
+        u = reference_tangent(rng, antihermitian=True)
         assert ps.hamiltonian_gauge(MatrixLoop.identity(), ps.LoopTangent(u)) == 0.0
 
     def test_gauge_zero_direction(self, rng):
@@ -169,8 +172,8 @@ class TestHamiltonians:
         assert ps.hamiltonian_gauge(gamma, zero) == 0.0
 
     def test_gauge_flow_derivative_matches_cocycle(self, rng):
-        U = tf.random_tangent(rng, antihermitian=True, band=4, amplitude=0.4)
-        u = tf.random_tangent(rng, antihermitian=True, band=4, amplitude=0.4)
+        U = reference_tangent(rng, antihermitian=True, band=4, amplitude=0.4)
+        u = reference_tangent(rng, antihermitian=True, band=4, amplitude=0.4)
 
         def ham(t):
             return ps.hamiltonian_gauge(tf.exp_pointwise(U.scaled(t)),
@@ -183,7 +186,7 @@ class TestHamiltonians:
     def test_larger_loops_rejected(self, rng):
         # the kernels read 2x2 entry planes; a 3x3 loop must not pass.
         # gamma is built from its coefficients, as exp takes only 2x2
-        u = tf.random_tangent(rng, n=3)
+        u = reference_tangent(rng, n=3)
         gamma = MatrixLoop.identity(n=3) + u.scaled(0.5)
         xi = MatrixLoop.from_modes({0: 1.0}, n=1, order=2)
         with pytest.raises(ValueError, match="2x2"):
@@ -218,7 +221,7 @@ class TestHamiltonians:
 
 class TestCocycle:
     def test_diagonal_vanishes(self, rng):
-        u = tf.random_tangent(rng, band=4)
+        u = reference_tangent(rng, band=4)
         assert abs(ps.cocycle(u, u)) <= 1e-15
 
     def test_opposite_single_modes(self):
@@ -236,7 +239,7 @@ class TestCocycle:
 class TestPoissonAnomaly:
     def test_equal_arguments(self, rng):
         gamma = unitary_loop(rng)
-        u = tf.random_tangent(rng, antihermitian=True, band=3)
+        u = reference_tangent(rng, antihermitian=True, band=3)
         assert abs(ps.poisson_anomaly(gamma, u, u, 1e-4)) <= 1e-6
 
     def test_constant_directions(self, rng):
@@ -253,8 +256,8 @@ class TestPoissonAnomaly:
 
     def test_quadratic_convergence(self, rng):
         gamma = unitary_loop(rng)
-        u = tf.random_tangent(rng, antihermitian=True, band=3, amplitude=0.4)
-        v = tf.random_tangent(rng, antihermitian=True, band=3, amplitude=0.4)
+        u = reference_tangent(rng, antihermitian=True, band=3, amplitude=0.4)
+        v = reference_tangent(rng, antihermitian=True, band=3, amplitude=0.4)
         a1 = abs(ps.poisson_anomaly(gamma, u, v, 1e-3))
         a2 = abs(ps.poisson_anomaly(gamma, u, v, 5e-4))
         if a2 > 1e-9:
@@ -276,7 +279,7 @@ class TestVacuumLogderivGauge:
 
     def test_normalization_invariance(self, rng):
         gamma = tf.random_unimodular_loop(rng)
-        u = tf.random_tangent(rng, band=3, amplitude=0.4)
+        u = reference_tangent(rng, band=3, amplitude=0.4)
         base = ps.vacuum_logderiv_gauge(gamma, u)
         c = np.array([[1.1, 0.3], [0.2, 1.0]])
         c = c / np.sqrt(np.linalg.det(c))
@@ -285,7 +288,7 @@ class TestVacuumLogderivGauge:
 
     def test_precomputed_factors_agree(self, rng):
         gamma = tf.random_unimodular_loop(rng)
-        u = tf.random_tangent(rng, band=3)
+        u = reference_tangent(rng, band=3)
         fac = birkhoff.factorize(gamma)
         assert ps.vacuum_logderiv_gauge(fac, u) == ps.vacuum_logderiv_gauge(gamma, u)
 
@@ -317,7 +320,7 @@ class TestNonUnimodularLoop:
 
     def test_logderivs_match_sample_inverse(self):
         rng = np.random.default_rng(3)
-        gamma = tf.exp_pointwise(tf.random_tangent(rng, traceless=False))
+        gamma = tf.exp_pointwise(reference_tangent(rng, traceless=False))
         assert unimodular_defect(gamma) > 1e-3
         u = tf.random_tangent(rng)
         # tr((dg g^-1)^2) of the minus factor has modes <= -4, so xi needs
@@ -340,7 +343,7 @@ class TestNonUnimodularLoop:
         # det gamma = 1 + lambda vanishes at lambda = -1, a grid point
         gamma = MatrixLoop.from_modes({0: np.eye(2), 1: np.diag([1.0, 0.0])},
                                       order=4)
-        u = tf.random_tangent(rng, band=4)
+        u = reference_tangent(rng, band=4)
         xi = MatrixLoop.from_modes({1: 0.5, -1: 0.5}, n=1, order=4)
         with pytest.raises(tf.SingularLoopError):
             ps.hamiltonian_gauge(gamma, u)

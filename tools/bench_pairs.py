@@ -8,15 +8,21 @@ benchmark/ and BENCHMARK.json.  For every workload and seed the script
 runs `python3 benchmark/run.py --workload W --seed S --seconds T --trace 0`
 once in each checkout per pair, one run at a time: the parent first in
 odd pairs, the change first in even ones.  T is BENCHMARK.json's
-run_seconds unless --seconds is given.
+run_seconds unless --seconds is given.  After each such run, every call
+of one round of the workload (the argv its checkout's
+benchmark/workloads.py makes) runs once more in a fresh interpreter,
+`PYTHONPATH=<checkout>/src python -m tauforge ARGV`, which the in-process
+benchmark cannot show: its wall time, import included, and the child's
+own peak RSS from os.wait4.
 
 The output keeps every run in the order it ran under "runs", and under
 "summary" one entry per workload and seed (key W at seed 1, else
 W_seed<S>): per end-to-end metric, each side's median, inclusive
 quartiles and run count, the pairs in which the change read better (in
 BENCHMARK.json's direction, ties counting for neither side) and the
-change median over the parent median, minus one.  The file is rewritten
-after every pair.
+change median over the parent median, minus one; under "process" the
+same per call key for the process wall time and peak RSS, lower better.
+The file is rewritten after every pair.
 With an existing --out file, its runs are kept, new pairs of a key number
 on from its last, and the summary is made again over all runs, so seeds
 and workloads can be added one command at a time.  --note is added to the
@@ -33,8 +39,12 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from importlib import metadata
 from pathlib import Path
+
+PROCESS_METRICS = {"wall_s": "lower", "peak_rss_mb": "lower"}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -50,6 +60,51 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def workload_calls(checkout: Path, workload: str, seed: int,
+                   out_root: Path) -> list:
+    """[key, argv] of each call of one round of the workload, from the
+    checkout's benchmark/workloads.py, which a child imports: it needs
+    numpy, and this script only the standard library."""
+    code = ("import json, sys\nfrom pathlib import Path\n"
+            "sys.path.insert(0, 'benchmark')\n"
+            "from workloads import WORKLOADS\n"
+            f"calls = WORKLOADS[{workload!r}]({seed}).calls("
+            f"Path({str(out_root)!r}))\n"
+            "print(json.dumps([[c.key, c.argv] for c in calls]))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=checkout,
+                          capture_output=True, text=True, check=False)
+    if done.returncode != 0:
+        raise SystemExit(f"bench_pairs: reading {workload}'s calls in "
+                         f"{checkout} failed\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def run_process(checkout: Path, argv: list) -> dict:
+    """Wall time and peak RSS of one CLI call in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    cmd = [sys.executable, "-m", "tauforge", *argv]
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        child = subprocess.Popen(cmd, cwd=checkout, env=env, stderr=err,
+                                 stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)
+        if child.returncode != 0:
+            err.seek(0)
+            raise SystemExit(f"bench_pairs: {' '.join(cmd)} in {checkout} "
+                             f"exited {child.returncode}\n"
+                             f"{err.read().decode(errors='replace')}")
+    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024}
+
+
+def run_processes(checkout: Path, workload: str, seed: int) -> dict:
+    """run_process on every call of one round of the workload, by key."""
+    with tempfile.TemporaryDirectory() as out_root:
+        return {key: run_process(checkout, argv) for key, argv
+                in workload_calls(checkout, workload, seed, Path(out_root))}
+
+
 def quartiles(values: list) -> dict:
     if len(values) < 2:
         q1 = q3 = values[0]
@@ -59,8 +114,21 @@ def quartiles(values: list) -> dict:
             "n": len(values)}
 
 
+def compare(sides: dict, complete: list, value, better: str) -> dict:
+    """Both sides' statistics of value(run), the pairs in which the change
+    read better and the relative change of the median."""
+    stats = {s: quartiles([value(r) for r in rs]) for s, rs in sides.items()}
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (value(p["change"]) - value(p["parent"])) > 0
+               for p in complete)
+    return {**stats, "change_better_pairs": f"{wins}/{len(complete)}",
+            "median_change_rel": (stats["change"]["median"]
+                                  / stats["parent"]["median"] - 1)}
+
+
 def summarize(runs: list, metrics: dict) -> dict:
-    """Per (workload, seed) key: both sides' statistics of each metric."""
+    """Per (workload, seed) key: both sides' statistics of each metric,
+    and of each call's process metrics over the runs that have them."""
     groups = {}
     for run in runs:
         groups.setdefault(run["key"], []).append(run)
@@ -80,18 +148,19 @@ def summarize(runs: list, metrics: dict) -> dict:
                                 for s, rs in sides.items()},
         }
         for name, better in metrics.items():
-            stats = {s: quartiles([r["metrics"][name] for r in rs])
-                     for s, rs in sides.items()}
-            sign = 1 if better == "higher" else -1
-            wins = sum(sign * (p["change"]["metrics"][name]
-                               - p["parent"]["metrics"][name]) > 0
-                       for p in complete)
-            entry[name] = {
-                **stats,
-                "change_better_pairs": f"{wins}/{len(complete)}",
-                "median_change_rel": (stats["change"]["median"]
-                                      / stats["parent"]["median"] - 1),
-            }
+            entry[name] = compare(sides, complete,
+                                  lambda r, n=name: r["metrics"][n], better)
+        timed = {s: [r for r in rs if "process" in r]
+                 for s, rs in sides.items()}
+        if all(timed.values()):
+            timed_pairs = [p for p in complete
+                           if all("process" in r for r in p.values())]
+            entry["process"] = {
+                call: {name: compare(timed, timed_pairs,
+                                     lambda r, c=call, n=name:
+                                     r["process"][c][n], better)
+                       for name, better in PROCESS_METRICS.items()}
+                for call in timed["change"][0]["process"]}
         summary[key] = entry
     return summary
 
@@ -144,7 +213,11 @@ def main(argv=None) -> int:
         "else W_seed<S>. 'change_better_pairs' counts the pairs "
         "in which the change read better; 'median_change_rel' is change "
         "median / parent median - 1; q1 and q3 are inclusive quartiles. "
-        "'runs' lists every run, in the order they ran.",
+        "'runs' lists every run, in the order they ran. After each run, "
+        "every call of one round of the workload ran once more as "
+        "PYTHONPATH=<checkout>/src python -m tauforge ARGV in a fresh "
+        "interpreter: 'process' holds its wall time and the child's peak "
+        "RSS (os.wait4), per call key.",
         old.get("note", ""), args.note]))
     for seed in seeds:
         for workload in workloads:
@@ -157,6 +230,7 @@ def main(argv=None) -> int:
                 for side in order:
                     result = run_once(checkouts[side], workload, seed,
                                       seconds)
+                    process = run_processes(checkouts[side], workload, seed)
                     runs.append({
                         "key": key, "workload": workload, "seed": seed,
                         "pair": pair, "side": side,
@@ -164,10 +238,15 @@ def main(argv=None) -> int:
                                     for name in metrics},
                         "correct": result["correct"],
                         "failed": result["failed"],
-                        "attempted": result["attempted"]})
+                        "attempted": result["attempted"],
+                        "process": process})
                     print(f"{key} pair {pair} {side}: "
                           + ", ".join(f"{k} {v:.4g}" for k, v
-                                      in runs[-1]["metrics"].items()),
+                                      in runs[-1]["metrics"].items())
+                          + "; process " + ", ".join(
+                              f"{call} {m['wall_s']:.3f} s "
+                              f"{m['peak_rss_mb']:.1f} MB"
+                              for call, m in process.items()),
                           flush=True)
                 args.out.write_text(json.dumps({
                     "description": description,
